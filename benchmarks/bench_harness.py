@@ -1,9 +1,11 @@
 """Wall-clock benchmark of the experiment harness and pipeline cache.
 
-Runs a set of experiments twice — serially (``REPRO_JOBS=1`` semantics)
-and through the process-pool harness — and writes
-``BENCH_experiments.json`` with per-experiment wall times, the
-serial/parallel speedup, and the static-pipeline cache hit rates.
+Runs a set of experiments serially (``REPRO_JOBS=1`` semantics) from a
+cold and then a warm pipeline cache, and once more warm through the
+process-pool harness, and writes ``BENCH_experiments.json`` with
+per-experiment wall times, the memoization speedup (cold ÷ warm
+serial), the parallel speedup (warm serial ÷ warm pooled; ``null`` when
+``cpu_count`` is 1), and the static-pipeline cache hit rates.
 
 Usage::
 
@@ -310,7 +312,13 @@ def main(argv=None) -> int:
             "serial_cold_seconds": round(serial, 3),
             "serial_warm_seconds": round(warm, 3),
             "parallel_seconds": round(parallel, 3),
-            "parallel_speedup": round(serial / parallel, 2) if parallel else None,
+            # Warm against warm: both legs reuse the same cache, so the
+            # ratio is the pool's alone.  One CPU has none to measure.
+            "parallel_speedup": (
+                round(warm / parallel, 2)
+                if parallel and report["cpu_count"] != 1
+                else None
+            ),
             "memoization_speedup": round(serial / warm, 2) if warm else None,
             "pipeline_cache": {
                 "cold": cold_stats,

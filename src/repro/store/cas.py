@@ -326,36 +326,67 @@ class LocalStore:
             return False
 
     def refs(self, prefix: str = "") -> Dict[str, str]:
-        """``{name: digest}`` for every valid ref under *prefix*."""
-        root = self.root / "refs"
-        if prefix:
-            _check_ref(prefix)
-            root = root / Path(*prefix.split("/"))
-        if not root.is_dir():
-            return {}
+        """``{name: digest}`` for every valid ref under *prefix*, in
+        name order.  Reads every ref body: eviction orders refs with
+        the stat-only :meth:`ref_mtimes` instead."""
         out: Dict[str, str] = {}
-        base = self.root / "refs"
-        for path in sorted(root.rglob("*")):
-            if not path.is_file() or path.name.endswith(".tmp"):
+        for base, entry in self._scan_refs(prefix):
+            if not _REF_PART_RE.match(entry.name):
                 continue
-            name = "/".join(path.relative_to(base).parts)
             try:
-                text = path.read_text(encoding="ascii").strip()
+                with open(entry.path, encoding="ascii") as fh:
+                    text = fh.read().strip()
             except (OSError, UnicodeDecodeError):
                 continue
             if _DIGEST_RE.match(text):
-                out[name] = text
-        return out
+                out[base + entry.name] = text
+        return dict(sorted(out.items()))
 
-    def ref_mtimes(self, prefix: str = "") -> List[Tuple[float, str, str]]:
-        """``(mtime, name, digest)`` per ref — the eviction ordering."""
-        out = []
-        for name, digest in self.refs(prefix).items():
+    def _scan_refs(self, prefix: str):
+        """``(name prefix, DirEntry)`` per file under *prefix*'s refs.
+
+        One ``os.scandir`` walk that reads no ref bodies and stats
+        nothing (``DirEntry.is_dir`` answers from the directory listing
+        itself).  Writers' ``*.tmp`` files are skipped.
+        """
+        root = self.root / "refs"
+        if prefix:
+            root = root / Path(*_check_ref(prefix).split("/"))
+        stack = [(root, f"{prefix}/" if prefix else "")]
+        while stack:
+            directory, base = stack.pop()
             try:
-                mtime = self._ref_path(name).stat().st_mtime
-            except OSError:
+                with os.scandir(directory) as listing:
+                    for entry in listing:
+                        if entry.is_dir():
+                            stack.append((entry.path, f"{base}{entry.name}/"))
+                        elif not entry.name.endswith(".tmp"):
+                            yield base, entry
+            except (FileNotFoundError, NotADirectoryError):
                 continue
-            out.append((mtime, name, digest))
+
+    def count_refs(self, prefix: str = "") -> int:
+        """How many ref files live under *prefix* — names only, cheap
+        enough to run on every publish."""
+        return sum(1 for _ in self._scan_refs(prefix))
+
+    def ref_mtimes(self, prefix: str = "") -> List[Tuple[float, str]]:
+        """``(mtime, name)`` per ref, oldest first with a name
+        tie-break — the eviction ordering.
+
+        Stat-only: ref bodies are not read, so a torn or scribbled ref
+        is listed too; read a digest with :meth:`get_ref`, which drops
+        such refs.
+        """
+        out = []
+        for base, entry in self._scan_refs(prefix):
+            if not _REF_PART_RE.match(entry.name):
+                continue  # a stray file, not a ref name
+            try:
+                out.append((entry.stat().st_mtime, base + entry.name))
+            except OSError:
+                continue  # removed since the listing
+        out.sort()
         return out
 
     # -- maintenance --------------------------------------------------------
@@ -382,31 +413,34 @@ class LocalStore:
         special afterwards — re-fetching it from another tier runs the
         same digest verification as any cold read.
 
+        The age policy needs no ref bodies; the byte policy reads the
+        digest of every ref that survives it (dropping torn ones, as
+        :meth:`get_ref` does).
+
         Returns ``(refs dropped, objects removed, bytes freed)``.
         """
         if now is None:
             now = time.time()
-        entries = sorted(self.ref_mtimes())  # oldest first
+        names = []  # oldest first
         dropped = 0
-        if max_age is not None:
-            cutoff = now - float(max_age)
-            keep = []
-            for mtime, name, digest in entries:
-                if mtime < cutoff:
-                    dropped += self.delete_ref(name)
-                else:
-                    keep.append((mtime, name, digest))
-            entries = keep
+        cutoff = None if max_age is None else now - float(max_age)
+        for mtime, name in self.ref_mtimes():
+            if cutoff is not None and mtime < cutoff:
+                dropped += self.delete_ref(name)
+            else:
+                names.append(name)
         if max_bytes is not None:
-            sizes = {
-                digest: self.object_size(digest)
-                for _mtime, _name, digest in entries
-            }
+            entries = []
+            for name in names:
+                digest = self.get_ref(name)
+                if digest is not None:
+                    entries.append((name, digest))
+            sizes = {digest: self.object_size(digest) for _, digest in entries}
             live: Dict[str, int] = {}
-            for _mtime, _name, digest in entries:
+            for _name, digest in entries:
                 live[digest] = live.get(digest, 0) + 1
             total = sum(sizes.values())
-            for _mtime, name, digest in entries:
+            for name, digest in entries:
                 if total <= int(max_bytes):
                     break
                 dropped += self.delete_ref(name)

@@ -142,6 +142,13 @@ def _key_digest(key: tuple) -> str:
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
+def _low_water(budget: Optional[int]) -> float:
+    """Where disk eviction stops once *budget* is exceeded: 1/8 below
+    it, so one eviction pass is paid back by ``budget // 8`` publishes.
+    Budgets under 8 evict exactly to the budget."""
+    return float("inf") if budget is None else budget - budget // 8
+
+
 class PipelineCache:
     """Content-keyed memo for static-pipeline products.
 
@@ -178,9 +185,10 @@ class PipelineCache:
     dead store never fails a build.
 
     The persistent tier is bounded by ``max_disk_entries`` files *and*
-    ``max_disk_bytes`` object bytes; eviction drops oldest-ref-mtime
-    first (name tie-break) until both budgets hold, and the evicted
-    totals are reported in :meth:`stats`.
+    ``max_disk_bytes`` object bytes; once a publish exceeds either,
+    eviction drops oldest-ref-mtime first (name tie-break) down to a
+    low-water mark 1/8 below each budget, and the evicted totals are
+    reported in :meth:`stats`.
 
     Args:
         strict: raise on a detected corruption instead of silently
@@ -354,39 +362,59 @@ class PipelineCache:
         self._evict_disk_overflow()
 
     def _evict_disk_overflow(self) -> None:
-        if self.max_disk_entries is None and self.max_disk_bytes is None:
+        """Enforce the disk budgets after a publish.
+
+        A names-only count decides whether the tier is over
+        ``max_disk_entries``; only then does one stat pass order the
+        refs, and the tier is evicted down to the low-water mark so the
+        next ``cap // 8`` publishes need no pass at all.  The byte
+        budget needs object sizes, so it reads every digest on each
+        publish.
+        """
+        cap, budget = self.max_disk_entries, self.max_disk_bytes
+        if cap is None and budget is None:
             return
+        store = self._store
         try:
-            entries = self._store.ref_mtimes("pipeline")
+            if budget is None and store.count_refs("pipeline") <= cap:
+                return
+            # Oldest first, name tie-break: coarse filesystem timestamps
+            # make same-mtime batches common, and directory order is
+            # filesystem-dependent — sorting on mtime alone would evict
+            # a nondeterministic subset.
+            entries = store.ref_mtimes("pipeline")
         except OSError:
             return
         count = len(entries)
-        total = (
-            sum(self._store.object_size(digest) for _, _, digest in entries)
-            if self.max_disk_bytes is not None
-            else 0
-        )
-        # Tie-break equal mtimes by ref name: coarse filesystem
-        # timestamps make same-mtime batches common, and directory
-        # order is filesystem-dependent — sorting on mtime alone would
-        # evict a nondeterministic subset.
-        entries.sort(key=lambda item: (item[0], item[1]))
-        for _, name, digest in entries:
-            over_count = (
-                self.max_disk_entries is not None
-                and count > self.max_disk_entries
-            )
-            over_bytes = (
-                self.max_disk_bytes is not None and total > self.max_disk_bytes
-            )
-            if not (over_count or over_bytes):
+        sized = {}
+        if budget is not None:
+            for _, name in entries:
+                digest = store.get_ref(name)
+                if digest is not None:
+                    sized[name] = (digest, store.object_size(digest))
+        total = sum(size for _, size in sized.values())
+        if not (
+            (cap is not None and count > cap)
+            or (budget is not None and total > budget)
+        ):
+            return
+        count_goal, bytes_goal = _low_water(cap), _low_water(budget)
+        for _, name in entries:
+            if count <= count_goal and total <= bytes_goal:
                 break
-            self._store.delete_ref(name)
-            freed = self._store.delete(digest)
-            self.evicted_entries += 1
-            self.evicted_bytes += freed
             count -= 1
-            total -= freed
+            if budget is None:
+                digest = store.get_ref(name)
+            else:
+                digest, size = sized.get(name, (None, 0))
+                total -= size
+            if digest is None:
+                continue  # already gone: another process evicted it
+            # Whoever unlinks the ref owns the eviction, so processes
+            # sharing the tier never both count one victim.
+            if store.delete_ref(name):
+                self.evicted_entries += 1
+                self.evicted_bytes += store.delete(digest)
 
     # -- lookup -------------------------------------------------------------
 

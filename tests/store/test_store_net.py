@@ -81,6 +81,38 @@ def test_prune_counts_shared_object_bytes_once(tmp_path):
     assert freed == len(b"shared bytes")
 
 
+@pytest.mark.parametrize("policy", [
+    {"max_age": 250.0},
+    {"max_bytes": 40},
+    {"max_age": 250.0, "max_bytes": 20},
+])
+def test_prune_ignores_scribbled_refs_and_temp_files(tmp_path, policy):
+    """The stat-only listing also sees a ref whose body is not a digest
+    and a writer's stray ``*.tmp``; neither raises, and the valid refs
+    prune exactly as in a store without them."""
+    now = time.time()
+
+    def build(root):
+        store = LocalStore(root)
+        for age, name in ((300.0, "a"), (200.0, "b/c"), (100.0, "d")):
+            store.set_ref(name, store.put(f"payload {name}".encode() * 2))
+            path = store._ref_path(name)
+            os.utime(path, (now - age, now - age))
+        return store
+
+    clean = build(tmp_path / "clean")
+    dirty = build(tmp_path / "dirty")
+    dirty._ref_path("scribbled").write_text("not a digest\n")
+    stray = dirty._ref_path("b/c").with_name("c.123.456.tmp")
+    stray.write_text("torn")
+
+    expected = clean.prune(now=now, **policy)
+    assert dirty.prune(now=now, **policy) == expected
+    assert expected[0] >= 1
+    assert dirty.refs() == clean.refs()
+    assert not stray.exists()  # gc sweeps crashed writers' temp files
+
+
 def test_prune_noop_within_budget(tmp_path):
     store = LocalStore(tmp_path)
     store.set_ref("keep", store.put(b"tiny"))

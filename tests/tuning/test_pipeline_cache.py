@@ -461,6 +461,74 @@ def test_disk_eviction_deterministic_under_equal_mtimes(tmp_path):
     assert cache.evicted_entries == 3
 
 
+def _assert_refs_verify(store):
+    """Every surviving pipeline ref names a present, digest-verified
+    object (``LocalStore.get`` re-hashes before returning)."""
+    for name, digest in store.refs("pipeline").items():
+        assert store.get(digest) is not None, name
+
+
+def test_disk_eviction_amortized_below_cap(tmp_path, monkeypatch):
+    """Eviction runs to a low-water mark, so the stat pass that orders
+    the refs is paid once per ``cap // 8`` publishes, not per publish."""
+    from repro.store import LocalStore
+
+    scans = []
+    original = LocalStore.ref_mtimes
+
+    def counted(self, prefix=""):
+        scans.append(prefix)
+        return original(self, prefix)
+
+    monkeypatch.setattr(LocalStore, "ref_mtimes", counted)
+    cache = PipelineCache(disk_dir=tmp_path, max_disk_entries=64)
+    for i in range(192):
+        cache.get_or_build(("typing", f"entry-{i}"), lambda: i)
+        assert cache.store.count_refs("pipeline") <= 64
+    assert 0 < len(scans) <= 192 // 8
+    survivors = len(cache.store.refs("pipeline"))
+    assert cache.evicted_entries == 192 - survivors
+    _assert_refs_verify(cache.store)
+
+
+def _publish_into_shared_tier(root, tag, barrier, evicted):
+    cache = PipelineCache(disk_dir=root, max_disk_entries=32)
+    barrier.wait(timeout=30)
+    for i in range(100):
+        cache.get_or_build(("typing", f"{tag}-{i}"), lambda: (tag, i))
+    evicted.put(cache.evicted_entries)
+
+
+def test_two_processes_share_one_tier(tmp_path):
+    """Two processes evicting one directory keep it under the cap and
+    never both count the same victim."""
+    import multiprocessing
+
+    from repro.store import LocalStore
+
+    ctx = multiprocessing.get_context("fork")
+    barrier = ctx.Barrier(2)
+    evicted = ctx.Queue()
+    procs = [
+        ctx.Process(
+            target=_publish_into_shared_tier,
+            args=(str(tmp_path), tag, barrier, evicted),
+        )
+        for tag in ("left", "right")
+    ]
+    for proc in procs:
+        proc.start()
+    counts = [evicted.get(timeout=60) for _ in procs]
+    for proc in procs:
+        proc.join(timeout=30)
+    assert all(proc.exitcode == 0 for proc in procs)
+    store = LocalStore(tmp_path)
+    survivors = len(store.refs("pipeline"))
+    assert survivors <= 32
+    assert sum(counts) == 200 - survivors
+    _assert_refs_verify(store)
+
+
 def test_remote_read_through_promotes(tmp_path, monkeypatch):
     """A second host with an empty local cache serves everything from the
     remote tier — and promotes it locally so the next run is offline."""
