@@ -2,7 +2,7 @@
 
 Runs a set of experiments serially (``REPRO_JOBS=1`` semantics) from a
 cold and then a warm pipeline cache, and once more warm through the
-process-pool harness, and writes ``BENCH_experiments.json`` with
+harness's local workers, and writes ``BENCH_experiments.json`` with
 per-experiment wall times, the memoization speedup (cold ÷ warm
 serial), the parallel speedup (warm serial ÷ warm pooled; ``null`` when
 ``cpu_count`` is 1), and the static-pipeline cache hit rates.
@@ -15,7 +15,7 @@ Usage::
 
 The serial leg runs first from a cold pipeline cache, so its timing
 includes every static-pipeline build; its populated cache is then
-inherited by the pool's forked workers, which is exactly how
+inherited by the harness's forked workers, which is exactly how
 ``python -m repro.experiments`` behaves.
 
 Two properties are load-independent and therefore *gated* (nonzero
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
             "serial_warm_seconds": round(warm, 3),
             "parallel_seconds": round(parallel, 3),
             # Warm against warm: both legs reuse the same cache, so the
-            # ratio is the pool's alone.  One CPU has none to measure.
+            # ratio is the workers' alone.  One CPU has none to measure.
             "parallel_speedup": (
                 round(warm / parallel, 2)
                 if parallel and report["cpu_count"] != 1

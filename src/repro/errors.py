@@ -128,14 +128,14 @@ class TaskTimeoutError(ExperimentError):
 class BrokerError(ExperimentError):
     """Raised by :mod:`repro.experiments.broker` for invalid usage or a
     broker directory that cannot be opened/created (the harness catches
-    this and degrades to the single-host pool backend)."""
+    this and degrades to a queue on its own host)."""
 
 
 class BrokerUnavailableError(BrokerError):
     """A networked broker server cannot be reached: the transport's
     retry budget is spent (or its circuit breaker is open) and the
     operation never happened.  ``run_tasks`` catches this (via
-    :class:`BrokerError`) and degrades to the single-host pool; workers
+    :class:`BrokerError`) and degrades to a queue on its own host; workers
     treat it as "poll again later" while their grace window lasts."""
 
 

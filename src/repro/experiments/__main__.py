@@ -10,7 +10,7 @@ Usage::
     python -m repro.experiments --trace-out traces telemetry  # summary
     python -m repro.experiments --no-coalesce table2   # per-quantum debug
 
-``--jobs`` caps the harness worker pool (overriding ``REPRO_JOBS``;
+``--jobs`` caps the harness's local workers (overriding ``REPRO_JOBS``;
 ``--jobs 1`` runs serially) and ``--log`` prints one progress line per
 completed sweep point to stderr.  ``--cache-dir`` (or the
 ``REPRO_CACHE_DIR`` environment variable) persists the static-pipeline
@@ -93,14 +93,15 @@ Per-task retry knobs (all backends): ``--task-timeout SECONDS``,
 matches ``REPRO_LEASE_TTL`` for broker leases).
 
 ``--run-dir DIR`` makes the invocation durable: the chosen experiments
-and options are written to ``DIR/manifest.json``, every sweep journals
-its completed tasks under ``DIR/sweep-NNNN/``, each task checkpoints
-its simulation periodically (``--checkpoint-interval`` simulated
-seconds), and with ``--trace-out`` events also stream to
-``trace.jsonl`` as they happen.  ``resume DIR`` replays the manifest:
-journaled tasks are skipped, interrupted tasks continue from their
-latest valid checkpoint, and the completed output is byte-identical to
-an uninterrupted run.
+and options are written to ``DIR/manifest.json``, every sweep runs
+through the broker queue at ``DIR/broker`` (its local workers' leases
+are expired the moment one dies), each task checkpoints its simulation
+periodically (``--checkpoint-interval`` simulated seconds), and with
+``--trace-out`` events also stream to ``trace.jsonl`` as they happen.
+``resume DIR`` replays the manifest against the same queue: sweep ids
+are derived from the tasks' content, so finished tasks are replayed,
+interrupted tasks continue from their latest valid checkpoint, and the
+completed output is byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -351,10 +352,10 @@ def _parse_args(argv):
         "--run-dir",
         default=None,
         metavar="DIR",
-        help="make the run durable: write DIR/manifest.json, journal "
-        "every sweep under DIR, and checkpoint each task's simulation; "
-        "an interrupted invocation continues with "
-        "'python -m repro.experiments resume DIR'",
+        help="make the run durable: write DIR/manifest.json, run every "
+        "sweep through the broker queue at DIR/broker, and checkpoint "
+        "each task's simulation; an interrupted invocation continues "
+        "with 'python -m repro.experiments resume DIR'",
     )
     parser.add_argument(
         "--checkpoint-interval",
@@ -370,9 +371,9 @@ def _parse_args(argv):
         default=None,
         metavar="SECONDS",
         help="per-task wall-clock budget (default: REPRO_TASK_TIMEOUT, "
-        "else none); over-budget pool workers are SIGKILLed and the task "
-        "resubmitted, broker workers let the lease lapse so the task is "
-        "re-offered",
+        "else none); an over-budget worker reports the attempt failed "
+        "and kills itself, and the task is re-offered until its attempt "
+        "budget is spent",
     )
     parser.add_argument(
         "--task-retries",
@@ -380,8 +381,8 @@ def _parse_args(argv):
         default=None,
         metavar="N",
         help="retry budget per task (default: REPRO_TASK_RETRIES, else 0); "
-        "the broker backend always grants at least its quarantine "
-        "threshold of attempts",
+        "the broker always grants at least its quarantine threshold of "
+        "attempts",
     )
     parser.add_argument(
         "--backoff-base",
@@ -583,12 +584,12 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
     if getattr(args, "store_dir", None):
         os.environ[STORE_DIR_ENV] = args.store_dir
     if getattr(args, "no_coalesce", False):
-        # Same routing as --cache-dir: pool workers inherit the
+        # Same routing as --cache-dir: sweep workers inherit the
         # environment, so every simulation in the invocation steps its
         # quanta individually.
         os.environ[NO_COALESCE_ENV] = "1"
-    # Retry/broker knobs travel through the environment too, so pool
-    # workers, broker workers, and resumed invocations all see them.
+    # Retry/broker knobs travel through the environment too, so sweep
+    # workers and resumed invocations all see them.
     if getattr(args, "task_timeout", None) is not None:
         os.environ[harness.TASK_TIMEOUT_ENV] = str(args.task_timeout)
     if getattr(args, "task_retries", None) is not None:
@@ -617,7 +618,7 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
     if run_dir is not None:
         harness.set_run_root(run_dir)
         if args.checkpoint_interval is not None:
-            # Through the environment so pool workers checkpoint at the
+            # Through the environment so sweep workers checkpoint at the
             # same cadence (task_checkpoint_manager reads it).
             os.environ[CHECKPOINT_INTERVAL_ENV] = str(args.checkpoint_interval)
     live = any(name != "telemetry" for name in chosen)

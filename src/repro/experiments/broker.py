@@ -1,12 +1,12 @@
 """Fault-tolerant sweep broker: a claim/lease task queue on SQLite.
 
-The harness's :func:`~repro.experiments.harness.run_tasks` fans a sweep
-out over a single-host process pool; this module promotes the same
-sweep into *jobs anyone can submit*.  An **enqueue** step shreds the
-sweep into content-keyed claimable tasks in a broker directory (shared
-filesystem, one ``queue.db`` SQLite file — stdlib only, no new
-dependencies); **workers** on any host claim tasks one at a time and
-record results; the submitter (or anyone) replays the completed sweep
+Every multi-worker sweep of the harness's
+:func:`~repro.experiments.harness.run_tasks` runs through this queue,
+which makes a sweep a *job anyone can submit*.  An **enqueue** step
+shreds the sweep into content-keyed claimable tasks in a broker
+directory (shared filesystem, one ``queue.db`` SQLite file — stdlib
+only, no new dependencies); **workers** on any host claim tasks one at
+a time and record results; the submitter (or anyone) replays the completed sweep
 in task order.  Robustness is the headline — every failure mode has a
 deterministic recovery path:
 
@@ -15,7 +15,9 @@ worker death
     heartbeat thread; a ``kill -9``'d worker stops heartbeating, its
     lease expires, and the task is re-offered to the next claimer
     (:meth:`Broker.reclaim_expired`, run automatically inside every
-    claim).  Nothing is lost and nothing needs manual intervention.
+    claim) — at once, when the dead worker was a local process of the
+    submitting sweep, which sees it exit.  Nothing is lost and nothing
+    needs manual intervention.
 
 poison tasks
     Every claim consumes one attempt from a bounded budget.  Re-offers
@@ -67,7 +69,12 @@ import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.errors import BrokerError, BrokerUnavailableError, LeaseLostError
+from repro.errors import (
+    BrokerError,
+    BrokerUnavailableError,
+    LeaseLostError,
+    TaskTimeoutError,
+)
 from repro.sim.checkpoint import task_checkpoint_dir
 from repro.taxonomy import failed_reason, lease_expired_reason
 from repro.store import atomic_publish, default_store
@@ -94,7 +101,7 @@ __all__ = [
 ]
 
 #: Environment variable naming the broker directory; ``run_tasks``
-#: routes sweeps through it when set (see ``backend="broker"``).
+#: routes sweeps through it when set.
 BROKER_DIR_ENV = "REPRO_BROKER_DIR"
 
 #: Environment variable naming a networked broker server
@@ -338,12 +345,13 @@ class Broker:
         backoff_base: exponential-backoff base (seconds) between
             re-offers; the ``REPRO_BACKOFF_BASE`` environment variable
             when ``None``, falling back to 0.5 s.
-        fsync: fsync result files before publishing them (disable only
-            in tests, where losing a result to power loss is fine).
+        fsync: fsync result files before publishing them, and queue
+            commits (off for throwaway queues and tests, where losing
+            a result to power loss is fine).
 
     Raises:
         BrokerError: the directory (or its database) cannot be
-            created/opened — callers degrade to the pool backend.
+            created/opened — callers degrade to a local queue.
     """
 
     def __init__(
@@ -425,6 +433,8 @@ class Broker:
                 conn.execute("PRAGMA journal_mode = WAL")
             except sqlite3.Error:
                 pass  # WAL unsupported on this filesystem; default is fine
+            if not self.fsync:
+                conn.execute("PRAGMA synchronous = OFF")
             self._local.conn = conn
         return conn
 
@@ -609,8 +619,12 @@ class Broker:
         lease.deadline = deadline
         return deadline
 
-    def reclaim_expired(self, now: Optional[float] = None) -> list:
-        """Re-offer every task whose lease deadline has passed.
+    def reclaim_expired(
+        self, now: Optional[float] = None, worker: Optional[str] = None
+    ) -> list:
+        """Re-offer every task whose lease deadline has passed — and,
+        given *worker* (known dead: its process exited), every lease it
+        holds, without waiting out the TTL.  The attempt still counts.
 
         Returns ``(sweep, idx, label, new_state)`` tuples for the
         reclaimed tasks (``new_state`` is ``pending`` or
@@ -618,6 +632,12 @@ class Broker:
         """
         now = time.time() if now is None else now
         with self._txn() as cur:
+            if worker is not None:
+                cur.execute(
+                    "UPDATE tasks SET lease_deadline = ? "
+                    "WHERE state = 'leased' AND lease_owner = ?",
+                    (now, worker),
+                )
             return self._reclaim_locked(cur, now)
 
     def _reclaim_locked(self, cur, now: float) -> list:
@@ -840,6 +860,17 @@ class Broker:
         out.update(dict(rows))
         return out
 
+    def done_indices(self, sweep: str) -> list:
+        """Indices of *sweep*'s tasks that are done, in index order."""
+        return [
+            row[0]
+            for row in self._conn().execute(
+                "SELECT idx FROM tasks WHERE sweep = ? AND state = 'done' "
+                "ORDER BY idx",
+                (sweep,),
+            ).fetchall()
+        ]
+
     def sweeps(self) -> list:
         """``(sweep, fn, total, traced, created)`` rows, oldest first."""
         return self._conn().execute(
@@ -953,17 +984,27 @@ class Broker:
                 data = store.get_object(digest)
         return data
 
-    def replay(self, sweep: str, traced: bool = False) -> dict:
-        """``{task index: value}`` for every verified recorded result.
+    def replay(
+        self, sweep: str, traced: bool = False, indices=None
+    ) -> dict:
+        """``{task index: value}`` for every verified recorded result
+        (of the given task *indices* only, when given).
 
-        Mirrors the journal contract: a result whose file is missing,
-        truncated, or fails its digest check is treated as absent (the
-        task re-runs) rather than returning silently wrong bytes, and
-        records of the other traced-ness are skipped.  A missing or
-        damaged local file falls back to the shared artifact store
-        (fetched by the row's digest, verified, and republished
-        locally), so a second host can replay a sweep it never ran.
+        A result whose file is missing, truncated, or fails its digest
+        check is treated as absent (the task re-runs) rather than
+        returning silently wrong bytes, and records of the other
+        traced-ness are skipped.  A missing or damaged local file falls
+        back to the shared artifact store (fetched by the row's digest,
+        verified, and republished locally), so a second host can replay
+        a sweep it never ran.
         """
+        index_keys = self._conn().execute(
+            "SELECT idx, key FROM tasks WHERE sweep = ?", (sweep,)
+        ).fetchall()
+        if indices is not None:
+            indices = set(indices)
+            index_keys = [row for row in index_keys if row[0] in indices]
+        wanted = {key for _, key in index_keys}
         by_key = {}
         rows = self._conn().execute(
             "SELECT key, file, sha256, traced FROM results WHERE sweep = ?",
@@ -971,7 +1012,7 @@ class Broker:
         ).fetchall()
         store = default_store()
         for key, name, digest, rec_traced in rows:
-            if bool(rec_traced) != bool(traced):
+            if key not in wanted or bool(rec_traced) != bool(traced):
                 continue
             try:
                 payload = (self.results_dir / name).read_bytes()
@@ -997,13 +1038,7 @@ class Broker:
                 by_key[key] = pickle.loads(payload)
             except Exception:
                 continue
-        out = {}
-        for idx, key in self._conn().execute(
-            "SELECT idx, key FROM tasks WHERE sweep = ?", (sweep,)
-        ).fetchall():
-            if key in by_key:
-                out[idx] = by_key[key]
-        return out
+        return {idx: by_key[key] for idx, key in index_keys if key in by_key}
 
     def drop_results(self, sweep: str, traced: Optional[bool] = None) -> int:
         """Forget recorded results (and re-offer their tasks) so the
@@ -1122,8 +1157,8 @@ def connect(
     other string or path opens the filesystem :class:`Broker` directly.
 
     Both transports expose the same claim/lease surface, so callers —
-    :func:`worker_loop`, the harness's broker backend, the CLI verbs —
-    never branch on which one they got.
+    :func:`worker_loop`, the harness, the CLI verbs — never branch on
+    which one they got.
     """
     if isinstance(target, str) and target.startswith(
         ("http://", "https://")
@@ -1149,10 +1184,11 @@ def connect(
 
 
 class _Heartbeat(threading.Thread):
-    """Renews one lease until stopped; optionally enforces a per-task
-    wall budget by SIGKILLing its own process (the lease then expires
-    and the task is re-offered elsewhere — the broker-backend analogue
-    of the pool path's straggler SIGKILL)."""
+    """Renews one lease until stopped and enforces the per-task wall
+    budget: past it, the thread stops renewing (the lease lapses and
+    the task is re-offered elsewhere) or, with *timeout_kills*, reports
+    the attempt failed with :class:`TaskTimeoutError` and SIGKILLs its
+    own process so the slot is reclaimed at once."""
 
     def __init__(self, broker, lease, task_timeout, timeout_kills):
         super().__init__(daemon=True)
@@ -1171,14 +1207,22 @@ class _Heartbeat(threading.Thread):
 
     def run(self) -> None:
         interval = self.broker.lease_ttl / 3.0
-        while not self._halt.wait(interval):
-            if (
-                self.task_timeout is not None
-                and time.monotonic() - self.started_at >= self.task_timeout
-            ):
+        deadline = (
+            None if self.task_timeout is None
+            else self.started_at + self.task_timeout
+        )
+        while True:
+            # Wake for the next renewal or the deadline, whichever is
+            # first: a budget far below the TTL still fires on time.
+            wait = interval
+            if deadline is not None:
+                wait = max(0.0, min(interval, deadline - time.monotonic()))
+            if self._halt.wait(wait):
+                return
+            if deadline is not None and time.monotonic() >= deadline:
                 self.timed_out = True
                 if self.timeout_kills:
-                    os.kill(os.getpid(), signal.SIGKILL)
+                    self._fail_and_die()
                 return  # stop renewing; the lease expires and reclaims
             try:
                 self.broker.heartbeat(self.lease)
@@ -1189,6 +1233,19 @@ class _Heartbeat(threading.Thread):
                 # A transient DB hiccup: keep trying while the lease
                 # may still be alive.
                 continue
+
+    def _fail_and_die(self) -> None:
+        error = TaskTimeoutError(
+            f"task {self.lease.label} exceeded {self.task_timeout:g}s"
+        )
+        try:
+            # Recorded before dying, so a quarantine reason names the
+            # TaskTimeoutError and the submitter raises it instead of
+            # rescuing a call that never returns.
+            self.broker.fail(self.lease, error)
+        except Exception:
+            pass  # the lease lapses instead
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def worker_loop(
@@ -1204,15 +1261,16 @@ def worker_loop(
     max_tasks: Optional[int] = None,
     log: Optional[Callable] = None,
     down_grace: Optional[float] = None,
+    durable: bool = True,
 ) -> int:
     """Claim and run tasks from the broker at *directory* (a path or an
     ``http(s)://`` broker-server URL).
 
     The core of the ``work`` CLI verb and of the local workers the
-    harness's broker backend spawns.  Each claimed task runs under a
-    heartbeat thread renewing the lease at a third of its TTL and with
-    its checkpoint directory exported; an exception inside the point
-    function reports :meth:`Broker.fail` (backed-off re-offer, then
+    harness runs for every multi-worker sweep.  Each claimed task runs
+    under a heartbeat thread renewing the lease at a third of its TTL
+    and with its checkpoint directory exported; an exception inside the
+    point function reports :meth:`Broker.fail` (backed-off re-offer, then
     quarantine) instead of killing the loop.
 
     Over the HTTP transport the loop degrades instead of crashing: an
@@ -1226,14 +1284,18 @@ def worker_loop(
     Args:
         worker: worker identity for leases (host:pid by default).
         task_timeout: per-task wall budget; with *timeout_kills* the
-            worker SIGKILLs itself when exceeded (subprocess workers
-            only!), otherwise it just stops heartbeating so the task is
-            reclaimed while the local attempt burns out.
+            worker reports the attempt failed and SIGKILLs itself when
+            it is exceeded (subprocess workers only!), otherwise it
+            just stops heartbeating so the task is reclaimed while the
+            local attempt burns out.
         drain: return once no task is runnable or running anywhere in
             the queue; ``False`` keeps serving until interrupted.
         max_tasks: stop after this many completed claims (tests).
         down_grace: seconds of continuous broker unavailability a
             draining worker tolerates before giving up.
+        durable: ``False`` for a throwaway queue that nothing resumes
+            from: tasks run without a checkpoint directory and results
+            are not fsynced.
 
     Returns:
         the number of tasks this worker completed.
@@ -1251,6 +1313,7 @@ def worker_loop(
                 lease_ttl=lease_ttl,
                 max_attempts=max_attempts,
                 backoff_base=backoff_base,
+                fsync=durable,
             )
             break
         except BrokerUnavailableError as exc:
@@ -1318,11 +1381,15 @@ def worker_loop(
         started = time.perf_counter()
         try:
             fn, task = lease.load()
-            # The content key doubles as the snapshot's store ref, so a
-            # reclaimed task resumes from the fleet's last published
-            # checkpoint even on a host with an empty ckpt/ directory.
-            with task_checkpoint_dir(broker.checkpoint_dir(lease.key),
-                                     ref=lease.key):
+            if durable:
+                # The content key doubles as the snapshot's store ref,
+                # so a reclaimed task resumes from the fleet's last
+                # published checkpoint even on a host with an empty
+                # ckpt/ directory.
+                with task_checkpoint_dir(broker.checkpoint_dir(lease.key),
+                                         ref=lease.key):
+                    value = fn(task)
+            else:
                 value = fn(task)
         except BaseException as exc:
             heartbeat.stop()

@@ -40,7 +40,7 @@ circuit breaker
 
 graceful degradation
     ``BrokerUnavailableError`` is a :class:`~repro.errors.BrokerError`,
-    so ``run_tasks`` falls back to the single-host pool; workers poll
+    so ``run_tasks`` falls back to a queue on its own host; workers poll
     through outages (heartbeat failures are absorbed — the lease
     simply lapses if the outage outlives the TTL, and the re-offered
     task's recomputed result dedupes by content key); and abandoned
@@ -179,7 +179,7 @@ class HTTPBroker:
     Raises:
         BrokerUnavailableError: the server cannot be reached (after the
             transport's bounded retries) — ``run_tasks`` degrades to
-            the single-host pool on this.
+            a queue on its own host on this.
         BrokerError: the server refused us (401/403) or rejected a
             request as invalid; not retried.
     """
@@ -398,8 +398,9 @@ class HTTPBroker:
         lease.deadline = float(out["deadline"])
         return lease.deadline
 
-    def reclaim_expired(self, now: Optional[float] = None) -> list:
-        out = self._call("/api/reclaim", {})
+    def reclaim_expired(self, now: Optional[float] = None,
+                        worker: Optional[str] = None) -> list:
+        out = self._call("/api/reclaim", {"worker": worker})
         return [tuple(row) for row in out.get("reclaimed", [])]
 
     # -- completion ---------------------------------------------------------
@@ -434,6 +435,9 @@ class HTTPBroker:
             for state in ("pending", "leased", "done", "quarantined")
         }
 
+    def done_indices(self, sweep: str) -> list:
+        return list(self._get("/api/done", sweep=sweep)["indices"])
+
     def sweeps(self) -> list:
         return [tuple(row) for row in self._get("/api/sweeps")["sweeps"]]
 
@@ -462,8 +466,10 @@ class HTTPBroker:
     def result_digests(self, sweep: str) -> dict:
         return {label: sha for label, _key, sha in self.result_rows(sweep)}
 
-    def replay(self, sweep: str, traced: bool = False) -> dict:
-        """``{task index: value}`` with every payload digest-verified.
+    def replay(self, sweep: str, traced: bool = False,
+               indices=None) -> dict:
+        """``{task index: value}`` with every payload digest-verified
+        (of the given task *indices* only, when given).
 
         Payloads resolve from the shared artifact store first (the
         broker mirrors completions there) and fall back to the server's
@@ -473,10 +479,15 @@ class HTTPBroker:
         silently wrong bytes.
         """
         info = self._get("/api/results", sweep=sweep)
+        index_keys = info["index_keys"]
+        if indices is not None:
+            indices = set(indices)
+            index_keys = [row for row in index_keys if row[0] in indices]
+        wanted = {key for _, key in index_keys}
         store = default_store()
         by_key = {}
         for key, digest, rec_traced in info["rows"]:
-            if bool(rec_traced) != bool(traced):
+            if key not in wanted or bool(rec_traced) != bool(traced):
                 continue
             data = store.get_object(digest) if store is not None else None
             if data is None:
@@ -494,9 +505,7 @@ class HTTPBroker:
             except Exception:
                 continue
         return {
-            int(idx): by_key[key]
-            for idx, key in info["index_keys"]
-            if key in by_key
+            int(idx): by_key[key] for idx, key in index_keys if key in by_key
         }
 
     def events(self, sweep: Optional[str] = None, limit: int = 200) -> list:
@@ -646,6 +655,10 @@ class BrokerRequestHandler(BaseHTTPRequestHandler):
             })
         elif path == "/api/counts":
             self._reply_json(200, broker.counts(sweep))
+        elif path == "/api/done":
+            self._reply_json(
+                200, {"indices": broker.done_indices(sweep or "")}
+            )
         elif path == "/api/sweeps":
             self._reply_json(200, {"sweeps": broker.sweeps()})
         elif path == "/api/traced":
@@ -803,7 +816,9 @@ class BrokerRequestHandler(BaseHTTPRequestHandler):
         return 200, {"state": state}
 
     def _post_reclaim(self, p: dict) -> tuple:
-        return 200, {"reclaimed": self.broker.reclaim_expired()}
+        return 200, {
+            "reclaimed": self.broker.reclaim_expired(worker=p.get("worker"))
+        }
 
     def _post_requeue(self, p: dict) -> tuple:
         count = self.broker.requeue_quarantined(p.get("sweep"))

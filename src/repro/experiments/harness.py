@@ -3,9 +3,9 @@
 Every experiment in this package is a sweep: the same deterministic
 point function evaluated at many parameter values (δ thresholds, error
 rates, technique variants, benchmarks).  The points are independent, so
-:func:`run_tasks` fans them out over a :class:`ProcessPoolExecutor` and
-returns results in task order — the caller's loop body becomes a
-module-level worker function and nothing else changes.
+:func:`run_tasks` fans them out over worker processes and returns
+results in task order — the caller's loop body becomes a module-level
+worker function and nothing else changes.
 
 Determinism contract: a point function must be a pure function of its
 (picklable) task tuple.  Under that contract parallel results are bit
@@ -19,13 +19,27 @@ Worker count resolution (first match wins):
 2. the ``REPRO_JOBS`` environment variable,
 3. ``os.cpu_count()``.
 
-``REPRO_JOBS=1`` (or ``jobs=1``) runs every task serially in-process —
-no pool, no pickling — which is also the debugging fallback.  On Linux
-the pool forks, so workers inherit the parent's already-populated
-static-pipeline cache (:mod:`repro.tuning.pipeline`) for free; under
+Without a broker or run dir, ``REPRO_JOBS=1`` (or ``jobs=1``) runs
+every task serially in-process — no workers, no pickling — which is
+also the debugging fallback and the reference the tests compare
+against.
+
+One mechanism runs every multi-worker sweep: the claim/lease queue of
+:mod:`repro.experiments.broker`.  The queue lives
+
+* in the broker directory or server named by ``broker_dir=``,
+  ``REPRO_BROKER_URL`` or ``REPRO_BROKER_DIR`` (workers on any host may
+  serve it);
+* else, under :func:`set_run_root` (the CLI's ``--run-dir``), at
+  ``<run dir>/broker``;
+* else in a throwaway temporary directory, deleted when the sweep
+  returns.
+
+Local workers are forked (so they inherit the parent's already-populated
+static-pipeline cache, :mod:`repro.tuning.pipeline`); under
 ``spawn``/``forkserver`` (``start_method=``) the same entries are
-shipped to each worker through a pool initializer instead, so every
-start method sees a warm cache.
+shipped to each worker at start-up, so every start method sees a warm
+cache.
 
 :func:`derive_seed` gives sweeps stable per-task seeds: hashing the
 base seed with the task's identifying parts decorrelates tasks without
@@ -34,22 +48,20 @@ coupling any task's seed to how many tasks run or in what order.
 Durable sweeps
 ==============
 
-Pass ``journal=`` (a :class:`~repro.experiments.journal.RunJournal` or
-a directory path) — or call :func:`set_run_root` once to journal every
-subsequent sweep under numbered subdirectories — and ``run_tasks``
-becomes crash-safe: each completed task is journaled with a content
-digest, a rerun (``python -m repro.experiments resume RUNDIR``) skips
-journaled results and recomputes only what never finished, each task
-runs with :data:`~repro.sim.checkpoint.TASK_CHECKPOINT_DIR_ENV`
-pointing at its own checkpoint directory (checkpoint-aware point
-functions then resume mid-simulation), pool deaths are blamed on the
-tasks that were running via the pid files the straggler-reclamation
-path already maintains, and a task blamed for
-:data:`~repro.experiments.journal.MAX_TASK_CRASHES` pool deaths is
-demoted to serial-with-checkpoints in the parent instead of being
-allowed to take another pool down.  Because point functions are pure
-and results are replayed in task order, a resumed sweep returns bit-
-identical results to an uninterrupted one.
+A queue in a broker directory or a run dir is durable: results are
+recorded idempotently by content key (and fsynced), sweep ids derive
+from those keys, so a rerun — ``python -m repro.experiments resume
+RUNDIR`` — replays finished tasks and recomputes only what never
+finished, and each task runs with
+:data:`~repro.sim.checkpoint.TASK_CHECKPOINT_DIR_ENV` pointing at its
+own checkpoint directory, so checkpoint-aware point functions resume
+mid-simulation.  A local worker that dies loses its leases at once
+(the supervisor knows its ``host:pid`` identity), a task that keeps
+killing workers is quarantined after its attempt budget and rescued
+serially in the parent, and because point functions are pure and
+results are replayed in task order, a resumed sweep returns bit-
+identical results to an uninterrupted one.  The throwaway queue skips
+checkpoints and fsyncs: nothing outlives it to resume from.
 """
 
 from __future__ import annotations
@@ -57,13 +69,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import multiprocessing
+import multiprocessing.connection
 import os
-import shutil
-import signal
+import socket
 import tempfile
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -74,60 +85,43 @@ from repro.errors import (
     TaskTimeoutError,
 )
 from repro.experiments.broker import BROKER_DIR_ENV, BROKER_URL_ENV
-from repro.experiments.journal import MAX_TASK_CRASHES, RunJournal
-from repro.sim.checkpoint import TASK_CHECKPOINT_DIR_ENV, task_checkpoint_dir
-from repro.taxonomy import demotion_reason, pool_death_reason
+from repro.sim.checkpoint import task_checkpoint_dir
 from repro.telemetry.context import current_recorder, set_recorder
 from repro.telemetry.recorder import TraceRecorder
-
-#: Placeholder for a task slot whose result has not been produced yet
-#: (distinguishes "not run" from a legitimate ``None`` result).
-_UNSET = object()
 
 #: Environment variable overriding the default worker count.
 JOBS_ENV = "REPRO_JOBS"
 
 #: Environment variables giving the per-task retry knobs defaults
 #: (CLI ``--task-timeout`` / ``--task-retries`` write them through, so
-#: pool workers and resumed runs see the same budgets).
+#: workers and resumed runs see the same budgets).
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 TASK_RETRIES_ENV = "REPRO_TASK_RETRIES"
 
-#: Local worker count for the broker backend.  Resolved on the host
-#: that runs the workers (``REPRO_JOBS``/``--jobs`` otherwise), never
-#: recorded in the queue — a worker host honors its own core budget,
-#: not the enqueuing host's.  ``0`` means "submit and wait": enqueue
-#: the sweep and block until workers elsewhere complete it.
+#: Local worker count for a durable queue (a broker directory or
+#: server, or a run dir).  Resolved on the host that runs the workers
+#: (``REPRO_JOBS``/``--jobs`` otherwise), never recorded in the queue —
+#: a worker host honors its own core budget, not the enqueuing host's.
+#: ``0`` means "submit and wait": enqueue the sweep and block until
+#: workers elsewhere complete it.
 BROKER_WORKERS_ENV = "REPRO_BROKER_WORKERS"
 
-#: Run root installed by :func:`set_run_root`; when set, every
-#: ``run_tasks`` call without an explicit ``journal=`` gets one under
-#: ``<root>/sweep-NNNN``.
+#: Run root installed by :func:`set_run_root`; when set, every sweep
+#: without an explicit broker goes through ``<root>/broker``.
 _run_root: Optional[Path] = None
-_sweep_seq = 0
 
 
 def set_run_root(path) -> Optional[Path]:
-    """Journal every subsequent :func:`run_tasks` sweep under *path*.
+    """Run every subsequent :func:`run_tasks` sweep through the durable
+    queue at ``<path>/broker``.
 
-    Sweeps are numbered ``sweep-0000``, ``sweep-0001``, ... in call
-    order; experiments run their sweeps in a deterministic order, so a
-    resumed invocation assigns every sweep the same directory it had in
-    the interrupted one.  Pass ``None`` to turn auto-journaling off.
+    Sweep ids are derived from the tasks' content, so a resumed
+    invocation finds every sweep it had already enqueued and replays
+    what finished.  Pass ``None`` to turn it off.
     """
-    global _run_root, _sweep_seq
+    global _run_root
     _run_root = Path(path) if path is not None else None
-    _sweep_seq = 0
     return _run_root
-
-
-def _auto_journal() -> Optional[RunJournal]:
-    global _sweep_seq
-    if _run_root is None:
-        return None
-    journal = RunJournal(_run_root / f"sweep-{_sweep_seq:04d}")
-    _sweep_seq += 1
-    return journal
 
 
 def worker_count(jobs: Optional[int] = None) -> int:
@@ -204,7 +198,6 @@ def run_tasks(
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     start_method: Optional[str] = None,
-    journal=None,
     backend: Optional[str] = None,
     broker_dir=None,
 ) -> list:
@@ -215,57 +208,46 @@ def run_tasks(
             parallel path; any callable works serially).
         tasks: picklable task tuples/values.
         jobs: worker count; see :func:`worker_count`.  Capped at the
-            task count; ``1`` means serial in-process execution.
-        log: optional progress callback, called with one line per
-            completed task (completion order in the parallel path).
+            task count; ``1`` without a queue means serial in-process
+            execution.
+        log: optional progress callback, called with one
+            ``[k/n] label`` line per completed task (completion order
+            in the parallel path).
         labels: display names per task for *log*; repr of the task by
             default.
         timeout: per-task wall-clock budget in seconds, measured from
-            submission (give queueing headroom: a task may briefly wait
-            behind a sibling).  A task over budget is abandoned — and
-            its worker, identified through a per-task pid file, is
-            SIGKILLed so the slot is reclaimed — then resubmitted to a
-            rebuilt pool while *retries* remain.  Defaults to the
+            the claim.  A worker over budget reports the attempt as
+            failed and SIGKILLs itself; the task is re-offered with
+            backoff until its attempt budget is spent, and then
+            :class:`TaskTimeoutError` is raised.  Defaults to the
             ``REPRO_TASK_TIMEOUT`` environment variable (no timeout
-            when unset).  Not enforced on the serial path, which
-            cannot interrupt a call; broker workers enforce it by
-            letting their lease lapse (and, as subprocesses, killing
-            themselves) so the task is re-offered.
-        retries: resubmissions allowed per task after a timeout;
-            defaults to the ``REPRO_TASK_RETRIES`` environment
-            variable, else 0.  The pool path resubmits immediately;
-            the broker backend re-offers with exponential backoff
-            (``REPRO_BACKOFF_BASE`` seconds, doubling per attempt).
-        start_method: multiprocessing start method for the pool
+            when unset).  Not enforced in-process (``jobs=1``), which
+            cannot interrupt a call.
+        retries: extra attempts allowed per task; defaults to the
+            ``REPRO_TASK_RETRIES`` environment variable, else 0.  A
+            task always gets at least the broker's default attempt
+            budget, so one worker death never quarantines it.  Re-offers
+            back off exponentially (``REPRO_BACKOFF_BASE`` seconds,
+            doubling per attempt).
+        start_method: multiprocessing start method for local workers
             (``fork`` / ``spawn`` / ``forkserver``); the platform
             default when omitted.  Non-fork workers do not inherit the
             parent's warm pipeline cache through memory, so its entries
-            are shipped to each worker via a pool initializer instead.
-        journal: optional :class:`~repro.experiments.journal.RunJournal`
-            (or directory path) making the sweep durable: completed
-            tasks are journaled and skipped on rerun, tasks checkpoint
-            into per-task directories, pool deaths are blamed on the
-            tasks that were running, and repeat offenders are demoted
-            to serial-in-parent execution.  Defaults to the
-            :func:`set_run_root` auto-journal, or no journaling.
-        backend: ``"pool"`` (the single-host ProcessPoolExecutor,
-            default) or ``"broker"`` (route the sweep through the
-            claim/lease queue of :mod:`repro.experiments.broker` —
-            multi-worker, multi-host, crash-safe).  ``None`` selects
-            the broker automatically when *broker_dir* or the
-            ``REPRO_BROKER_DIR`` environment variable names a broker
-            directory.  If that directory cannot be opened the sweep
-            degrades gracefully to the pool backend.
-        broker_dir: the broker directory for ``backend="broker"``;
-            defaults to ``REPRO_BROKER_DIR``.
+            are shipped to each worker at start-up instead.
+        backend: ``None`` or ``"broker"``, the only backend; accepted
+            so callers that name it keep working.
+        broker_dir: a broker directory or ``http(s)://`` server URL;
+            defaults to ``REPRO_BROKER_URL`` / ``REPRO_BROKER_DIR``.  If
+            it cannot be opened the sweep degrades gracefully to
+            workers on this host.
 
     Raises:
         TaskTimeoutError: a task exceeded *timeout* on its last allowed
             attempt.
         ExperimentError: invalid arguments.  Exceptions raised *inside*
-            ``fn`` propagate unchanged.  If the worker pool itself dies
-            (a worker killed by the OS), the surviving tasks are rerun
-            serially in-process instead of raising.
+            ``fn`` propagate unchanged.  A task that keeps killing its
+            worker is quarantined and then rerun serially in-process,
+            where a real traceback surfaces if ``fn`` is the culprit.
     """
     tasks = list(tasks)
     total = len(tasks)
@@ -281,121 +263,51 @@ def run_tasks(
         raise ExperimentError(f"timeout must be positive, got {timeout}")
     if retries < 0:
         raise ExperimentError(f"retries must be >= 0, got {retries}")
-    if backend is None:
-        has_broker = (
-            broker_dir
-            or os.environ.get(BROKER_URL_ENV, "").strip()
-            or os.environ.get(BROKER_DIR_ENV, "").strip()
-        )
-        backend = "broker" if has_broker else "pool"
-    elif backend not in ("pool", "broker"):
+    if backend not in (None, "broker"):
         raise ExperimentError(
-            f"backend must be 'pool' or 'broker', got {backend!r}"
+            f"backend must be None or 'broker', got {backend!r}"
         )
-    if journal is None:
-        # Resolve the auto-journal before the empty-sweep return so the
-        # sweep numbering consumed from set_run_root is identical in
-        # clean and resumed invocations whatever the task counts.
-        journal = _auto_journal()
-    elif not isinstance(journal, RunJournal):
-        journal = RunJournal(journal)
     if total == 0:
         return []
 
     # Warm-fetch published pipeline entries from the shared store (when
     # one is configured) before any worker starts: fork workers inherit
-    # them through memory, spawn workers receive them via the pool
-    # initializer, and the sweep skips recomputing what the fleet
-    # already built.  A dead store degrades to fetching nothing.
+    # them through memory, spawn workers receive them at start-up, and
+    # the sweep skips recomputing what the fleet already built.  A dead
+    # store degrades to fetching nothing.
     from repro.tuning.pipeline import default_cache
 
     default_cache().warm_from_store()
 
     rec = current_recorder()
     rec = rec if rec.enabled else None
-    if backend == "broker":
-        # *broker_dir* may be a directory or an http(s):// URL — the
-        # broker's connect() factory picks the transport either way.
-        resolved_dir = (
-            broker_dir
-            or os.environ.get(BROKER_URL_ENV, "").strip()
-            or os.environ.get(BROKER_DIR_ENV)
-        )
-        if not resolved_dir:
-            raise ExperimentError(
-                "backend='broker' requires broker_dir= or the "
-                f"{BROKER_URL_ENV}/{BROKER_DIR_ENV} environment variable"
-            )
+    sweep = functools.partial(
+        _run_broker, fn, tasks, labels, jobs, log, timeout, retries, rec,
+        start_method=start_method,
+    )
+    # *broker_dir* may be a directory or an http(s):// URL — the
+    # broker's connect() factory picks the transport either way.
+    target = (
+        broker_dir
+        or os.environ.get(BROKER_URL_ENV, "").strip()
+        or os.environ.get(BROKER_DIR_ENV, "").strip()
+    )
+    if target:
         try:
-            return _run_broker(
-                fn, tasks, labels, jobs, log, timeout, retries, rec,
-                resolved_dir, start_method,
-            )
+            return sweep(target)
         except BrokerError as exc:
-            # Graceful degradation: an unusable broker directory (read-
-            # only filesystem, missing mount, bad sqlite build) must
-            # not take the sweep down — fall through to the single-host
-            # pool, which needs nothing but this machine.
+            # Graceful degradation: an unusable broker (read-only
+            # filesystem, missing mount, dead server) must not take the
+            # sweep down — fall through to a queue on this host, which
+            # needs nothing but this machine.
             if log is not None:
                 log(f"broker unavailable ({exc}); using single-host pool")
-
-    jobs = min(worker_count(jobs), total)
-    if jobs == 1:
-        return _run_serial(fn, tasks, labels, log, rec, journal)
-
-    traced = rec is not None
-    if traced:
-        # Each worker records into its own fresh recorder and ships the
-        # result home pickled (the pipeline cache's export_entries
-        # pattern); shipping the *parent's* recorder out would duplicate
-        # every event already collected here.
-        fn = functools.partial(_telemetry_task, fn, tuple(rec.categories))
-    results = [_UNSET] * total
-    if journal is not None:
-        done = journal.completed_results(traced=traced)
-        for index, value in done.items():
-            if 0 <= index < total:
-                results[index] = value
-        prefilled = sum(1 for value in results if value is not _UNSET)
-        if log is not None and prefilled:
-            log(f"journal: {prefilled} of {total} task(s) already complete")
-    try:
-        _run_pool(
-            fn, tasks, labels, jobs, log, timeout, retries, results,
-            start_method, journal, traced,
-        )
-    except BrokenProcessPool:
-        # A worker died without reporting an exception (OOM-killed,
-        # segfaulted C extension, ...).  The pool is unusable, but the
-        # sweep need not be lost: rerun whatever is incomplete serially
-        # in-process, where a real traceback surfaces if fn itself is
-        # the culprit.  Journaled results (including any collected from
-        # the dying pool) are kept, not recomputed.
-        incomplete = [i for i in range(total) if results[i] is _UNSET]
-        if log is not None:
-            log(
-                f"worker pool died; rerunning {len(incomplete)} "
-                f"unfinished task(s) serially"
-            )
-        for count, index in enumerate(incomplete):
-            if journal is not None:
-                value = _call_with_checkpoint_dir(
-                    fn, tasks[index], journal.checkpoint_dir(index)
-                )
-                journal.record(index, labels[index], value, traced=traced)
-            else:
-                value = fn(tasks[index])
-            results[index] = value
-            if log is not None:
-                log(f"[serial {count + 1}/{len(incomplete)}] {labels[index]}")
-    if traced:
-        # Absorb worker traces in task order so re-based run ids are
-        # deterministic whatever the completion order was.
-        for index, wrapped in enumerate(results):
-            value, blob = wrapped
-            rec.absorb_blob(blob)
-            results[index] = value
-    return results
+    if _run_root is not None:
+        return sweep(_run_root / "broker")
+    if min(worker_count(jobs), total) == 1:
+        return _run_serial(fn, tasks, labels, log, rec)
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
+        return sweep(scratch, durable=False)
 
 
 def _run_serial(
@@ -404,33 +316,14 @@ def _run_serial(
     labels: Sequence[str],
     log: Optional[Callable],
     rec,
-    journal: Optional[RunJournal],
 ) -> list:
-    """``jobs=1`` path of :func:`run_tasks`: in-process, in task order.
-
-    With a journal, completed tasks are skipped and fresh ones recorded
-    (bare values — no telemetry blobs, the parent recorder is live) and
-    each task runs with its checkpoint directory exported.
-    """
+    """``jobs=1`` path of :func:`run_tasks`: in-process, in task order."""
     total = len(tasks)
-    done = journal.completed_results() if journal is not None else {}
     results = []
     task_run = None
     for index, task in enumerate(tasks):
-        if index in done:
-            results.append(done[index])
-            if log is not None:
-                log(f"[{index + 1}/{total}] {labels[index]} (journaled)")
-            continue
         started = time.perf_counter()
-        if journal is not None:
-            value = _call_with_checkpoint_dir(
-                fn, task, journal.checkpoint_dir(index)
-            )
-            journal.record(index, labels[index], value)
-        else:
-            value = fn(task)
-        results.append(value)
+        results.append(fn(task))
         if rec is not None:
             elapsed = time.perf_counter() - started
             if rec.wants("task"):
@@ -446,23 +339,13 @@ def _run_serial(
     return results
 
 
-def _call_with_checkpoint_dir(fn: Callable, task, ckpt_dir, ref=None) -> object:
-    """Run ``fn(task)`` with :data:`TASK_CHECKPOINT_DIR_ENV` pointing at
-    the task's checkpoint directory, so checkpoint-aware point functions
-    (``runner.run_technique_point``) save there — and resume from there
-    when the directory already holds a valid snapshot.  *ref* names the
-    snapshots in the shared artifact store (broker content key)."""
-    with task_checkpoint_dir(ckpt_dir, ref=ref):
-        return fn(task)
-
-
 def _telemetry_task(fn, categories, task):
     """Worker shim for traced sweeps: run the task under a fresh
     recorder and return ``(result, exported trace blob)``.
 
     The previous recorder is restored afterwards, so the in-parent
-    rerun after a broken pool records into its own recorder too instead
-    of scribbling on (or double-counting) the parent's.
+    rescue of a quarantined task records into its own recorder too
+    instead of scribbling on (or double-counting) the parent's.
     """
     recorder = TraceRecorder(categories=frozenset(categories))
     previous = set_recorder(recorder)
@@ -487,17 +370,32 @@ def _telemetry_task(fn, categories, task):
 
 
 def _broker_worker_entry(
-    directory, lease_ttl, max_attempts, task_timeout
+    directory, lease_ttl, max_attempts, task_timeout, durable, warm
 ) -> None:
     """Subprocess entry for one local broker worker.
 
-    Runs the claim loop until the queue drains.  ``timeout_kills=True``:
-    a task over its wall budget SIGKILLs this worker, the lease lapses,
-    and the task is re-offered (with backoff) until quarantined —
-    the broker analogue of the pool path's straggler SIGKILL.
+    Installs the parent's pipeline-cache entries (*warm*, empty under
+    fork, which inherits them), then runs the claim loop until the
+    queue drains.  ``timeout_kills=True``: a task over its wall budget
+    is reported failed and SIGKILLs this worker, so the slot is
+    reclaimed and the task re-offered (with backoff) until quarantined.
     """
     from repro.experiments.broker import worker_loop
 
+    parent = os.getppid()
+
+    def exit_with_parent() -> None:
+        # A killed sweep must not keep computing in the background; the
+        # orphan's leases are expired by the next sweep on this host.
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+    if warm:
+        from repro.tuning.pipeline import default_cache
+
+        default_cache().install_entries(warm)
     worker_loop(
         directory,
         lease_ttl=lease_ttl,
@@ -505,7 +403,25 @@ def _broker_worker_entry(
         task_timeout=task_timeout,
         timeout_kills=True,
         drain=True,
+        durable=durable,
     )
+
+
+def _expire_dead_local_leases(broker) -> None:
+    """Expire leases held by workers on this host whose processes are
+    gone — left behind by an interrupted invocation — instead of
+    waiting out their TTL."""
+    host = socket.gethostname()
+    for owner in broker.active_workers():
+        name, _, pid = owner.rpartition(":")
+        if name != host or not pid.isdigit():
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            broker.reclaim_expired(worker=owner)
+        except OSError:
+            pass  # alive, but not ours to signal
 
 
 def _broker_local_workers(jobs: Optional[int], total: int) -> int:
@@ -530,18 +446,20 @@ def _run_broker(
     timeout: Optional[float],
     retries: int,
     rec,
-    broker_dir,
+    target,
     start_method: Optional[str] = None,
+    durable: bool = True,
 ) -> list:
-    """Broker backend of :func:`run_tasks`: enqueue, drive workers,
-    replay in task order.
+    """Queue path of :func:`run_tasks`: enqueue, drive workers, replay
+    in task order.
 
-    The queue is the durable layer here (results are recorded
-    idempotently by content key), so the sweep journal is not used.
-    Tasks that end up quarantined — or whose results cannot be
-    verified — are rescued serially in-parent as the last resort, the
-    same demotion the journal applies to pool-killing tasks; a genuine
-    poison task then raises its real traceback in the caller.
+    A non-*durable* (throwaway) queue is served by this host's workers
+    alone, runs tasks without checkpoints and skips fsyncs.  Tasks that
+    time out on their last attempt raise
+    :class:`TaskTimeoutError`; other quarantined tasks — or tasks whose
+    results cannot be verified — are rescued serially in-parent as the
+    last resort, so a genuine poison task raises its real traceback in
+    the caller.
     """
     from repro.experiments.broker import (
         DEFAULT_MAX_ATTEMPTS,
@@ -562,41 +480,71 @@ def _run_broker(
         )
     # Worker deaths must not instantly quarantine: grant the broker at
     # least its own default budget even when the caller asked for zero
-    # timeout-retries.
+    # retries.
     max_attempts = max(retries + 1, DEFAULT_MAX_ATTEMPTS)
-    broker = connect(broker_dir, max_attempts=max_attempts)
+    broker = connect(target, max_attempts=max_attempts, fsync=durable)
     total = len(tasks)
     sweep = broker.enqueue(run_fn, tasks, labels=labels, traced=traced)
-    fn_name = (
-        f"{getattr(fn, '__module__', '?')}."
-        f"{getattr(fn, '__qualname__', repr(fn))}"
-    )
-    try:
-        if broker.directory is None:
-            # Networked broker: the results DB lives next to the queue
-            # on the server, so the session is recorded over the wire.
-            broker.record_session(sweep, fn_name, total)
-        else:
-            ResultsDB.for_broker(broker.directory).record_session(
-                sweep, fn_name, total
-            )
-    except BrokerError:
-        pass  # session log is advisory; the queue itself is intact
+    if durable:
+        fn_name = (
+            f"{getattr(fn, '__module__', '?')}."
+            f"{getattr(fn, '__qualname__', repr(fn))}"
+        )
+        try:
+            if broker.directory is None:
+                # Networked broker: the results DB lives next to the
+                # queue on the server, so the session is recorded over
+                # the wire.
+                broker.record_session(sweep, fn_name, total)
+            else:
+                ResultsDB.for_broker(broker.directory).record_session(
+                    sweep, fn_name, total
+                )
+        except BrokerError:
+            pass  # session log is advisory; the queue itself is intact
     done = broker.replay(sweep, traced=traced)
     if log is not None and done:
         log(f"broker: {len(done)} of {total} task(s) already complete")
-    if len(done) < total:
+    remaining = total - len(done)
+    if remaining:
+        _expire_dead_local_leases(broker)
+        local = _broker_local_workers(jobs, remaining)
+        if not durable:
+            local = max(local, 1)  # nobody else can reach this queue
+        seen = set(done)
+
+        def collect() -> None:
+            """Load the results of newly finished tasks — while the
+            workers compute the rest — and log one line for each."""
+            fresh = [i for i in broker.done_indices(sweep) if i not in seen]
+            if not fresh:
+                return
+            done.update(broker.replay(sweep, traced=traced, indices=fresh))
+            for index in fresh:
+                seen.add(index)
+                if log is not None:
+                    log(f"[{len(seen)}/{total}] {labels[index]}")
+
         _drive_broker_sweep(
-            broker, sweep, jobs, log, timeout, total - len(done),
-            start_method,
+            broker, sweep, local, log, timeout, remaining, collect,
+            start_method, durable,
         )
-        done = broker.replay(sweep, traced=traced)
+        collect()
     missing = [index for index in range(total) if index not in done]
     if missing:
         quarantined = {
             idx: reason
             for _, idx, _, _, reason in broker.quarantined(sweep)
         }
+        for index in missing:
+            reason = quarantined.get(index, "")
+            if TaskTimeoutError.__name__ in reason:
+                # Rescuing a task that never returns would hang the
+                # parent: a timeout on the last attempt is final.
+                raise TaskTimeoutError(
+                    f"task {labels[index]} timed out on its last attempt "
+                    f"({reason})"
+                )
         for count, index in enumerate(missing):
             if log is not None:
                 why = quarantined.get(index, "result missing")
@@ -605,9 +553,11 @@ def _run_broker(
                     f"serially in parent ({why})"
                 )
             key = task_key(run_fn, tasks[index])
-            value = _call_with_checkpoint_dir(
-                run_fn, tasks[index], broker.checkpoint_dir(key), ref=key
-            )
+            if durable:
+                with task_checkpoint_dir(broker.checkpoint_dir(key), ref=key):
+                    value = run_fn(tasks[index])
+            else:
+                value = run_fn(tasks[index])
             try:
                 broker.complete(
                     Lease(sweep, index, key, labels[index], b"", 0, 0.0,
@@ -622,8 +572,11 @@ def _run_broker(
                 if log is not None:
                     log(f"broker: could not record rescue ({exc})")
             done[index] = value
+    broker.close()
     results = [done[index] for index in range(total)]
     if traced:
+        # Absorb worker traces in task order so re-based run ids are
+        # deterministic whatever the completion order was.
         for index, wrapped in enumerate(results):
             value, blob = wrapped
             rec.absorb_blob(blob)
@@ -634,34 +587,40 @@ def _run_broker(
 def _drive_broker_sweep(
     broker,
     sweep: str,
-    jobs: Optional[int],
+    local: int,
     log: Optional[Callable],
     timeout: Optional[float],
     remaining: int,
+    collect: Callable,
     start_method: Optional[str] = None,
+    durable: bool = True,
     poll_interval: float = 0.2,
 ) -> None:
-    """Run local workers (and/or wait for remote ones) until *sweep*
-    settles — every task done or quarantined.
+    """Run *local* workers (and/or wait for remote ones) until *sweep*
+    settles — every task done or quarantined — calling *collect* as
+    tasks complete.
 
-    Dead local workers are respawned while runnable work remains, up to
-    a budget bounded by the per-task attempt limits (so a worker-killing
-    task ends in quarantine, not an infinite respawn loop).
+    A local worker that exits abnormally is blamed exactly: its leases
+    are expired on the spot (the attempt still counts) instead of
+    lapsing a full lease TTL later.  Dead workers are respawned while
+    runnable work remains, up to a budget bounded by the per-task
+    attempt limits (so a worker-killing task ends in quarantine, not an
+    infinite respawn loop).
 
     A networked broker may drop out mid-sweep: the supervision loops
     here poll through outages for the down-grace window
     (``REPRO_BROKER_GRACE``) and only then let
     :class:`BrokerUnavailableError` propagate — which ``run_tasks``
-    turns into the single-host pool fallback.
+    turns into the single-host fallback.
     """
     from repro.experiments.broker import resolve_down_grace, worker_loop
 
     grace = resolve_down_grace(None)
     down_since = None
 
-    def outage(exc) -> bool:
-        """Track one outage tick; ``True`` while inside the grace
-        window, raises the original error once it is spent."""
+    def outage(exc) -> None:
+        """Track one outage tick; raises the original error once the
+        grace window is spent."""
         nonlocal down_since
         now = time.monotonic()
         if down_since is None:
@@ -670,26 +629,13 @@ def _drive_broker_sweep(
                 log(f"broker: {exc}; waiting up to {grace:.0f}s")
         if now - down_since > grace:
             raise exc
-        return True
 
-    local = _broker_local_workers(jobs, remaining)
-    if local == 0:
-        if log is not None:
-            log(f"broker: waiting for remote workers to finish {sweep}")
-        while True:
-            try:
-                if broker.settled(sweep):
-                    return
-                broker.reclaim_expired()
-            except BrokerUnavailableError as exc:
-                outage(exc)
-            else:
-                down_since = None
-            time.sleep(poll_interval)
     if local == 1:
         # In-process: deterministic, no subprocess to supervise.  A
         # timeout here cannot kill the worker (it is us); the lease
-        # lapsing still re-offers the task to any other worker.
+        # lapsing still re-offers the task to any other worker.  The
+        # worker's own log lines are replaced by collect(), run each
+        # time the worker has something to say.
         worker_loop(
             broker.target,
             lease_ttl=broker.lease_ttl,
@@ -698,13 +644,21 @@ def _drive_broker_sweep(
             timeout_kills=False,
             poll_interval=poll_interval,
             drain=True,
-            log=log,
+            log=lambda _line: collect(),
+            durable=durable,
         )
         return
     context = multiprocessing.get_context(start_method)
+    warm = b""
+    if context.get_start_method() != "fork":
+        from repro.tuning.pipeline import default_cache
+
+        warm = default_cache().export_entries()
     entry_args = (
         broker.target, broker.lease_ttl, broker.max_attempts, timeout,
+        durable, warm,
     )
+    host = socket.gethostname()
 
     def spawn():
         proc = context.Process(
@@ -713,44 +667,56 @@ def _drive_broker_sweep(
         proc.start()
         return proc
 
+    if local == 0 and log is not None:
+        log(f"broker: waiting for remote workers to finish {sweep}")
     workers = [spawn() for _ in range(local)]
     respawns = 0
     respawn_budget = remaining * broker.max_attempts + local
     try:
         while True:
+            dead = [proc for proc in workers if not proc.is_alive()]
+            workers = [proc for proc in workers if proc.is_alive()]
             try:
-                if broker.settled(sweep):
+                for proc in dead:
+                    if proc.exitcode == 0:
+                        continue  # drained the queue and left
+                    # The worker's id is its host:pid, so exactly its
+                    # leases are expired — no waiting out the TTL.
+                    broker.reclaim_expired(worker=f"{host}:{proc.pid}")
+                    if log is not None:
+                        log(
+                            f"broker: local worker {proc.pid} died "
+                            f"(exit code {proc.exitcode})"
+                        )
+                counts = broker.counts(sweep)
+                collect()
+                if counts["pending"] == 0 and counts["leased"] == 0:
                     return
                 broker.reclaim_expired()
-                counts = broker.counts()
             except BrokerUnavailableError as exc:
                 outage(exc)
                 time.sleep(poll_interval)
                 continue
             down_since = None
-            alive = [proc for proc in workers if proc.is_alive()]
-            dead = len(workers) - len(alive)
-            if dead and log is not None:
-                log(f"broker: {dead} local worker(s) died")
-            workers = alive
-            runnable = counts["pending"] + counts["leased"]
-            while (
-                runnable > 0
-                and len(workers) < local
-                and respawns < respawn_budget
-            ):
+            while len(workers) < local and respawns < respawn_budget:
                 workers.append(spawn())
                 respawns += 1
                 if log is not None:
                     log("broker: respawned a local worker")
-            if not workers and respawns >= respawn_budget:
+            if not workers:
+                if local == 0:
+                    time.sleep(poll_interval)
+                    continue
                 # Workers keep dying faster than the attempt budget
                 # burns down; stop supervising and let the parent
                 # rescue whatever is left.
                 if log is not None:
                     log("broker: worker respawn budget exhausted")
                 return
-            time.sleep(poll_interval)
+            # Wake as soon as any worker exits, else once per poll.
+            multiprocessing.connection.wait(
+                [proc.sentinel for proc in workers], timeout=poll_interval
+            )
     finally:
         deadline = time.monotonic() + 5.0
         for proc in workers:
@@ -759,321 +725,3 @@ def _drive_broker_sweep(
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
             if proc.is_alive():
                 proc.kill()
-
-
-def _warm_spawned_worker(blob: bytes) -> None:
-    """Pool initializer for non-fork start methods: install the
-    parent's pipeline-cache entries (fork inherits them for free)."""
-    if blob:
-        from repro.tuning.pipeline import default_cache
-
-        default_cache().install_entries(blob)
-
-
-def _traced_call(payload: tuple):
-    """Worker shim recording which pid runs which task, so a hung task's
-    worker can be SIGKILLed from the parent — and, because the pid file
-    is removed only on completion, so a pool death can be blamed on the
-    tasks that were actually running.  Under a journal the task also
-    gets its checkpoint directory exported."""
-    fn, task, pid_path, ckpt_dir = payload
-    try:
-        with open(pid_path, "w") as handle:
-            handle.write(str(os.getpid()))
-    except OSError:
-        pass
-    try:
-        if ckpt_dir is not None:
-            return _call_with_checkpoint_dir(fn, task, ckpt_dir)
-        return fn(task)
-    finally:
-        try:
-            os.unlink(pid_path)
-        except OSError:
-            pass
-
-
-class _StragglersKilled(Exception):
-    """Internal: a hung worker was SIGKILLed; the pool is gone and the
-    incomplete tasks need a fresh one."""
-
-
-class _PoolBroken(Exception):
-    """Internal: the pool died under a journal; ``indices`` are the
-    tasks whose pid files say they were running when it happened."""
-
-    def __init__(self, indices: list):
-        super().__init__(f"pool died running task(s) {indices}")
-        self.indices = indices
-
-
-def _has_pid_file(pid_dir: Optional[str], index: int) -> bool:
-    return pid_dir is not None and os.path.exists(
-        os.path.join(pid_dir, f"{index}.pid")
-    )
-
-
-def _kill_straggler(pool, pid_dir: Optional[str], index: int) -> bool:
-    """SIGKILL the worker recorded for task *index*, if it is still one
-    of *pool*'s own processes (guards against pid reuse)."""
-    if pid_dir is None:
-        return False
-    pid_path = os.path.join(pid_dir, f"{index}.pid")
-    try:
-        with open(pid_path) as handle:
-            pid = int(handle.read().strip() or "0")
-    except (OSError, ValueError):
-        return False
-    processes = getattr(pool, "_processes", None) or {}
-    if pid not in processes:
-        return False
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except OSError:
-        return False
-    return True
-
-
-def _run_pool(
-    fn: Callable,
-    tasks: list,
-    labels: Sequence[str],
-    jobs: int,
-    log: Optional[Callable],
-    timeout: Optional[float],
-    retries: int,
-    results: list,
-    start_method: Optional[str] = None,
-    journal: Optional[RunJournal] = None,
-    traced: bool = False,
-) -> None:
-    """Pool path of :func:`run_tasks`, filling *results* in place.
-
-    Runs the tasks in pool *generations*: when a straggler has to be
-    SIGKILLed (its slot cannot otherwise be reclaimed — a worker with a
-    task is unkillable through the executor API), the broken pool is
-    dropped and the still-incomplete tasks resubmitted to a fresh one,
-    with per-task attempt counts carried across generations.  Under a
-    journal, a pool death is survivable too: the tasks whose pid files
-    say they were running get the blame, and a task blamed for
-    :data:`MAX_TASK_CRASHES` deaths (counted across resumed
-    invocations) is demoted to serial-with-checkpoints in the parent
-    before the next pool is built.
-    """
-    total = len(tasks)
-    context = multiprocessing.get_context(start_method)
-    initializer = None
-    initargs: tuple = ()
-    if context.get_start_method() != "fork":
-        from repro.tuning.pipeline import default_cache
-
-        initializer = _warm_spawned_worker
-        initargs = (default_cache().export_entries(),)
-    attempts = [0] * total
-    progress = [sum(1 for value in results if value is not _UNSET)]
-    crash_counts = journal.crash_counts() if journal is not None else {}
-    pid_dir = (
-        tempfile.mkdtemp(prefix="repro-harness-")
-        if (timeout is not None or journal is not None)
-        else None
-    )
-    try:
-        while True:
-            todo = [i for i in range(total) if results[i] is _UNSET]
-            if journal is not None:
-                for index in todo:
-                    if crash_counts.get(index, 0) < MAX_TASK_CRASHES:
-                        continue
-                    # Watchdog: this task keeps taking pools down with
-                    # it.  Run it serially in the parent — with its
-                    # checkpoint directory, so even repeated deaths of
-                    # the whole invocation make forward progress.
-                    if log is not None:
-                        log(demotion_reason(labels[index], crash_counts[index]))
-                    value = _call_with_checkpoint_dir(
-                        fn, tasks[index], journal.checkpoint_dir(index)
-                    )
-                    journal.record(index, labels[index], value, traced=traced)
-                    results[index] = value
-                    progress[0] += 1
-                    if log is not None:
-                        log(f"[{progress[0]}/{total}] {labels[index]}")
-                todo = [i for i in todo if results[i] is _UNSET]
-            if not todo:
-                return
-            pool = ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=context,
-                initializer=initializer,
-                initargs=initargs,
-            )
-            try:
-                _pool_generation(
-                    pool, fn, tasks, labels, jobs, log, timeout, retries,
-                    results, attempts, todo, pid_dir, progress,
-                    journal, traced,
-                )
-                return
-            except _StragglersKilled:
-                if log is not None:
-                    remaining = sum(
-                        1 for i in range(total) if results[i] is _UNSET
-                    )
-                    log(
-                        f"rebuilding worker pool for {remaining} "
-                        f"unfinished task(s)"
-                    )
-            except _PoolBroken as exc:
-                for index in exc.indices:
-                    crash_counts[index] = crash_counts.get(index, 0) + 1
-                    journal.note_crash(index, labels[index])
-                if log is not None:
-                    log(pool_death_reason(labels[i] for i in exc.indices))
-    finally:
-        if pid_dir is not None:
-            shutil.rmtree(pid_dir, ignore_errors=True)
-
-
-def _pool_generation(
-    pool,
-    fn: Callable,
-    tasks: list,
-    labels: Sequence[str],
-    jobs: int,
-    log: Optional[Callable],
-    timeout: Optional[float],
-    retries: int,
-    results: list,
-    attempts: list,
-    todo: list,
-    pid_dir: Optional[str],
-    progress: list,
-    journal: Optional[RunJournal] = None,
-    traced: bool = False,
-) -> None:
-    """Run the *todo* task indices through *pool*, filling *results*."""
-    total = len(tasks)
-    index_of: dict = {}
-    deadline_of: dict = {}
-    pending: set = set()
-    next_slot = 0
-
-    def submit(index: int) -> None:
-        if pid_dir is not None:
-            pid_path = os.path.join(pid_dir, f"{index}.pid")
-            try:
-                os.unlink(pid_path)
-            except OSError:
-                pass
-            ckpt_dir = (
-                journal.checkpoint_dir(index) if journal is not None else None
-            )
-            future = pool.submit(
-                _traced_call, (fn, tasks[index], pid_path, ckpt_dir)
-            )
-        else:
-            future = pool.submit(fn, tasks[index])
-        index_of[future] = index
-        if timeout is not None:
-            deadline_of[future] = time.monotonic() + timeout
-        pending.add(future)
-
-    def submit_up_to(limit: int) -> None:
-        # Submit in chunks of one pool-width so a long tail of tasks
-        # does not pile up queued pickles, then top the window up as
-        # futures complete.
-        nonlocal next_slot
-        while next_slot < len(todo) and len(pending) < limit:
-            submit(todo[next_slot])
-            next_slot += 1
-
-    try:
-        submit_up_to(2 * jobs)
-        while pending:
-            wait_timeout = None
-            if timeout is not None:
-                nearest = min(deadline_of[f] for f in pending)
-                wait_timeout = max(0.0, nearest - time.monotonic())
-            completed, pending = wait(
-                pending, timeout=wait_timeout, return_when=FIRST_COMPLETED
-            )
-            pool_error = None
-            for future in completed:
-                index = index_of.pop(future)
-                deadline_of.pop(future, None)
-                try:
-                    value = future.result()
-                except BrokenProcessPool as exc:
-                    # This future died with the pool.  Keep collecting
-                    # (and journaling) the siblings that genuinely
-                    # finished in the same batch before giving up, so
-                    # their results are never recomputed.
-                    pool_error = exc
-                    continue
-                results[index] = value
-                if journal is not None:
-                    journal.record(index, labels[index], value, traced=traced)
-                progress[0] += 1
-                if log is not None:
-                    log(f"[{progress[0]}/{total}] {labels[index]}")
-            if pool_error is not None:
-                raise pool_error
-            if timeout is not None:
-                now = time.monotonic()
-                expired = [f for f in pending if deadline_of[f] <= now]
-                for future in expired:
-                    if future.done():
-                        continue  # finished just now; collected next loop
-                    cancelled = future.cancel()
-                    pending.discard(future)
-                    index = index_of.pop(future)
-                    deadline_of.pop(future)
-                    attempts[index] += 1
-                    if attempts[index] > retries:
-                        raise TaskTimeoutError(
-                            f"task {labels[index]} exceeded {timeout:g}s "
-                            f"(attempt {attempts[index]}, retries={retries})"
-                        )
-                    if log is not None:
-                        log(
-                            f"task {labels[index]} exceeded {timeout:g}s; "
-                            f"retry {attempts[index]}/{retries}"
-                        )
-                    if cancelled:
-                        # Never started; resubmit into this same pool.
-                        submit(index)
-                        continue
-                    # A running straggler holds its worker hostage:
-                    # SIGKILL the recorded pid to reclaim the slot, then
-                    # rebuild the (now broken) pool for whatever is
-                    # incomplete.  Without a recorded pid (start-up
-                    # race), fall back to abandoning the future — the
-                    # straggler burns out on its own.
-                    if _kill_straggler(pool, pid_dir, index):
-                        if log is not None:
-                            log(
-                                f"killed straggling worker of task "
-                                f"{labels[index]}"
-                            )
-                        raise _StragglersKilled()
-                    submit(index)
-            submit_up_to(2 * jobs)
-    except BrokenProcessPool as exc:
-        pool.shutdown(wait=False, cancel_futures=True)
-        if journal is None:
-            raise
-        # Blame the tasks that were actually running: _traced_call
-        # removes a task's pid file on completion, so an incomplete task
-        # with a lingering pid file had a worker die under it.
-        blamed = sorted(
-            index
-            for index in range(total)
-            if results[index] is _UNSET and _has_pid_file(pid_dir, index)
-        )
-        if not blamed:
-            raise
-        raise _PoolBroken(blamed) from exc
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=False)

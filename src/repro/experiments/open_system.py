@@ -70,7 +70,7 @@ def base_plan(config: ExperimentConfig, classes=DEFAULT_CLASSES) -> OpenSystemPl
 def run_open_system_point(task: tuple) -> OpenSystemResult:
     """Harness worker: one (technique, load point) run from a picklable
     task tuple ``(config, strategy_name_or_None, plan)``; module level
-    so :func:`repro.experiments.harness.run_tasks` can ship it to pool
+    so :func:`repro.experiments.harness.run_tasks` can ship it to
     workers."""
     config, strategy_name, plan = task
     machine = config.resolved_machine()
@@ -88,7 +88,7 @@ def run_open_system_point(task: tuple) -> OpenSystemResult:
             pollution_beta=config.pollution_beta,
         )
     # The raw simulation result carries whole process objects (traces,
-    # cursors); strip it before the outcome crosses the pool boundary.
+    # cursors); strip it before the outcome crosses a process boundary.
     result.sim_result = None
     return result
 

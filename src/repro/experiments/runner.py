@@ -149,10 +149,10 @@ def run_technique_point(task: tuple) -> TechniqueOutcome:
 
     ``task`` is ``(config, strategy_name, workload, delta)`` with an
     optional trailing ``faults`` plan; module level so
-    :func:`repro.experiments.harness.run_tasks` can ship it to pool
-    workers.  Under a durable sweep the harness exports each task's
+    :func:`repro.experiments.harness.run_tasks` can ship it to
+    workers.  Under a durable sweep the worker exports each task's
     checkpoint directory; :func:`task_checkpoint_manager` picks it up
-    here, making every pool task resumable mid-simulation.
+    here, making every such task resumable mid-simulation.
     """
     config, strategy_name, workload, delta, *rest = task
     faults = rest[0] if rest else None

@@ -336,9 +336,9 @@ def task_checkpoint_dir(directory, ref: Optional[str] = None):
     :data:`TASK_CHECKPOINT_REF_ENV` — a stable content name (the
     broker's task key) under which snapshots are shared through the
     artifact store.  The previous values are restored on exit, so
-    nested scopes (a broker worker running a journaled task) unwind
-    cleanly.  Both the sweep harness and the broker worker loop wrap
-    each task in this scope.
+    nested scopes unwind cleanly.  The broker worker loop wraps each
+    task of a durable sweep in this scope, and the harness wraps the
+    in-parent rescue of a quarantined one.
     """
     previous = os.environ.get(TASK_CHECKPOINT_DIR_ENV)
     previous_ref = os.environ.get(TASK_CHECKPOINT_REF_ENV)
@@ -366,9 +366,9 @@ def task_checkpoint_manager(
     """The manager a harness task should checkpoint through, if any.
 
     ``run_tasks`` points :data:`TASK_CHECKPOINT_DIR_ENV` at a per-task
-    directory while a journaled task runs; checkpoint-aware point
-    functions call this to pick the manager up.  Returns ``None`` when
-    the task is not running under a journaled sweep.
+    directory while a task of a durable sweep runs; checkpoint-aware
+    point functions call this to pick the manager up.  Returns ``None``
+    when the task is not running under a durable sweep.
 
     Args:
         subdir: optional subdirectory under the task's checkpoint

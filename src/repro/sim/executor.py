@@ -66,7 +66,7 @@ _MIN_STEP_S = 1e-9
 _SNAPSHOT_VERSION = 2
 
 #: Environment kill-switch for macro-quantum coalescing (the CLI's
-#: --no-coalesce flag sets it, and pool workers inherit it): any
+#: --no-coalesce flag sets it, and sweep workers inherit it): any
 #: non-empty value forces ``coalesce=False`` wherever the Simulation
 #: constructor is left to pick the default.
 NO_COALESCE_ENV = "REPRO_NO_COALESCE"

@@ -15,6 +15,7 @@ live in ``test_broker_races.py``.
 
 import hashlib
 import pickle
+import time
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.experiments.broker import (
     BROKER_DIR_ENV,
     Broker,
     LEASE_TTL_ENV,
+    _Heartbeat,
     task_key,
     worker_loop,
 )
@@ -292,6 +294,23 @@ def test_worker_loop_max_tasks(tmp_path):
     broker.enqueue(_square, [1, 2, 3])
     assert worker_loop(tmp_path, worker="w1", max_tasks=2) == 2
     assert broker.counts()["pending"] == 1
+
+
+def test_task_timeout_fires_promptly_at_default_lease_ttl(tmp_path, monkeypatch):
+    """The heartbeat wakes for the task deadline, not just on renewals
+    every lease_ttl/3 (10 s at the default TTL), so a 0.5 s budget
+    fires within about a second."""
+    monkeypatch.delenv(LEASE_TTL_ENV, raising=False)
+    broker = Broker(tmp_path)
+    assert broker.lease_ttl == 30.0
+    broker.enqueue(_square, [1])
+    lease = broker.claim("w1")
+    beat = _Heartbeat(broker, lease, task_timeout=0.5, timeout_kills=False)
+    start = time.monotonic()
+    beat.start()
+    beat.join(timeout=5.0)
+    assert beat.timed_out
+    assert 0.5 <= time.monotonic() - start < 1.5
 
 
 # -- environment knobs ------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Unit tests for the parallel experiment harness."""
+"""Unit tests for the parallel experiment harness.
+
+Multi-worker sweeps run through a throwaway broker queue served by
+local worker processes; ``jobs=1`` runs in-process.
+"""
 
 import multiprocessing
 import os
@@ -37,13 +41,23 @@ def _sleep_if_flagged(task):
     return value
 
 
+def _die_once(task):
+    """SIGKILL the worker on the first attempt (flag file), then return."""
+    value, flag_path = task
+    if not os.path.exists(flag_path):
+        with open(flag_path, "w") as fh:
+            fh.write("first attempt")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value
+
+
 def _sleep_forever(task):
     time.sleep(30.0)
     return task
 
 
 def _die_in_worker(task):
-    """SIGKILL the pool worker; return normally when rerun in-process."""
+    """SIGKILL the worker; return normally when rerun in-process."""
     if task == "victim" and multiprocessing.current_process().name != (
         "MainProcess"
     ):
@@ -172,8 +186,11 @@ def test_invalid_timeout_and_retries_rejected():
 
 
 def test_timeout_raises_when_retries_exhausted():
-    # Two tasks so the pool path runs (a single task collapses to the
-    # serial path, where a hung call cannot be interrupted).
+    # Two tasks so worker processes run them (a single task collapses to
+    # the serial path, where a hung call cannot be interrupted).  The
+    # timed-out tasks are quarantined and raise — never rescued
+    # serially, which would hang the caller on a call that never
+    # returns.
     with pytest.raises(TaskTimeoutError, match="exceeded"):
         run_tasks(
             _sleep_forever,
@@ -185,7 +202,8 @@ def test_timeout_raises_when_retries_exhausted():
 
 
 def test_timeout_retry_recovers(tmp_path):
-    """First attempt hangs; the resubmitted attempt returns promptly."""
+    """First attempt hangs; its worker reports the timeout and dies, and
+    the re-offered attempt returns promptly."""
     flag = str(tmp_path / "attempted.flag")
     steady = str(tmp_path / "steady.flag")
     open(steady, "w").close()  # pre-flagged: returns immediately
@@ -200,7 +218,7 @@ def test_timeout_retry_recovers(tmp_path):
         labels=["flaky", "steady"],
     )
     assert results == [7, 8]
-    assert any("retry" in line for line in lines)
+    assert any("worker" in line and "died" in line for line in lines)
 
 
 def test_timeout_leaves_fast_tasks_untouched():
@@ -209,7 +227,9 @@ def test_timeout_leaves_fast_tasks_untouched():
 
 
 def test_dead_worker_falls_back_to_serial():
-    """A SIGKILLed worker breaks the pool; the sweep completes serially."""
+    """A task that SIGKILLs every worker it runs on is quarantined after
+    its attempt budget; the parent reruns it serially and the sweep
+    completes."""
     tasks = ["a", "victim", "b", "c"]
     lines = []
     results = run_tasks(_die_in_worker, tasks, jobs=2, log=lines.append)
@@ -217,13 +237,35 @@ def test_dead_worker_falls_back_to_serial():
     assert any("serially" in line for line in lines)
 
 
+def test_sigkilled_worker_does_not_wait_out_the_lease(tmp_path, monkeypatch):
+    """A local worker killed mid-task is blamed the moment the parent
+    sees it die: its lease is expired at once instead of after the
+    default 30 s TTL, so the sweep finishes promptly."""
+    monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
+    flag = str(tmp_path / "victim.flag")
+    steady = str(tmp_path / "steady.flag")
+    open(steady, "w").close()  # pre-flagged: returns immediately
+    lines = []
+    start = time.monotonic()
+    results = run_tasks(
+        _die_once,
+        [(1, flag), (2, steady), (3, steady)],
+        jobs=2,
+        log=lines.append,
+    )
+    assert results == [1, 2, 3]
+    assert time.monotonic() - start < 10.0
+    assert any("died" in line for line in lines)
+    assert not any("rescue" in line for line in lines)
+
+
 # -- straggler reclamation --------------------------------------------------
 
 
 def test_straggler_is_killed_and_pool_rebuilt(tmp_path):
-    """A worker hung past the deadline is SIGKILLed (its slot would
-    otherwise stay occupied for the full 30 s sleep) and the pool is
-    rebuilt for the retry."""
+    """A worker hung past the deadline kills itself (its slot would
+    otherwise stay occupied for the full 30 s sleep) and a fresh worker
+    is started for the retry."""
     flag = str(tmp_path / "straggler.flag")
     fast = str(tmp_path / "fast.flag")
     open(fast, "w").close()  # pre-flagged: returns immediately
@@ -239,8 +281,8 @@ def test_straggler_is_killed_and_pool_rebuilt(tmp_path):
         labels=["straggler", "fast-a", "fast-b"],
     )
     assert results == [1, 2, 3]
-    assert any("killed straggling worker" in line for line in lines)
-    assert any("rebuilding worker pool" in line for line in lines)
+    assert any("worker" in line and "died" in line for line in lines)
+    assert any("respawned a local worker" in line for line in lines)
     # Reclaimed at the deadline, nowhere near the straggler's 30 s sleep.
     assert time.monotonic() - start < 20.0
 
@@ -264,7 +306,7 @@ def test_explicit_fork_start_method(monkeypatch):
 
 def test_spawn_workers_receive_warm_cache():
     """Spawned workers don't inherit memory; the harness ships the
-    parent's pipeline-cache entries through the pool initializer."""
+    parent's pipeline-cache entries to each worker at start-up."""
     from repro.tuning.pipeline import default_cache, tune_program
     from tests.conftest import make_phased_program
 

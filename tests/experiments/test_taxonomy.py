@@ -7,10 +7,8 @@ import pytest
 from repro.taxonomy import (
     TERMINAL_STATES,
     cancelled_reason,
-    demotion_reason,
     failed_reason,
     lease_expired_reason,
-    pool_death_reason,
     state_of,
 )
 
@@ -21,8 +19,6 @@ def test_every_helper_emits_a_parseable_state():
         failed_reason(2, 3, "ValueError: boom"),
         cancelled_reason("queued"),
         cancelled_reason("missed"),
-        pool_death_reason(["a", "b"]),
-        demotion_reason("delta=0.1", 2),
     ]
     for reason in reasons:
         assert state_of(reason) in TERMINAL_STATES, reason
