@@ -166,11 +166,19 @@ class PipelineCache:
 
     With ``disk_dir`` set the cache gains a persistent tier: a
     content-addressed store (:class:`repro.store.LocalStore`) in that
-    directory.  Each build is published as an object (the pickled
+    directory.  Only what callers ask for is persisted: the entry of an
+    *outermost* lookup is published as an object (the pickled
     ``(key, value, key-digest)`` triple) behind a
     ``pipeline/{level}-{digest}`` ref — object first, then the ref,
-    both atomically — and a memory miss falls back to the store copy
-    before rebuilding.  Loads re-hash the object bytes *and* compare
+    both atomically — while the levels its build looks up on the way
+    (typing, transitions, instrumented, the baseline trace inside
+    ``tuned``) stay in memory.  A rerun then hits the outermost key on
+    disk and never looks the nested ones up.  A top-level lookup that
+    hits memory for an entry built nested publishes it then, and a
+    process publishes each key at most once: a disk hit, a promoted
+    remote entry or an existing ref counts as published.  Every memory
+    miss, nested or not, falls back to the store copy before
+    rebuilding.  Loads re-hash the object bytes *and* compare
     the full stored key against the lookup key, so a damaged or
     foreign entry is quarantined/evicted (or raised under ``strict``)
     exactly like a corrupt in-memory entry.  A pre-store directory of
@@ -184,7 +192,7 @@ class PipelineCache:
     repro.store push``) and degrade to misses when unreachable, so a
     dead store never fails a build.
 
-    The persistent tier is bounded by ``max_disk_entries`` files *and*
+    The persistent tier is bounded by ``max_disk_entries`` refs *and*
     ``max_disk_bytes`` object bytes; once a publish exceeds either,
     eviction drops oldest-ref-mtime first (name tie-break) down to a
     low-water mark 1/8 below each budget, and the evicted totals are
@@ -212,6 +220,12 @@ class PipelineCache:
         self.max_disk_bytes = max_disk_bytes
         self._disk_dir: Optional[Path] = None
         self._store: Optional[LocalStore] = None
+        #: Builds in progress on this cache: a lookup made while one
+        #: runs is nested, and its build stays in memory only.
+        self._depth = 0
+        #: Keys this process has published, or found already published,
+        #: so none is published twice.
+        self._published: set = set()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -240,6 +254,7 @@ class PipelineCache:
         path.mkdir(parents=True, exist_ok=True)
         self._disk_dir = path
         self._store = LocalStore(path)
+        self._published.clear()
         self._migrate_legacy_layout()
 
     def _migrate_legacy_layout(self) -> None:
@@ -419,12 +434,15 @@ class PipelineCache:
     # -- lookup -------------------------------------------------------------
 
     def get_or_build(self, key: tuple, build: Callable):
+        top = self._depth == 0
         entry = self._entries.get(key)
         if entry is not None:
             value, digest = entry
             if digest == _key_digest(key):
                 self.hits += 1
                 _telemetry_incr("cache.hit")
+                if top and self._store is not None:
+                    self._publish_on_demand(key, value)
                 return value
             # The stored digest disagrees with the key that found the
             # entry: the entry (or its key) was corrupted after insert.
@@ -454,11 +472,27 @@ class PipelineCache:
             return value
         self.misses += 1
         _telemetry_incr("cache.miss")
-        value = build()
+        self._depth += 1
+        try:
+            value = build()
+        finally:
+            self._depth -= 1
         self._entries[key] = (value, _key_digest(key))
-        if self._disk_dir is not None:
+        if top and self._disk_dir is not None:
             self._disk_store(key, value)
+            self._published.add(key)
         return value
+
+    def _publish_on_demand(self, key: tuple, value) -> None:
+        """Publish an entry a top-level lookup found in memory, unless
+        this process already published it or its ref already exists (a
+        disk hit, or a forked or shipped cache holding entries the tier
+        has)."""
+        if key in self._published:
+            return
+        self._published.add(key)
+        if self._store.get_ref(self._ref_name(key)) is None:
+            self._disk_store(key, value)
 
     def warm_from_store(self) -> int:
         """Prefetch every remotely-published pipeline entry not held
@@ -555,6 +589,7 @@ class PipelineCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._published.clear()
         self.reset_stats()
 
     def reset_stats(self) -> None:

@@ -1,6 +1,8 @@
 """Property-based tests for the trace cursor and executor accounting."""
 
-from hypothesis import given, settings, strategies as st
+import math
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import Simulation, SimProcess, core2quad_amp
 from repro.sim.cost_model import CostVector
@@ -36,11 +38,35 @@ traces = st.lists(trace_nodes, min_size=0, max_size=5).map(
 )
 
 
+def _segment_visits(node) -> int:
+    """How many times a walk enters a segment with work to do."""
+    if isinstance(node, Segment):
+        return 1 if node.iterations > 0 else 0
+    return node.count * sum(_segment_visits(child) for child in node.children)
+
+
+def _nest(node, depth):
+    for _ in range(depth):
+        node = Repeat(children=(node,), count=4)
+    return node
+
+
 @settings(max_examples=60, deadline=None)
 @given(trace=traces, chunk=st.floats(min_value=0.5, max_value=50.0))
+# 256 visits of a 20-iteration segment in half-iteration chunks: 10,240
+# steps, every one of them needed.
+@example(trace=Trace((_nest(_segment("s", 20), 4),)), chunk=0.5)
 def test_cursor_consumes_exact_totals(trace, chunk):
     """Walking any trace in arbitrary chunks consumes exactly the
     structure's total iterations."""
+    expected = trace.total_instrs() / 50.0  # 50 instrs per iteration.
+    # Progress guarantee: each segment visit takes at most one partial
+    # chunk on top of its whole ones.
+    max_steps = (
+        math.ceil(expected / chunk)
+        + sum(_segment_visits(node) for node in trace.nodes)
+        + 1
+    )
     cursor = TraceCursor(trace)
     consumed = 0.0
     steps = 0
@@ -51,8 +77,7 @@ def test_cursor_consumes_exact_totals(trace, chunk):
         cursor.consume(take)
         consumed += take
         steps += 1
-        assert steps < 10_000  # Progress guarantee.
-    expected = trace.total_instrs() / 50.0  # 50 instrs per iteration.
+        assert steps <= max_steps
     assert abs(consumed - expected) < 1e-6
 
 

@@ -249,13 +249,15 @@ def test_disk_roundtrip_serves_fresh_cache(tmp_path):
     program, spec, warm, tuned = _warm_disk(tmp_path)
     assert warm.misses > 0
     assert warm.disk_hits == 0
-    # The disk tier is a CAS: one ref (and one object) per entry.
-    assert len(warm.store.refs("pipeline")) == len(warm)
-    assert len(warm.store.objects()) == len(warm)
+    # The disk tier is a CAS: one ref (and one object) per top-level
+    # product, none for the levels its build looked up on the way.
+    assert len(warm) > 1
+    assert len(warm.store.refs("pipeline")) == 1
+    assert len(warm.store.objects()) == 1
     cold = PipelineCache(disk_dir=tmp_path)
     again = tune_program(program, LoopStrategy(20), spec=spec, cache=cold)
     assert cold.misses == 0
-    assert cold.disk_hits > 0
+    assert cold.disk_hits == 1  # the nested keys were never looked up
     stats = cold.stats()
     assert stats["hit_rate"] == 1.0
     assert stats["disk_hits"] == cold.disk_hits
@@ -291,9 +293,9 @@ def test_corrupt_disk_file_is_evicted_and_rebuilt(tmp_path):
     smashed = _smash_tuned_entries(tmp_path)
     cold = PipelineCache(disk_dir=tmp_path)
     rebuilt = tune_program(program, LoopStrategy(20), spec=spec, cache=cold)
-    assert cold.corruptions == len(smashed)
-    assert cold.misses == len(smashed)  # only the smashed level rebuilt
-    assert cold.disk_hits > 0  # the nested levels still came from disk
+    assert cold.corruptions == len(smashed) == 1
+    # Its nested levels were never persisted, so the rebuild is full.
+    assert cold.misses == len(cold) > 1
     assert rebuilt.mark_count == tuned.mark_count
     # The damaged object was quarantined, not deleted in place.
     assert list((tmp_path / "quarantine").iterdir())
@@ -328,7 +330,99 @@ def test_foreign_disk_file_rejected(tmp_path):
     cold = PipelineCache(disk_dir=tmp_path)
     tune_program(program, LoopStrategy(20), spec=spec, cache=cold)
     assert cold.corruptions == 1
-    assert cold.misses == 1
+    # The forged ref was the only persisted level: a full rebuild.
+    assert cold.misses == len(cold) == len(warm)
+
+
+def _ref_levels(store):
+    return sorted(
+        name[len("pipeline/"):].rsplit("-", 1)[0]
+        for name in store.refs("pipeline")
+    )
+
+
+def test_only_the_outermost_product_is_persisted(tmp_path):
+    """The levels a tuned build looks up on the way stay in memory."""
+    program, spec, warm, _ = _warm_disk(tmp_path)
+    assert sorted(k[0] for k in warm._entries) == [
+        "baseline-trace", "instrumented", "transitions", "tuned", "typing",
+    ]
+    assert _ref_levels(warm.store) == ["tuned"]
+
+
+def test_top_level_hit_publishes_an_entry_built_nested(tmp_path):
+    """The stock path asks for the baseline trace ``tune_program``
+    already built nested: that top-level hit publishes it, so a fresh
+    process serves both calls from disk."""
+    program, spec = make_phased_program(outer=4)
+    machine = core2quad_amp()
+    warm = PipelineCache(disk_dir=tmp_path)
+    tune_program(program, LoopStrategy(20), machine, spec, cache=warm)
+    baseline_binary(program, machine, spec, cache=warm)
+    assert _ref_levels(warm.store) == ["baseline-trace", "tuned"]
+    fresh = PipelineCache(disk_dir=tmp_path)
+    tune_program(program, LoopStrategy(20), machine, spec, cache=fresh)
+    baseline_binary(program, machine, spec, cache=fresh)
+    assert fresh.misses == 0
+    assert fresh.disk_hits == 2
+
+
+def test_rerun_does_not_thrash_a_cap_below_all_levels(tmp_path):
+    """Six strategies make 20 pipeline entries but only 6 top-level
+    products; a cap between the two holds the products, so a rerun in
+    a fresh process rebuilds and evicts nothing."""
+    program, spec = make_phased_program(outer=4)
+    strategies = [
+        LoopStrategy(10), LoopStrategy(20), LoopStrategy(45),
+        BBStrategy(10, 1), BBStrategy(15, 0), BBStrategy(15, 2),
+    ]
+    first = PipelineCache(disk_dir=tmp_path, max_disk_entries=8)
+    for strategy in strategies:
+        tune_program(program, strategy, spec=spec, cache=first)
+    assert len(first) > first.max_disk_entries >= len(strategies)
+    assert first.evicted_entries == 0
+    rerun = PipelineCache(disk_dir=tmp_path, max_disk_entries=8)
+    for strategy in strategies:
+        tune_program(program, strategy, spec=spec, cache=rerun)
+    assert rerun.misses == 0
+    assert rerun.disk_hits == len(strategies)
+    assert rerun.evicted_entries == 0
+
+
+def test_installed_entries_are_not_republished(tmp_path, monkeypatch):
+    """A worker warmed by ``install_entries`` writes nothing for entries
+    the tier already holds, and publishes a missing one exactly once."""
+    from repro.store import LocalStore
+
+    program, spec = make_phased_program(outer=4)
+    machine = core2quad_amp()
+    warm = PipelineCache(disk_dir=tmp_path)
+    tune_program(program, LoopStrategy(20), machine, spec, cache=warm)
+    store = warm.store
+    before = (sorted(store.refs("pipeline")), sorted(store.objects()))
+    assert len(before[0]) == len(before[1]) == 1
+
+    puts = []
+    original = LocalStore.put
+
+    def counted(self, data, digest=None):
+        puts.append(len(data))
+        return original(self, data, digest)
+
+    monkeypatch.setattr(LocalStore, "put", counted)
+    worker = PipelineCache(disk_dir=tmp_path)
+    assert worker.install_entries(warm.export_entries()) == len(warm)
+    for _ in range(3):
+        tune_program(program, LoopStrategy(20), machine, spec, cache=worker)
+    assert (worker.hits, worker.misses) == (3, 0)
+    assert puts == []
+    assert (sorted(store.refs("pipeline")), sorted(store.objects())) == before
+    # The installed baseline trace is not on the tier: its first
+    # top-level hit publishes it, later hits do not.
+    for _ in range(2):
+        baseline_binary(program, machine, spec, cache=worker)
+    assert len(puts) == 1
+    assert _ref_levels(store) == ["baseline-trace", "tuned"]
 
 
 def test_legacy_disk_layout_migrated(tmp_path):
@@ -361,20 +455,24 @@ def test_disk_eviction_respects_cap(tmp_path):
 
     program, spec = make_phased_program(outer=4)
     cache = PipelineCache(disk_dir=tmp_path, max_disk_entries=2)
-    tune_program(program, LoopStrategy(20), spec=spec, cache=cache)
-    assert len(cache) > 2  # the pipeline stores more levels than the cap
+    strategies = [LoopStrategy(20), LoopStrategy(30), BBStrategy(10, 1)]
+    for strategy in strategies:
+        tune_program(program, strategy, spec=spec, cache=cache)
     store = LocalStore(tmp_path)
+    # Three top-level products published into a cap of two.
     assert len(store.refs("pipeline")) == 2
     assert len(store.objects()) == 2  # evicted objects are collected too
-    assert cache.evicted_entries == len(cache) - 2
+    assert cache.evicted_entries == len(strategies) - 2
     assert cache.stats()["evicted_bytes"] > 0
 
 
 def test_disk_eviction_respects_byte_budget(tmp_path):
     """With a byte budget the tier evicts by size, not entry count."""
     program, spec = make_phased_program(outer=4)
+    strategies = [LoopStrategy(20), LoopStrategy(30), BBStrategy(10, 1)]
     probe = PipelineCache(disk_dir=tmp_path / "probe")
-    tune_program(program, LoopStrategy(20), spec=spec, cache=probe)
+    for strategy in strategies:
+        tune_program(program, strategy, spec=spec, cache=probe)
     total = probe.store.size_bytes()
     largest = max(probe.store.object_size(d) for d in probe.store.objects())
     budget = total - 1  # force at least one eviction, keep most entries
@@ -384,8 +482,9 @@ def test_disk_eviction_respects_byte_budget(tmp_path):
         max_disk_entries=None,
         max_disk_bytes=budget,
     )
-    tune_program(program, LoopStrategy(20), spec=spec, cache=cache)
-    assert cache.evicted_entries >= 1
+    for strategy in strategies:
+        tune_program(program, strategy, spec=spec, cache=cache)
+    assert 1 <= cache.evicted_entries < len(strategies)
     assert cache.evicted_bytes >= 1
     assert cache.store.size_bytes() <= budget
     assert cache.stats()["evicted_bytes"] == cache.evicted_bytes
@@ -570,7 +669,7 @@ def test_warm_from_store_prefetches_remote_entries(tmp_path, monkeypatch):
     program, spec, warm, _ = _warm_disk(warm_dir)
     monkeypatch.setenv("REPRO_STORE_URL", str(warm_dir))
     cold = PipelineCache(disk_dir=tmp_path / "local")
-    assert cold.warm_from_store() == len(warm)
+    assert cold.warm_from_store() == len(warm.store.refs("pipeline")) == 1
     monkeypatch.delenv("REPRO_STORE_URL")
     tune_program(program, LoopStrategy(20), spec=spec, cache=cold)
     assert cold.misses == 0
