@@ -313,7 +313,7 @@ class OpenSystemRun:
     ):
         # Imported here, not at module top: workloads imports sim
         # submodules, and this keeps repro.sim importable in any order.
-        from repro.tuning.pipeline import baseline_binary, tune_program
+        from repro.tuning.pipeline import run_trace
         from repro.workloads.spec import spec_benchmark
         from repro.workloads.workload import WorkloadRun, _PreparedBenchmark
 
@@ -336,21 +336,14 @@ class OpenSystemRun:
                 self._prepared[name] = self._closed._prepared[name]
                 continue
             benchmark = spec_benchmark(name)
-            if strategy is None:
-                trace, isolated = baseline_binary(
-                    benchmark.program, machine, benchmark.spec, cache=cache
-                )
-            else:
-                tuned = tune_program(
-                    benchmark.program,
-                    strategy,
-                    machine,
-                    benchmark.spec,
-                    typing=typing_overrides.get(name),
-                    cache=cache,
-                )
-                trace = tuned.tuned_trace
-                isolated = tuned.isolated_seconds
+            trace, isolated = run_trace(
+                benchmark.program,
+                strategy,
+                machine,
+                benchmark.spec,
+                typing=typing_overrides.get(name),
+                cache=cache,
+            )
             self._prepared[name] = _PreparedBenchmark(benchmark, trace, isolated)
         # Per-run bookkeeping, reset by run().
         self._completion_times: list = []

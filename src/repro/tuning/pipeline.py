@@ -26,6 +26,9 @@ Cache levels (each usable on its own):
                       machine, spec)
 ``tuned``             the full :class:`TunedBinary` per (program, strategy,
                       machine, spec, typing)
+``run-trace``         what a scheduled job runs: tuned trace + isolated
+                      seconds per (program, strategy, machine, spec,
+                      typing)
 ====================  =========================================================
 """
 
@@ -760,6 +763,10 @@ def tune_program(
 ) -> TunedBinary:
     """Run the full static pipeline on *program* for *machine*.
 
+    Callers that only schedule the program as a job want
+    :func:`run_trace`: its cached product is the trace and isolated
+    seconds alone, not the whole binary with its program copy.
+
     Args:
         strategy: defaults to the paper's best, ``Loop[45]``.
         machine: defaults to the paper's 4-core AMP.
@@ -789,5 +796,42 @@ def tune_program(
             program, machine, spec, cache=cache
         )
         return TunedBinary(instrumented, tuned_trace, baseline_trace, isolated)
+
+    return cache.get_or_build(key, build)
+
+
+def run_trace(
+    program: Program,
+    strategy: Optional[MarkingStrategy],
+    machine: Optional[MachineConfig] = None,
+    spec: Optional[BehaviorSpec] = None,
+    typing: Optional[BlockTyping] = None,
+    cache: Optional[PipelineCache] = None,
+) -> tuple:
+    """Cached ``(trace, isolated_seconds)`` a job of *program* runs.
+
+    With a *strategy* this is the tuned trace of :func:`tune_program`.
+    Its build looks that binary up nested, so a disk tier persists this
+    pair and not the :class:`TunedBinary` behind it.  ``strategy=None``
+    is the stock run: the :func:`baseline_binary` entry, which *typing*
+    does not shape (it only places marks).
+    """
+    if cache is None:
+        cache = _DEFAULT_CACHE
+    machine = machine or core2quad_amp()
+    if strategy is None:
+        return baseline_binary(program, machine, spec, cache=cache)
+    key = (
+        "run-trace",
+        program_fingerprint(program),
+        strategy_fingerprint(strategy),
+        machine_fingerprint(machine),
+        spec_fingerprint(spec),
+        typing_fingerprint(typing),
+    )
+
+    def build() -> tuple:
+        tuned = tune_program(program, strategy, machine, spec, typing, cache)
+        return tuned.tuned_trace, tuned.isolated_seconds
 
     return cache.get_or_build(key, build)

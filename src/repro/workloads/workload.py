@@ -28,7 +28,7 @@ from repro.sim.checkpoint import CheckpointManager
 from repro.sim.executor import Simulation, SimulationResult
 from repro.sim.machine import MachineConfig
 from repro.sim.process import SimProcess, Trace
-from repro.tuning.pipeline import PipelineCache, baseline_binary, tune_program
+from repro.tuning.pipeline import PipelineCache, run_trace
 from repro.workloads.spec import SPEC_BENCHMARKS, spec_benchmark
 from repro.workloads.synthetic import SyntheticBenchmark
 
@@ -117,21 +117,14 @@ class WorkloadRun:
 
         for name in sorted(workload.benchmark_names()):
             benchmark = spec_benchmark(name)
-            if strategy is None:
-                trace, isolated = baseline_binary(
-                    benchmark.program, machine, benchmark.spec, cache=cache
-                )
-            else:
-                tuned = tune_program(
-                    benchmark.program,
-                    strategy,
-                    machine,
-                    benchmark.spec,
-                    typing=typing_overrides.get(name),
-                    cache=cache,
-                )
-                trace = tuned.tuned_trace
-                isolated = tuned.isolated_seconds
+            trace, isolated = run_trace(
+                benchmark.program,
+                strategy,
+                machine,
+                benchmark.spec,
+                typing=typing_overrides.get(name),
+                cache=cache,
+            )
             self._prepared[name] = _PreparedBenchmark(benchmark, trace, isolated)
 
         self._next_pid = 0

@@ -1,5 +1,7 @@
 """Tests for the static-pipeline memoization layer."""
 
+import pickle
+
 import pytest
 
 from repro.analysis import StaticBlockTyper, inject_clustering_error
@@ -13,6 +15,7 @@ from repro.tuning.pipeline import (
     instrument_cached,
     machine_fingerprint,
     program_fingerprint,
+    run_trace,
     spec_fingerprint,
     strategy_fingerprint,
     tune_program,
@@ -675,3 +678,128 @@ def test_warm_from_store_prefetches_remote_entries(tmp_path, monkeypatch):
     assert cold.misses == 0
     # Prefetched entries landed in memory: no disk loads either.
     assert cold.disk_hits == 0
+
+
+# -- the per-job product --------------------------------------------------------
+
+_JOB_MIX = ("164.gzip", "429.mcf")
+
+
+def _job_workload():
+    from repro.workloads import Workload
+
+    return Workload.random(2, seed=3, queue_length=4, benchmarks=_JOB_MIX)
+
+
+def test_run_trace_is_tune_programs_trace_or_the_baseline():
+    program, spec = make_phased_program(outer=4)
+    machine = core2quad_amp()
+    flipped = inject_clustering_error(
+        StaticBlockTyper().type_blocks(program), 1.0
+    )
+    for typing in (None, flipped):
+        trace, isolated = run_trace(
+            program, LoopStrategy(20), machine, spec, typing,
+            cache=PipelineCache(),
+        )
+        tuned = tune_program(
+            program, LoopStrategy(20), machine, spec, typing,
+            cache=PipelineCache(),
+        )
+        assert trace == tuned.tuned_trace
+        assert pickle.dumps(trace) == pickle.dumps(tuned.tuned_trace)
+        assert isolated == tuned.isolated_seconds
+    cache = PipelineCache()
+    plain = run_trace(program, LoopStrategy(20), machine, spec, cache=cache)
+    overridden = run_trace(
+        program, LoopStrategy(20), machine, spec, flipped, cache=cache
+    )
+    assert plain[0] != overridden[0]
+    # A stock run is the baseline entry itself.
+    cache = PipelineCache()
+    stock = run_trace(program, None, machine, spec, cache=cache)
+    assert stock is baseline_binary(program, machine, spec, cache=cache)
+    assert sorted(k[0] for k in cache._entries) == ["baseline-trace"]
+
+
+def test_tuned_workload_persists_only_run_traces(tmp_path):
+    """A tuned workload persists one ``run-trace`` per benchmark and no
+    ``tuned`` binary; a stock workload after it adds the baseline
+    traces; a fresh process then rebuilds neither run."""
+    from repro.workloads import WorkloadRun
+
+    machine = core2quad_amp()
+    workload = _job_workload()
+    names = sorted(workload.benchmark_names())
+    warm = PipelineCache(disk_dir=tmp_path)
+    WorkloadRun(workload, machine, LoopStrategy(45), cache=warm)
+    assert _ref_levels(warm.store) == ["run-trace"] * len(names)
+    WorkloadRun(workload, machine, cache=warm)
+    assert _ref_levels(warm.store) == (
+        ["baseline-trace"] * len(names) + ["run-trace"] * len(names)
+    )
+    fresh = PipelineCache(disk_dir=tmp_path)
+    tuned = WorkloadRun(workload, machine, LoopStrategy(45), cache=fresh)
+    stock = WorkloadRun(workload, machine, cache=fresh)
+    assert fresh.misses == 0
+    assert fresh.disk_hits == 2 * len(names)
+    for name in names:
+        assert tuned.isolated_seconds(name) == stock.isolated_seconds(name)
+
+
+class _TypeProbe(pickle.Pickler):
+    """Pickles to nowhere, recording the type of every object reached."""
+
+    def __init__(self):
+        import io
+
+        super().__init__(io.BytesIO())
+        self.seen = set()
+
+    def persistent_id(self, obj):
+        self.seen.add(type(obj))
+        return None
+
+
+def test_run_trace_entry_carries_no_program(tmp_path):
+    from repro.analysis.annotate import AttributedProgram
+    from repro.analysis.block_typing import BlockTyping
+    from repro.instrument.rewriter import InstrumentedProgram
+    from repro.program.module import Program
+    from repro.sim.process import Trace
+    from repro.tuning.pipeline import TunedBinary
+    from repro.workloads import WorkloadRun
+
+    cache = PipelineCache(disk_dir=tmp_path)
+    WorkloadRun(_job_workload(), core2quad_amp(), LoopStrategy(45), cache=cache)
+    refs = cache.store.refs("pipeline")
+    assert refs
+    for digest in refs.values():
+        key, value, _ = pickle.loads(cache.store.get(digest))
+        assert key[0] == "run-trace"
+        trace, isolated = value
+        assert type(value) is tuple and len(value) == 2
+        assert isinstance(trace, Trace) and type(isolated) is float
+        probe = _TypeProbe()
+        probe.dump(value)
+        assert Trace in probe.seen
+        assert not probe.seen & {
+            Program, InstrumentedProgram, AttributedProgram, BlockTyping,
+            TunedBinary,
+        }
+
+
+def test_tuned_open_system_reruns_from_disk(tmp_path):
+    from repro.sim.opensys import OpenSystemPlan, OpenSystemRun
+
+    machine = core2quad_amp()
+    plan = OpenSystemPlan(seed=5, rate=0.5, horizon=20.0, classes=_JOB_MIX)
+    warm = PipelineCache(disk_dir=tmp_path)
+    first = OpenSystemRun(plan, machine, LoopStrategy(45), cache=warm)
+    assert warm.misses > 0
+    assert _ref_levels(warm.store) == ["run-trace"] * len(_JOB_MIX)
+    fresh = PipelineCache(disk_dir=tmp_path)
+    again = OpenSystemRun(plan, machine, LoopStrategy(45), cache=fresh)
+    assert fresh.misses == 0
+    assert fresh.disk_hits == len(_JOB_MIX)
+    assert again.mean_isolated_seconds() == first.mean_isolated_seconds()
