@@ -61,6 +61,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import reprlib
 import signal
 import socket
 import sqlite3
@@ -97,6 +98,7 @@ __all__ = [
     "prepare_enqueue",
     "resolve_down_grace",
     "task_key",
+    "task_label",
     "worker_loop",
 ]
 
@@ -226,6 +228,25 @@ def _resolve_priority(priority: Optional[int]) -> int:
         ) from None
 
 
+#: Longest default task label, in characters.
+LABEL_LIMIT = 120
+
+_LABEL_REPR = reprlib.Repr()
+
+
+def task_label(task) -> str:
+    """Default display label of *task*: its repr with each part
+    shortened by :mod:`reprlib`, capped at :data:`LABEL_LIMIT`
+    characters.  A sweep task carrying a whole workload has a repr of
+    tens of kilobytes, which would land in every progress line and
+    queue row.  Labels only name tasks; content keys do not read them.
+    """
+    text = _LABEL_REPR.repr(task)
+    if len(text) > LABEL_LIMIT:
+        text = text[: LABEL_LIMIT - 3] + "..."
+    return text
+
+
 def prepare_enqueue(
     fn: Callable,
     tasks: Sequence,
@@ -242,7 +263,7 @@ def prepare_enqueue(
     """
     tasks = list(tasks)
     if labels is None:
-        labels = [repr(task) for task in tasks]
+        labels = [task_label(task) for task in tasks]
     elif len(labels) != len(tasks):
         raise BrokerError(
             f"got {len(labels)} labels for {len(tasks)} tasks"

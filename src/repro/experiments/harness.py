@@ -84,7 +84,11 @@ from repro.errors import (
     ExperimentError,
     TaskTimeoutError,
 )
-from repro.experiments.broker import BROKER_DIR_ENV, BROKER_URL_ENV
+from repro.experiments.broker import (
+    BROKER_DIR_ENV,
+    BROKER_URL_ENV,
+    task_label,
+)
 from repro.sim.checkpoint import task_checkpoint_dir
 from repro.telemetry.context import current_recorder, set_recorder
 from repro.telemetry.recorder import TraceRecorder
@@ -213,8 +217,9 @@ def run_tasks(
         log: optional progress callback, called with one
             ``[k/n] label`` line per completed task (completion order
             in the parallel path).
-        labels: display names per task for *log*; repr of the task by
-            default.
+        labels: display names per task for *log*; by default the
+            task's repr, shortened by
+            :func:`~repro.experiments.broker.task_label`.
         timeout: per-task wall-clock budget in seconds, measured from
             the claim.  A worker over budget reports the attempt as
             failed and SIGKILLs itself; the task is re-offered with
@@ -252,7 +257,7 @@ def run_tasks(
     tasks = list(tasks)
     total = len(tasks)
     if labels is None:
-        labels = [repr(task) for task in tasks]
+        labels = [task_label(task) for task in tasks]
     elif len(labels) != total:
         raise ExperimentError(
             f"got {len(labels)} labels for {total} tasks"

@@ -27,7 +27,12 @@ class TechniqueOutcome:
 
     Attributes:
         name: technique name, or ``"linux"`` for the stock baseline.
-        result: the raw simulation result.
+        result: the simulation result's summary
+            (:meth:`~repro.sim.executor.SimulationResult.summary`):
+            per-process records, not live processes, so an outcome
+            pickles to a few kilobytes.  Run
+            :class:`~repro.workloads.workload.WorkloadRun` directly for
+            the live processes.
         fairness: Table 2's metrics over completed processes.
         instructions: committed instructions within the interval.
         switches: total core switches across all processes.
@@ -56,6 +61,7 @@ def _outcome(
     interval: float,
     runtime=None,
 ) -> TechniqueOutcome:
+    result = result.summary()
     return TechniqueOutcome(
         name,
         result,

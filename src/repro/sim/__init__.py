@@ -40,6 +40,7 @@ from repro.sim.cost_model import BlockCost, CostModel, CostVector
 from repro.sim.counters import CounterBank, CounterSession
 from repro.sim.process import (
     EmbeddedMark,
+    ProcessRecord,
     Repeat,
     Segment,
     SimProcess,
@@ -80,6 +81,7 @@ __all__ = [
     "Repeat",
     "Trace",
     "SimProcess",
+    "ProcessRecord",
     "EmbeddedMark",
     "spawn_thread_group",
     "BehaviorSpec",

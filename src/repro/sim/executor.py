@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Callable, Optional
 
@@ -49,7 +49,7 @@ from repro.sim.faults import (
 from repro.sim.flattrace import FlatCursor
 from repro.sim.memory import MemoryModel
 from repro.sim.machine import MachineConfig
-from repro.sim.process import Segment, SimProcess
+from repro.sim.process import ProcessRecord, Segment, SimProcess
 from repro.sim.scheduler.affinity import MIGRATION_CYCLES, validate_affinity
 from repro.sim.scheduler.base import Scheduler
 from repro.sim.scheduler.linux_o1 import LinuxO1Scheduler
@@ -110,6 +110,11 @@ _ENTRY_ACTIONS: dict = {}
 class SimulationResult:
     """Everything a finished (or stopped) simulation observed.
 
+    :meth:`Simulation.run` fills the process lists with the live
+    :class:`SimProcess` objects; :meth:`summary` swaps them for
+    :class:`ProcessRecord` numbers, the shape experiment outcomes
+    carry and ship between processes.
+
     Attributes:
         machine: the machine simulated.
         time: simulation end time in seconds.
@@ -145,6 +150,16 @@ class SimulationResult:
 
     def total_switches(self) -> float:
         return sum(p.stats.switches for p in self.all_processes)
+
+    def summary(self) -> "SimulationResult":
+        """This result with every process replaced by its
+        :class:`ProcessRecord`; times, buckets and idle times shared."""
+        return replace(
+            self,
+            completed=[ProcessRecord.of(p) for p in self.completed],
+            running=[ProcessRecord.of(p) for p in self.running],
+            cancelled=[ProcessRecord.of(p) for p in self.cancelled],
+        )
 
 
 class Simulation:

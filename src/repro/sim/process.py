@@ -285,7 +285,29 @@ class ProcessStats:
         )
 
 
-class SimProcess:
+class _FlowTimes:
+    """Flow time and stretch over ``arrival``, ``completion`` and
+    ``isolated_time`` — shared by live processes and their records."""
+
+    __slots__ = ()
+
+    @property
+    def flow_time(self) -> Optional[float]:
+        """F_j = C_j - a_j, once completed."""
+        if self.completion is None:
+            return None
+        return self.completion - self.arrival
+
+    @property
+    def stretch(self) -> Optional[float]:
+        """F_j / t_j (Bender et al.), once completed."""
+        flow = self.flow_time
+        if flow is None or self.isolated_time <= 0:
+            return None
+        return flow / self.isolated_time
+
+
+class SimProcess(_FlowTimes):
     """One running job: a trace plus scheduling state.
 
     Attributes:
@@ -343,24 +365,44 @@ class SimProcess:
     def finished(self) -> bool:
         return self.cursor.finished
 
-    @property
-    def flow_time(self) -> Optional[float]:
-        """F_j = C_j - a_j, once completed."""
-        if self.completion is None:
-            return None
-        return self.completion - self.arrival
-
-    @property
-    def stretch(self) -> Optional[float]:
-        """F_j / t_j (Bender et al.), once completed."""
-        flow = self.flow_time
-        if flow is None or self.isolated_time <= 0:
-            return None
-        return flow / self.isolated_time
-
     def __repr__(self) -> str:
         state = "done" if self.finished else "running"
         return f"SimProcess(pid={self.pid}, {self.name}, {state})"
+
+
+@dataclass(frozen=True, slots=True)
+class ProcessRecord(_FlowTimes):
+    """What a finished run keeps of one process: the numbers the
+    metrics read, without the trace, cursor or scheduling state.
+
+    A handful of floats where a :class:`SimProcess` drags its whole
+    trace along, so results cross process boundaries cheaply.
+    ``tuner_state`` is kept (and stays shared between the records of
+    one thread group) for callers inspecting tuning decisions.
+    """
+
+    pid: int
+    name: str
+    slot: Optional[int]
+    arrival: float
+    completion: Optional[float]
+    isolated_time: float
+    stats: ProcessStats
+    tuner_state: dict
+
+    @classmethod
+    def of(cls, process) -> "ProcessRecord":
+        """The record of *process* (a :class:`SimProcess` or a record)."""
+        return cls(
+            process.pid,
+            process.name,
+            process.slot,
+            process.arrival,
+            process.completion,
+            process.isolated_time,
+            process.stats,
+            process.tuner_state,
+        )
 
 
 def spawn_thread_group(
