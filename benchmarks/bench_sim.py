@@ -1,36 +1,36 @@
 """Wall-clock benchmark of the simulator's executor paths.
 
-Times the three quantum-execution modes — stepped (``batched=False``,
-the tree-walking reference), per-quantum batched (``coalesce=False``),
-and macro-quantum coalesced (the default) — on two scenarios, and
-writes ``BENCH_sim.json``:
+Times the two quantum-execution paths — stepped (``batched=False``, the
+tree-walking reference) and batched (the default) — on three scenarios,
+and writes ``BENCH_sim.json``:
 
 * the table2 fairness workload (paper scale by default), built once so
-  every mode runs against the same warm static pipeline and the timing
+  both paths run against the same warm static pipeline and the timing
   is simulation wall time proper;
 * a 1000-process synthetic workload on a 16-core AMP, the
   queue-pressure shape where per-turn overhead dominates;
 * an equally sized open-system run (same core count, arrivals offered
   over the same interval, plus cancellations and breakdown windows) —
-  gated to stay within 2x the closed coalesced time, so dynamic-event
-  churn provably degrades coalescing gracefully rather than
-  collapsing it.
+  gated to stay within 2x the closed batched time, so dynamic-event
+  churn degrades the executor gracefully rather than collapsing it.
 
 It also runs ``python -m repro.experiments table2`` end to end in
-subprocesses, with and without ``--no-coalesce``, and compares stdout.
+subprocesses, with and without ``REPRO_NO_BATCH``, and compares stdout.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sim.py           # paper scale
     PYTHONPATH=src python benchmarks/bench_sim.py --quick   # CI smoke
 
-Two properties are load-independent and therefore *gated* (nonzero
+Three properties are load-independent and therefore *gated* (nonzero
 exit on violation):
 
-* all three modes must produce exactly equal results — same completion
-  floats, switch counts, buckets, idle accounting — on both scenarios;
-* the coalesced and per-quantum table2 CLI runs must print
-  byte-identical stdout.
+* both paths must produce exactly equal results — same completion
+  floats, switch counts, buckets, idle accounting — on the closed
+  scenarios and the open system;
+* the open-system batched run takes at most 2x the closed one;
+* the batched and stepped table2 CLI runs must print byte-identical
+  stdout.
 
 The wall-clock numbers and speedups depend on the host, so they are
 reported, not gated.
@@ -39,6 +39,7 @@ reported, not gated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -47,13 +48,16 @@ import time
 from pathlib import Path
 
 from repro.experiments.config import ExperimentConfig
-from repro.sim.executor import NO_BATCH_ENV, NO_COALESCE_ENV
+from repro.sim.executor import NO_BATCH_ENV
 from repro.sim.machine import core2quad_amp, many_core_amp
 from repro.sim.opensys import OpenSystemPlan, OpenSystemRun
 from repro.tuning.pipeline import PipelineCache
 from repro.workloads.workload import Workload, WorkloadRun
 
 _REPO = Path(__file__).resolve().parent.parent
+
+#: The two executor paths, in timing order.
+_MODES = ("stepped", "batched")
 
 
 def _result_summary(result):
@@ -79,86 +83,75 @@ def _result_summary(result):
     )
 
 
-#: (mode name, environment overrides) for the three executor paths; the
-#: kill-switch environment variables reach the Simulation constructor
-#: through WorkloadRun, exactly as they would a CLI invocation.
-_MODES = (
-    ("stepped", {NO_BATCH_ENV: "1", NO_COALESCE_ENV: "1"}),
-    ("batched", {NO_BATCH_ENV: "", NO_COALESCE_ENV: "1"}),
-    ("coalesced", {NO_BATCH_ENV: "", NO_COALESCE_ENV: ""}),
-)
+@contextlib.contextmanager
+def _mode(name):
+    """Select an executor path through the ``REPRO_NO_BATCH``
+    kill-switch, which reaches the Simulation constructor through
+    WorkloadRun/OpenSystemRun exactly as it would a CLI invocation."""
+    saved = os.environ.pop(NO_BATCH_ENV, None)
+    if name == "stepped":
+        os.environ[NO_BATCH_ENV] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop(NO_BATCH_ENV, None)
+        if saved is not None:
+            os.environ[NO_BATCH_ENV] = saved
 
 
-def _timed_modes(build_run, interval) -> tuple:
-    """Run a freshly built workload once per mode; returns
-    (per-mode seconds dict, summaries-all-equal bool)."""
+def _timed_modes(scenario) -> tuple:
+    """Run a freshly built *scenario* — ``(build, run, summarize)`` —
+    once per path; returns (per-path seconds, summaries-equal bool).
+    Only ``run`` is timed."""
+    build, run, summarize = scenario
     seconds = {}
     summaries = {}
-    for name, env in _MODES:
-        saved = {key: os.environ.pop(key, None) for key in env}
-        for key, value in env.items():
-            if value:
-                os.environ[key] = value
-        try:
-            run = build_run()
+    for name in _MODES:
+        with _mode(name):
+            built = build()
             start = time.perf_counter()
-            result = run.run(interval)
+            result = run(built)
             seconds[name] = time.perf_counter() - start
-            summaries[name] = _result_summary(result)
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
-    identical = (
-        summaries["stepped"] == summaries["batched"] == summaries["coalesced"]
-    )
-    return seconds, identical
+            summaries[name] = summarize(result)
+    return seconds, summaries["stepped"] == summaries["batched"]
 
 
 def _mode_entry(seconds, identical) -> dict:
     return {
         "stepped_seconds": round(seconds["stepped"], 3),
         "batched_seconds": round(seconds["batched"], 3),
-        "coalesced_seconds": round(seconds["coalesced"], 3),
-        "coalesced_speedup_vs_stepped": round(
-            seconds["stepped"] / seconds["coalesced"], 2
-        ),
-        "coalesced_speedup_vs_batched": round(
-            seconds["batched"] / seconds["coalesced"], 2
+        "batched_speedup_vs_stepped": round(
+            seconds["stepped"] / seconds["batched"], 2
         ),
         "results_identical": identical,
     }
 
 
+def _closed_run(workload, machine, interval, cache):
+    return (
+        lambda: WorkloadRun(workload, machine, cache=cache),
+        lambda run: run.run(interval),
+        _result_summary,
+    )
+
+
 def _table2_workload(config, cache):
     workload = Workload.random(config.slots, seed=config.seed)
-
-    def build():
-        return WorkloadRun(workload, core2quad_amp(), cache=cache)
-
-    return build
+    return _closed_run(workload, core2quad_amp(), config.interval, cache)
 
 
-def _synthetic_workload(slots, cache):
+def _synthetic_workload(slots, interval, cache):
     """*slots* simultaneous processes on a 16-core AMP: per-core queues
     dozens deep, so wall time is pure scheduling-turn throughput."""
     workload = Workload.random(slots, seed=7, queue_length=64)
-    machine = many_core_amp(8, 8)
-
-    def build():
-        return WorkloadRun(workload, machine, cache=cache)
-
-    return build
+    return _closed_run(workload, many_core_amp(8, 8), interval, cache)
 
 
-def _opensys_bench(arrivals, interval, cache) -> tuple:
+def _opensys_run(arrivals, interval, cache):
     """An open-system run sized like the synthetic closed scenario:
     *arrivals* jobs offered over *interval* seconds on the 16-core AMP,
     with cancellations and breakdown windows layered on — the
-    heavy-churn shape where every dynamic event bounds a coalescing
-    window.  Returns (per-mode seconds, summaries-identical)."""
+    heavy-churn shape where dynamic events interleave with core turns."""
     machine = many_core_amp(8, 8)
     plan = OpenSystemPlan(
         seed=7,
@@ -168,57 +161,45 @@ def _opensys_bench(arrivals, interval, cache) -> tuple:
         cancel_fraction=0.05,
         breakdowns=2,
     )
-    seconds = {}
-    summaries = {}
-    for name, env in _MODES:
-        saved = {key: os.environ.pop(key, None) for key in env}
-        for key, value in env.items():
-            if value:
-                os.environ[key] = value
-        try:
-            run = OpenSystemRun(plan, machine, cache=cache)
-            start = time.perf_counter()
-            result = run.run()
-            seconds[name] = time.perf_counter() - start
-            summaries[name] = json.dumps(result.to_dict(), sort_keys=True)
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
-    identical = (
-        summaries["stepped"] == summaries["batched"] == summaries["coalesced"]
+    return (
+        lambda: OpenSystemRun(plan, machine, cache=cache),
+        lambda run: run.run(),
+        lambda result: json.dumps(result.to_dict(), sort_keys=True),
     )
-    return seconds, identical
 
 
 def _table2_stdout_bench() -> dict:
-    """End-to-end CLI byte-identity: table2 with and without
-    --no-coalesce must print the same bytes."""
+    """End-to-end CLI byte-identity: table2 on the batched path and
+    under ``REPRO_NO_BATCH`` must print the same bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_REPO / "src")
-    env.pop(NO_COALESCE_ENV, None)
     env.pop(NO_BATCH_ENV, None)
     outputs = {}
     seconds = {}
-    for name, extra in (("coalesced", []), ("per_quantum", ["--no-coalesce"])):
+    for name, extra in (("batched", {}), ("stepped", {NO_BATCH_ENV: "1"})):
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", *extra, "table2"],
+            [sys.executable, "-m", "repro.experiments", "table2"],
             capture_output=True,
-            env=env,
+            env={**env, **extra},
             cwd=_REPO,
             check=True,
         )
         seconds[name] = time.perf_counter() - start
         outputs[name] = proc.stdout
     return {
-        "per_quantum_seconds": round(seconds["per_quantum"], 2),
-        "coalesced_seconds": round(seconds["coalesced"], 2),
-        "speedup": round(seconds["per_quantum"] / seconds["coalesced"], 2),
-        "byte_identical": outputs["coalesced"] == outputs["per_quantum"],
+        "stepped_seconds": round(seconds["stepped"], 2),
+        "batched_seconds": round(seconds["batched"], 2),
+        "speedup": round(seconds["stepped"] / seconds["batched"], 2),
+        "byte_identical": outputs["batched"] == outputs["stepped"],
     }
+
+
+def _report_line(label, seconds, suffix) -> str:
+    return (
+        f"{label:<16} stepped {seconds['stepped']:6.2f}s   "
+        f"batched {seconds['batched']:6.2f}s {suffix}"
+    )
 
 
 def main(argv=None) -> int:
@@ -250,69 +231,61 @@ def main(argv=None) -> int:
     failures = []
     cache = PipelineCache()
 
-    seconds, identical = _timed_modes(
-        _table2_workload(fairness, cache), fairness.interval
-    )
+    seconds, identical = _timed_modes(_table2_workload(fairness, cache))
     entry = _mode_entry(seconds, identical)
     report["table2_workload"] = entry
-    print(
-        f"table2 workload  stepped {seconds['stepped']:6.2f}s   "
-        f"batched {seconds['batched']:6.2f}s   "
-        f"coalesced {seconds['coalesced']:6.2f}s "
-        f"(x{entry['coalesced_speedup_vs_stepped']} vs stepped)"
-    )
+    print(_report_line(
+        "table2 workload", seconds,
+        f"(x{entry['batched_speedup_vs_stepped']} vs stepped)",
+    ))
     if not identical:
-        failures.append("table2 workload: executor modes disagree")
+        failures.append("table2 workload: executor paths disagree")
 
     seconds, identical = _timed_modes(
-        _synthetic_workload(synthetic_slots, cache), synthetic_interval
+        _synthetic_workload(synthetic_slots, synthetic_interval, cache)
     )
     entry = _mode_entry(seconds, identical)
     report[f"synthetic_{synthetic_slots}"] = entry
-    print(
-        f"{synthetic_slots}-proc synth  stepped {seconds['stepped']:6.2f}s   "
-        f"batched {seconds['batched']:6.2f}s   "
-        f"coalesced {seconds['coalesced']:6.2f}s "
-        f"(x{entry['coalesced_speedup_vs_stepped']} vs stepped)"
-    )
+    print(_report_line(
+        f"{synthetic_slots}-proc synth", seconds,
+        f"(x{entry['batched_speedup_vs_stepped']} vs stepped)",
+    ))
     if not identical:
-        failures.append(f"{synthetic_slots}-process synthetic: modes disagree")
-    closed_coalesced = seconds["coalesced"]
+        failures.append(f"{synthetic_slots}-process synthetic: paths disagree")
+    closed_batched = seconds["batched"]
 
-    seconds, identical = _opensys_bench(
-        synthetic_slots, synthetic_interval, cache
+    seconds, identical = _timed_modes(
+        _opensys_run(synthetic_slots, synthetic_interval, cache)
     )
     entry = _mode_entry(seconds, identical)
-    ratio = seconds["coalesced"] / closed_coalesced
-    entry["open_vs_closed_coalesced_ratio"] = round(ratio, 2)
+    ratio = seconds["batched"] / closed_batched
+    entry["open_vs_closed_batched_ratio"] = round(ratio, 2)
     report[f"opensys_{synthetic_slots}"] = entry
-    print(
-        f"{synthetic_slots}-job opensys  stepped {seconds['stepped']:6.2f}s   "
-        f"batched {seconds['batched']:6.2f}s   "
-        f"coalesced {seconds['coalesced']:6.2f}s "
-        f"(x{ratio:.2f} vs closed coalesced)"
-    )
+    print(_report_line(
+        f"{synthetic_slots}-job opensys", seconds,
+        f"(x{ratio:.2f} vs closed batched)",
+    ))
     if not identical:
         failures.append(
-            f"{synthetic_slots}-job open system: executor modes disagree"
+            f"{synthetic_slots}-job open system: executor paths disagree"
         )
-    # Dynamic-event churn bounds coalescing windows but must not
-    # collapse them: the open run stays within 2x the closed run.
+    # Dynamic-event churn must not collapse executor throughput: the
+    # open run stays within 2x the closed run.
     if ratio > 2.0:
         failures.append(
-            f"open-system coalesced run {ratio:.2f}x closed (budget 2.0x)"
+            f"open-system batched run {ratio:.2f}x closed (budget 2.0x)"
         )
 
     if not args.quick:
         stdout_entry = _table2_stdout_bench()
         report["table2_cli_stdout"] = stdout_entry
         print(
-            f"table2 CLI  per-quantum {stdout_entry['per_quantum_seconds']}s   "
-            f"coalesced {stdout_entry['coalesced_seconds']}s   "
+            f"table2 CLI  stepped {stdout_entry['stepped_seconds']}s   "
+            f"batched {stdout_entry['batched_seconds']}s   "
             f"byte-identical: {stdout_entry['byte_identical']}"
         )
         if not stdout_entry["byte_identical"]:
-            failures.append("table2 CLI stdout differs with --no-coalesce")
+            failures.append("table2 CLI stdout differs under REPRO_NO_BATCH")
 
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2) + "\n")

@@ -8,7 +8,6 @@ Usage::
     python -m repro.experiments --cache-dir .repro-cache fig6   # disk cache
     python -m repro.experiments --trace-out traces fig6   # Chrome trace
     python -m repro.experiments --trace-out traces telemetry  # summary
-    python -m repro.experiments --no-coalesce table2   # per-quantum debug
 
 ``--jobs`` caps the harness's local workers (overriding ``REPRO_JOBS``;
 ``--jobs 1`` runs serially) and ``--log`` prints one progress line per
@@ -141,7 +140,6 @@ from repro.net import AUTH_TOKEN_ENV
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results_db import ResultsDB, format_diff
 from repro.sim.checkpoint import CHECKPOINT_INTERVAL_ENV
-from repro.sim.executor import NO_COALESCE_ENV
 from repro.telemetry import (
     TRACE_CATEGORIES_ENV,
     TRACE_DIR_ENV,
@@ -341,14 +339,6 @@ def _parse_args(argv):
         "excluding the high-volume quantum/segment spans)",
     )
     parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable macro-quantum coalescing and run every scheduling "
-        "quantum through the per-quantum path (debug escape hatch, "
-        f"parallel to the {NO_COALESCE_ENV} environment variable; the "
-        "output is byte-identical either way, only slower)",
-    )
-    parser.add_argument(
         "--run-dir",
         default=None,
         metavar="DIR",
@@ -523,7 +513,6 @@ _MANIFEST_KEYS = (
     "cache_dir",
     "store_url",
     "store_dir",
-    "no_coalesce",
     "trace_out",
     "trace_categories",
     "checkpoint_interval",
@@ -583,11 +572,6 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
         os.environ[STORE_URL_ENV] = args.store_url
     if getattr(args, "store_dir", None):
         os.environ[STORE_DIR_ENV] = args.store_dir
-    if getattr(args, "no_coalesce", False):
-        # Same routing as --cache-dir: sweep workers inherit the
-        # environment, so every simulation in the invocation steps its
-        # quanta individually.
-        os.environ[NO_COALESCE_ENV] = "1"
     # Retry/broker knobs travel through the environment too, so sweep
     # workers and resumed invocations all see them.
     if getattr(args, "task_timeout", None) is not None:

@@ -22,12 +22,9 @@ wrong state.
 absolute ``k * interval`` sim-time grid (so a resumed run checkpoints
 at the same sim times as an uninterrupted one), retains the newest
 ``keep`` files, and on restore walks newest-to-oldest past corrupt
-files to the most recent valid snapshot.  The executor's macro-quantum
-coalescing respects the grid: a window never opens across the next due
-grid point (``_coalesce_horizon`` caps windows at ``ckpt_due``), so
-snapshots always land between events exactly where the per-quantum
-loop would have taken them, and a resumed coalesced run stays
-bit-identical to an uninterrupted one.
+files to the most recent valid snapshot.  The executor takes each
+snapshot between events, at the first event at or past the due grid
+point, so a resumed run stays bit-identical to an uninterrupted one.
 
 The module is deliberately ignorant of :class:`Simulation` internals —
 it duck-types ``sim.snapshot_state()`` — so it can be imported from the

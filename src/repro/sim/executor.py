@@ -23,7 +23,6 @@ The runtime attached via ``runtime`` must provide::
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, replace
 from heapq import heappop as _heappop, heappush as _heappush
@@ -65,19 +64,10 @@ _MIN_STEP_S = 1e-9
 #: change so stale checkpoints are rejected instead of misrestored.
 _SNAPSHOT_VERSION = 2
 
-#: Environment kill-switch for macro-quantum coalescing (the CLI's
-#: --no-coalesce flag sets it, and sweep workers inherit it): any
-#: non-empty value forces ``coalesce=False`` wherever the Simulation
-#: constructor is left to pick the default.
-NO_COALESCE_ENV = "REPRO_NO_COALESCE"
-
 #: Environment kill-switch for segment-batched quantum execution: any
 #: non-empty value forces ``batched=False`` (the stepped reference
 #: path) wherever the constructor is left to pick the default.
 NO_BATCH_ENV = "REPRO_NO_BATCH"
-
-#: Commit-cache miss sentinel (``None`` is a cached negative result).
-_MISS = object()
 
 #: Minimum step count before _run_quantum_flat's numpy window engages.
 #: Below this the scalar per-step loop is faster (the batch pays ~15
@@ -206,7 +196,6 @@ class Simulation:
         memory: Optional[MemoryModel] = None,
         faults=None,
         batched: Optional[bool] = None,
-        coalesce: Optional[bool] = None,
         on_cancel: Optional[Callable] = None,
     ):
         self.machine = machine
@@ -226,14 +215,6 @@ class Simulation:
         if batched is None:
             batched = not os.environ.get(NO_BATCH_ENV)
         self.batched = batched
-        #: Macro-quantum coalescing: runs of provably-stable core turns
-        #: execute through a mini event loop with cached per-quantum
-        #: commits (see _coalesce_horizon/_run_window).  ``None``
-        #: resolves the REPRO_NO_COALESCE kill-switch; the results are
-        #: pinned bit-identical to the per-quantum paths either way.
-        if coalesce is None:
-            coalesce = not os.environ.get(NO_COALESCE_ENV)
-        self.coalesce = coalesce
 
         self._events = EventQueue()
         self._now = 0.0
@@ -332,44 +313,6 @@ class Simulation:
             if type(self.scheduler) is LinuxO1Scheduler
             else None
         )
-        # Coalescing machinery.  The commit cache maps one pure
-        # mid-step quantum shape — (core, flat-trace identity, step,
-        # neighbour stall fraction) — to its fully computed commit;
-        # _apply_fault clears it (DVFS/pressure change the per-core
-        # cost parameters it bakes in).  The stability floor caches an
-        # absolute lower bound on the next process completion;
-        # execution only pushes completions later, so it stays valid
-        # until a fault or arrival resets it.  The window context
-        # bundles each core's immutable turn state behind one index.
-        self._commit_cache: dict = {}
-        self._stability_floor = -math.inf
-        # When a window probe refuses, the time before which probing
-        # again is provably useless (the refusal's bound must pass
-        # first); the run loop folds it into its probe backoff.  Floor
-        # refusals additionally back off exponentially (_probe_backoff
-        # doubles, resets on the next opened window): under heavy
-        # churn the completion floor is conservative by construction —
-        # queue wait is not modeled, so with hundreds of queued
-        # processes some bound is nearly always imminent — and probing
-        # every quantum would pay the O(processes) floor recompute
-        # just to be refused again.
-        self._probe_defer = 0.0
-        self._probe_backoff = 1.0
-        self._window_ctx = None
-        if self._sched_queues is not None:
-            self._window_ctx = [
-                (
-                    self._sched_queues[cid],
-                    exec_info[1],
-                    exec_info[5],
-                    exec_info[3],
-                    exec_info[4],
-                )
-                for cid, exec_info in enumerate(self._core_exec)
-            ]
-        self._coalescing = (
-            self.coalesce and batched and self._sched_queues is not None
-        )
         # Everything the quantum fast path reads from self, bundled so
         # one attribute fetch + unpack replaces nine lookups.  Mutable
         # members (lists/dicts) are shared references, so updates via
@@ -423,13 +366,12 @@ class Simulation:
         """Schedule cancellation of process *pid* at time *at*.
 
         The cancellation enters the event heap like an arrival or a
-        fault, so it composes with macro-quantum coalescing the same
-        way: a pending cancellation bounds any stability window instead
-        of breaking it (DESIGN.md §12/§15).  When it fires, a job still
-        waiting in a runqueue is removed and torn down cleanly (runtime
-        notified, ledger updated); a job that already completed — or
-        one mid-quantum under a scheduler that cannot remove it — makes
-        the cancellation a miss, reported to ``on_cancel`` as ``None``.
+        fault and fires in time order with them (DESIGN.md §15).  When
+        it fires, a job still waiting in a runqueue is removed and torn
+        down cleanly (runtime notified, ledger updated); a job that
+        already completed — or one mid-quantum under a scheduler that
+        cannot remove it — makes the cancellation a miss, reported to
+        ``on_cancel`` as ``None``.
         Mid-run cancellations therefore take effect at the end of the
         quantum in flight at *at*, which is when the process returns to
         a runqueue.
@@ -506,7 +448,6 @@ class Simulation:
             "contention_alpha": self.contention_alpha,
             "pollution_beta": self.pollution_beta,
             "batched": self.batched,
-            "coalesce": self.coalesce,
             "now": self._now,
             "heap": list(self._events._heap),
             "seq": self._events._seq,
@@ -533,6 +474,11 @@ class Simulation:
         The snapshot's own scheduler, runtime, and fault injector are
         re-wired into the new instance, so ``from_snapshot(s).run(t)``
         continues exactly where the snapshot was taken.
+
+        Keys this method does not read are ignored: snapshots from
+        earlier versions carry the flag of a since-removed executor mode
+        (pinned bit-identical to batched, caches never snapshotted),
+        and resume unchanged (DESIGN.md §12).
         """
         if not isinstance(state, dict) or state.get("version") != _SNAPSHOT_VERSION:
             raise CheckpointError(
@@ -551,14 +497,6 @@ class Simulation:
             memory=state["memory"],
             faults=state["faults"],
             batched=state["batched"],
-            # The kill-switch wins over the snapshot's mode so a run
-            # resumed under --no-coalesce really is uncoalesced — the
-            # whole point of a field-bisection flag.
-            coalesce=(
-                False
-                if os.environ.get(NO_COALESCE_ENV)
-                else state["coalesce"]
-            ),
         )
         sim.restore_state(state)
         return sim
@@ -609,11 +547,6 @@ class Simulation:
             restore = getattr(runtime, "restore_state", None)
             if restore is not None:
                 restore(state["runtime_state"])
-        # Derived coalescing caches never travel: the commit cache
-        # bakes in restored per-core parameters and the floor must be
-        # recomputed against the restored queues.
-        self._commit_cache = {}
-        self._stability_floor = -math.inf
         # Rebuild the derived hot-path bundle around the restored lists
         # (_sched_queues still aliases scheduler._queues: restore_state
         # refills the attach()-built deques in place).
@@ -670,23 +603,11 @@ class Simulation:
         # thousands of iterations per experiment — so it reads the heap
         # directly instead of going through the EventQueue wrappers
         # (pops are time-ordered, so _now only ever moves forward).
-        events = self._events
-        heap = events._heap
+        heap = self._events._heap
         heappop = _heappop
         core_turn = self._core_turn
-        coalescing = self._coalescing
-        timeslice = self._timeslice
-        # Failed window attempts back off one timeslice so runs that
-        # are never coalescible (short horizons, unflattenable traces)
-        # pay the probe at most once per quantum, not once per event —
-        # and further, to whatever bound caused the refusal (an
-        # imminent completion floor, a pending arrival or fault), so
-        # churning workloads do not recompute the stability floor once
-        # per quantum just to be refused by the same bound again.
-        macro_after = -math.inf
         while heap:
-            entry = heap[0]
-            time = entry[0]
+            time = heap[0][0]
             if time > until:
                 break
             if time >= ckpt_due:
@@ -695,13 +616,6 @@ class Simulation:
                 # this point loses at most [ckpt_due, crash) of work.
                 ckpt.save(self, time)
                 ckpt_due = ckpt.next_due
-            if coalescing and time >= macro_after and entry[2][0] == "core":
-                horizon = self._coalesce_horizon(time, ckpt_due)
-                if horizon is not None and self._run_window(horizon, until):
-                    continue
-                macro_after = time + timeslice
-                if self._probe_defer > macro_after:
-                    macro_after = self._probe_defer
             time, _, payload = heappop(heap)
             if time > self._now:
                 self._now = time
@@ -738,9 +652,6 @@ class Simulation:
                         float(len(self._live)),
                         run=self._tr_run,
                     )
-                # The new process's completion/mark bounds are not in
-                # the cached stability floor.
-                self._stability_floor = -math.inf
             elif kind == "cancel":
                 self._do_cancel(payload[1], time)
             elif kind == "fault":
@@ -791,8 +702,8 @@ class Simulation:
             self._core_idle_since[core_id] = now
             self._core_stall_frac[core_id] = 0.0
             return
-        # The _run_quantum dispatch and the proc.finished property chain
-        # are inlined here: both run once per quantum.
+        # The batched/stepped dispatch and the proc.finished property
+        # chain are inlined here: both run once per quantum.
         cursor = proc.cursor
         if self.batched and cursor.__class__ is FlatCursor:
             # Most quanta resume mid-step and end inside that same step.
@@ -946,416 +857,7 @@ class Simulation:
         _heappush(events._heap, (end, events._seq, self._core_events[core_id]))
         events._seq += 1
 
-    # -- macro-quantum coalescing ------------------------------------------------
-    #
-    # The outer loop pays one heap event per core per quantum.  When the
-    # schedule is stable over a window [now, T) — every pending event is
-    # an online core's turn on a non-empty runqueue, and no fault,
-    # arrival, or checkpoint grid point lands before T — every core turn
-    # in the window is the same plain round-robin pop/run/requeue, so
-    # the turns run through a tight mini event loop instead.  The mini
-    # loop replays the outer loop's exact event order (real heap tuples,
-    # continued sequence numbers) and the exact per-turn float
-    # operations, so everything it commits — stats, stall fractions,
-    # buckets, telemetry quantum spans — is bit-identical to stepping.
-    # Soft events inside the window (balance ticks, runtime marks,
-    # migrations, completions) execute through the stepped code paths in
-    # place; the window bails back to the outer loop only when the event
-    # set stops being pure core turns (an arrival admitted, an idle core
-    # woken, a runqueue drained).
-
-    def _coalesce_horizon(self, now: float, ckpt_due: float):
-        """The stable window end ``T`` for a macro commit starting at
-        *now*, or ``None`` when no profitable window exists.
-
-        A window is admissible when every pending event in the heap is
-        an online core's turn with a non-empty runqueue (any pending
-        arrival or fault event instead caps ``T`` at its time), the
-        scheduler vouches for a nonempty quiet region on every such
-        core, and the stability floor (earliest possible completion
-        across the queued processes) leaves room for at least two
-        quanta.  ``T`` itself is bounded only by the hard bit-identity
-        boundaries — the checkpoint grid point, the fault plan's next
-        timed event, and pending non-core events; everything softer
-        (balance ticks, mark firings, completions) the window handles
-        in place by replaying the stepped operations exactly, bailing
-        back to the outer loop the moment an idle core would wake.
-        """
-        sq = self._sched_queues
-        offline = self._core_offline
-        sched = self.scheduler
-        horizon = ckpt_due
-        for time, _, payload in self._events._heap:
-            if payload[0] != "core":
-                # A pending arrival/fault bounds the window instead of
-                # vetoing it: turns starting before it commute with it.
-                if time < horizon:
-                    horizon = time
-                continue
-            cid = payload[1]
-            if offline[cid] or not sq[cid]:
-                self._probe_defer = 0.0
-                return None
-            if sched.stability_horizon(cid, now) <= now:
-                # The scheduler refuses any quiet region (an overdue
-                # balance pass, or a scheduler that never opted in):
-                # let the outer loop step the next turn.
-                self._probe_defer = 0.0
-                return None
-        if self.faults is not None:
-            h = self.faults.plan.next_event_after(now)
-            if h < horizon:
-                horizon = h
-        # Below two quanta per core the mini loop cannot beat the
-        # outer loop's per-event cost.
-        min_end = now + 2.0 * self._timeslice
-        if horizon < min_end:
-            # Capped by a fixed-time bound (arrival, fault, checkpoint
-            # grid point).  min_end only grows while the bound stands,
-            # so probing again before the bound passes cannot succeed.
-            self._probe_defer = horizon
-            return None
-        if self._stability_floor < min_end:
-            self._stability_floor = self._stability_floor_calc(now)
-            if self._stability_floor < min_end:
-                # A completion is (possibly) imminent; the window would
-                # bail after a turn or two, so it is not worth opening.
-                # The floor is a fixed absolute time, so re-probing (and
-                # paying this O(processes) recompute) before it passes
-                # would refuse for the same reason — and because the
-                # floor ignores queue wait, churning workloads keep it
-                # perpetually imminent, hence the exponential backoff.
-                backoff = self._probe_backoff
-                defer = now + backoff * (2.0 * self._timeslice)
-                if self._stability_floor > defer:
-                    defer = self._stability_floor
-                self._probe_defer = defer
-                if backoff < 64.0:
-                    self._probe_backoff = backoff + backoff
-                return None
-        self._probe_defer = 0.0
-        self._probe_backoff = 1.0
-        return horizon
-
-    def _stability_floor_calc(self, now: float) -> float:
-        """Absolute lower bound on the next process completion across
-        every queued process.
-
-        Computed from uncontended cycle prefix sums at each core type's
-        fastest online frequency: wall time can only exceed the bound
-        (contention, pressure, and mark costs all add cycles; queue
-        waits add time), and execution never moves a completion
-        earlier, so the bound stays valid until a fault or arrival
-        resets it.  Unflattenable traces return *now* — their quanta
-        always run the stepped reference path, so windows never open
-        around them.
-        """
-        offline = self._core_offline
-        freq_eff = self._core_freq_eff
-        fmax: dict = {}
-        for cid, info in enumerate(self._core_exec):
-            if not offline[cid]:
-                name = info[1]
-                f = freq_eff[cid]
-                if f > fmax.get(name, 0.0):
-                    fmax[name] = f
-        inf = math.inf
-        floor = inf
-        for queue in self._sched_queues.values():
-            for proc in queue:
-                cursor = proc.cursor
-                if cursor.__class__ is not FlatCursor:
-                    return now
-                flat = cursor.flat
-                pos = cursor.pos
-                if pos >= flat.n:
-                    return now
-                rem = flat.iters[pos] - cursor.iters_done
-                stab = flat.stab
-                for name, f in fmax.items():
-                    unc, tail = stab[name]
-                    t = (rem * unc[pos] + tail[pos]) / f
-                    if t < floor:
-                        floor = t
-        return now + floor if floor is not inf else inf
-
-    def _build_commit(
-        self, core_id: int, ctype_name, pollution_penalty, fastrow, neighbor
-    ):
-        """Precompute one pure mid-step quantum on *core_id*: the step
-        runs the full timeslice without advancing.  Returns ``None`` for
-        any shape needing the general path; otherwise a tuple whose
-        floats are produced by exactly the per-quantum expressions of
-        :meth:`_run_quantum_flat`'s fast path, so replaying a cached
-        commit is bit-identical to recomputing it.
-        """
-        (
-            remaining_full,
-            seg_instrs,
-            per_iter_overhead,
-            emb_p,
-            compute,
-            stall,
-            l2_resident,
-            raw_stall_frac,
-        ) = fastrow
-        if self.runtime is not None and emb_p:
-            return None
-        contention_alpha = self.contention_alpha
-        pollution_beta = self.pollution_beta
-        if neighbor > 0:
-            if contention_alpha > 0 and stall > 0:
-                stall *= 1.0 + contention_alpha * neighbor
-            if pollution_beta > 0 and l2_resident > 0:
-                stall += (
-                    pollution_beta * neighbor * l2_resident * pollution_penalty
-                )
-        mem_pressure = self._core_mem_pressure[core_id]
-        if mem_pressure > 0.0 and l2_resident > 0:
-            stall += mem_pressure * l2_resident * pollution_penalty
-        total_per_iter = compute + stall + per_iter_overhead
-        per_iter_s = total_per_iter / self._core_freq_eff[core_id]
-        if per_iter_s < 1e-18:
-            per_iter_s = 1e-18
-        timeslice = self._timeslice
-        n = timeslice / per_iter_s
-        elapsed = n * per_iter_s
-        if timeslice - elapsed > _MIN_STEP_S:
-            # Degenerate cost: the quantum would continue into further
-            # steps; leave the shape to the general loop.
-            return None
-        return (
-            n,
-            elapsed,
-            n * total_per_iter,
-            n * seg_instrs,
-            n * per_iter_overhead,
-            raw_stall_frac,
-            remaining_full,
-        )
-
-    def _run_window(self, horizon: float, until: float) -> bool:
-        """Run every core turn in ``[front, horizon)`` through a mini
-        event loop; returns whether any turn ran.
-
-        The turns are popped off the real heap as their original
-        ``(time, seq, payload)`` tuples; re-pushes continue the real
-        sequence counter, so the event stream — and with it every
-        FIFO tie-break — is identical to the outer loop's.  Turns
-        generated inside the window that land at or past the horizon
-        (or past *until*) are parked back onto the real heap.
-
-        Balance ticks, runtime mark firings (including migrations),
-        and completions all execute *inside* the window through the
-        same code paths — and therefore the same float operations and
-        sequence numbers — the outer loop would run.  The window only
-        hands control back early when the event set stops being pure
-        core turns: a completion's arrival, a wake-up of an idle core,
-        or a drained runqueue (whose next pick would steal or idle).
-        """
-        events = self._events
-        heap = events._heap
-        ctx = self._window_ctx
-        (
-            core_exec,
-            freq_eff,
-            timeslice,
-            runtime,
-            core_idle,
-            core_stall_frac,
-            contention_alpha,
-            pollution_beta,
-            buckets,
-        ) = self._hot
-        cache_get = self._commit_cache.get
-        cache = self._commit_cache
-        run_flat = self._run_quantum_flat
-        run_stepped = self._run_quantum_stepped
-        busy = self._core_busy_until
-        tr_q = self._tr_quantum
-        tr = self._tr
-        tr_run = self._tr_run
-        sched = self.scheduler
-        last_balance = sched._last_balance
-        balance_interval = sched.balance_interval
-        heappush = _heappush
-        heappop = _heappop
-        mini: list = []
-        while heap and heap[0][0] < horizon:
-            mini.append(heappop(heap))
-        # Popped in order, so the sorted list is itself a valid heap.
-        parked: list = []
-        ran = False
-        # Locals shadowing hot simulation state for the duration of the
-        # window; every call that can read or push events (balance,
-        # enqueue, _finish) is bracketed by an events._seq sync, and
-        # _now advances only past *processed* turn starts (parked
-        # entries keep their place for the outer loop, and checkpoint
-        # snapshots taken at the horizon must match the stepped clock).
-        seq = events._seq
-        pnow = self._now
-        while mini:
-            entry = heappop(mini)
-            s = entry[0]
-            if s >= horizon or s > until:
-                parked.append(entry)
-                continue
-            if s > pnow:
-                pnow = s
-            if s - last_balance >= balance_interval:
-                # The periodic balance pass, at exactly the instant and
-                # with exactly the state the stepped pick would run it.
-                nheap = len(heap)
-                events._seq = seq
-                sched._maybe_balance(s)
-                seq = events._seq
-                last_balance = sched._last_balance
-                if len(heap) != nheap:
-                    # A move woke an idle core: its turn is now pending
-                    # on the real heap inside the window.  This turn has
-                    # not run; the outer loop re-picks it with the
-                    # balance-done guard false.
-                    parked.append(entry)
-                    parked.extend(mini)
-                    break
-            cid = entry[2][1]
-            queue, ctype_name, nb, neighbors, penalty = ctx[cid]
-            if not queue:
-                # The runqueue drained mid-window (completion or
-                # migration): the next pick would steal or go idle,
-                # which only the outer loop does.
-                parked.append(entry)
-                parked.extend(mini)
-                break
-            proc = queue.popleft()
-            cursor = proc.cursor
-            end = None
-            finished = False
-            if cursor.__class__ is FlatCursor:
-                done = cursor.iters_done
-                if done > 0.0 and not cursor.at_entry:
-                    if nb >= 0:
-                        neighbor = (
-                            0.0 if core_idle[nb] else core_stall_frac[nb]
-                        )
-                    else:
-                        neighbor = 0.0
-                        for other in neighbors:
-                            if not core_idle[other]:
-                                other_frac = core_stall_frac[other]
-                                if other_frac > neighbor:
-                                    neighbor = other_frac
-                    flat = cursor.flat
-                    pos = cursor.pos
-                    key = (cid, id(flat), pos, neighbor)
-                    commit = cache_get(key, _MISS)
-                    if commit is _MISS:
-                        commit = self._build_commit(
-                            cid,
-                            ctype_name,
-                            penalty,
-                            flat.fastinfo[ctype_name][pos],
-                            neighbor,
-                        )
-                        cache[key] = commit
-                    if commit is not None:
-                        (
-                            n,
-                            elapsed,
-                            cyc,
-                            instrs,
-                            movh,
-                            sfrac,
-                            remaining_full,
-                        ) = commit
-                        new_done = done + n
-                        if remaining_full - new_done > 1e-9:
-                            proc.current_core = cid
-                            stats = proc.stats
-                            stats.instructions += instrs
-                            cycles_by_type = stats.cycles_by_type
-                            try:
-                                cycles_by_type[ctype_name] += cyc
-                            except KeyError:
-                                cycles_by_type[ctype_name] = cyc
-                            instrs_by_type = stats.instrs_by_type
-                            try:
-                                instrs_by_type[ctype_name] += instrs
-                            except KeyError:
-                                instrs_by_type[ctype_name] = instrs
-                            stats.mark_overhead_cycles += movh
-                            stats.cpu_time += elapsed
-                            bucket = int(s)
-                            try:
-                                buckets[bucket] += instrs
-                            except KeyError:
-                                buckets[bucket] = instrs
-                            core_stall_frac[cid] = sfrac
-                            cursor.iters_done = new_done
-                            t = s + elapsed
-                            floor = s + _MIN_STEP_S
-                            end = t if t > floor else floor
-                if end is None:
-                    # Entries, step advances, mark firings, and
-                    # degenerate shapes run the real per-quantum path.
-                    end = run_flat(cid, proc, s, cursor)
-                    finished = cursor.pos >= cursor.flat.n
-            else:
-                end = run_stepped(cid, proc, s)
-                finished = cursor.finished
-            busy[cid] = end
-            if tr_q:
-                tr.events.append(
-                    ("X", "quantum", "q", tr_run, s, cid, end - s,
-                     {"pid": proc.pid})
-                )
-            ran = True
-            payload = entry[2]
-            if finished:
-                nheap = len(heap)
-                events._seq = seq
-                self._finish(proc, end)
-                seq = events._seq
-                if len(heap) != nheap:
-                    # The completion admitted an arrival (pushed by
-                    # _finish with the next sequence number, exactly as
-                    # stepping would); it must interleave with the
-                    # remaining turns, so the window ends here.
-                    heappush(heap, (end, seq, payload))
-                    seq += 1
-                    parked.extend(mini)
-                    break
-            elif cid in proc.affinity:
-                queue.append(proc)
-            else:
-                # Migration decision (a mark fired inside run_flat):
-                # the full enqueue path, exactly as stepping runs it.
-                nheap = len(heap)
-                events._seq = seq
-                sched.enqueue(proc, end)
-                seq = events._seq
-                if len(heap) != nheap:
-                    # The placement woke an idle core.
-                    heappush(heap, (end, seq, payload))
-                    seq += 1
-                    parked.extend(mini)
-                    break
-            heappush(mini, (end, seq, payload))
-            seq += 1
-        events._seq = seq
-        if pnow > self._now:
-            self._now = pnow
-        for entry in parked:
-            heappush(heap, entry)
-        return ran
-
     # -- quantum execution -------------------------------------------------------
-
-    def _run_quantum(self, core_id: int, proc: SimProcess, start: float) -> float:
-        cursor = proc.cursor
-        if self.batched and cursor.__class__ is FlatCursor:
-            return self._run_quantum_flat(core_id, proc, start, cursor)
-        return self._run_quantum_stepped(core_id, proc, start)
 
     def _run_quantum_stepped(
         self, core_id: int, proc: SimProcess, start: float
@@ -2012,11 +1514,6 @@ class Simulation:
             self.faults.note_applied(event)
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown fault event {event!r}")
-        # Every fault class invalidates the coalescing caches: DVFS and
-        # pressure change the per-core costs baked into commits, and
-        # hotplug changes the online set behind the stability floor.
-        self._commit_cache.clear()
-        self._stability_floor = -math.inf
         if self._tr_fault:
             if isinstance(event, HotplugEvent):
                 name = "hotplug"
@@ -2109,9 +1606,6 @@ class Simulation:
             # Same teardown as completion: the runtime releases any
             # open measurement session for the departing process.
             self.runtime.on_process_end(proc, now)
-        # The removal shrank a runqueue the cached stability floor was
-        # computed against; reset it like an arrival does.
-        self._stability_floor = -math.inf
         if self.on_cancel is not None:
             self.on_cancel(proc, now)
 

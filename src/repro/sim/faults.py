@@ -194,25 +194,6 @@ class FaultPlan:
             and not self.clock_drift
         )
 
-    def next_event_after(self, now: float) -> float:
-        """Earliest *timed* fault event strictly after *now*, or
-        ``inf`` when no hotplug/DVFS/memory-pressure event remains.
-
-        The executor's quantum-coalescing layer uses this as the fault
-        half of its stability horizon: a window ``[now, T)`` with ``T``
-        at or below this bound cannot straddle a machine-state change.
-        Stochastic faults (counter failures, affinity-call failures,
-        IPC noise) fire only inside runtime interactions, which the
-        coalescing layer already excludes from windows, so they do not
-        cap the horizon.
-        """
-        bound = math.inf
-        for events in (self.hotplug, self.dvfs, self.mem_pressure):
-            for event in events:
-                if now < event.time < bound:
-                    bound = event.time
-        return bound
-
     @classmethod
     def scaled(
         cls,

@@ -96,7 +96,6 @@ class FlatTrace:
         "np_l2",
         "np_ovh",
         "est_cum",
-        "stab",
         "cols",
         "fastinfo",
     )
@@ -133,7 +132,6 @@ class FlatTrace:
         self.np_stall = {}
         self.np_l2 = {}
         self.est_cum = {}
-        self.stab = {}
         self.cols = {}
         self.fastinfo = {}
         self.np_iters = np.asarray(self.iters, dtype=np.float64)
@@ -161,18 +159,6 @@ class FlatTrace:
                 self.np_iters * (np_comp + np_stall + self.np_ovh), out=est[1:]
             )
             self.est_cum[name] = est
-            # Stability bounds for the coalescing layer (like est_cum:
-            # used only to size macro windows, never for accounting).
-            # All in uncontended cycles, which lower-bound real cycles
-            # because contention, memory pressure, and mark firings
-            # only ever add:
-            #   unc[i]   cycles per iteration of step i,
-            #   tail[i]  cycles in steps i+1 .. n-1 (to completion).
-            unc = (np_comp + np_stall + self.np_ovh).tolist()
-            est_l = est.tolist()
-            end_cyc = est_l[n]
-            tail = [end_cyc - est_l[i + 1] for i in range(n)]
-            self.stab[name] = (unc, tail)
             # Everything the executor's quantum prologue needs, bundled
             # behind one dict lookup (the ctype-independent views are
             # duplicated references — free — so the prologue is a

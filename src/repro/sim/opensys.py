@@ -15,10 +15,9 @@ Composition with the executor (DESIGN.md §15):
 * every dynamic event is an ordinary heap event — arrivals via
   :meth:`Simulation.add_process`, departures via
   :meth:`Simulation.cancel_process`, breakdowns as hotplug pairs inside
-  a :class:`~repro.sim.faults.FaultPlan` — so macro-quantum coalescing
-  needs no special cases: a pending dynamic event *bounds* a stability
-  window exactly like a pending fault does, and heavy churn degrades
-  gracefully to the per-quantum path;
+  a :class:`~repro.sim.faults.FaultPlan` — so the executor needs no
+  special cases: dynamic events interleave with core turns in time
+  order, like faults do;
 * determinism: each stochastic decision class (interarrival times,
   class mix, cancellation choices, breakdown windows) draws from its
   own dedicated ``random.Random`` stream keyed off the plan seed (the
@@ -193,9 +192,7 @@ class OpenSystemPlan:
         Routing breakdowns through the fault machinery — rather than
         raw heap pushes — buys every hotplug invariant for free: the
         executor drains the broken core's runqueue, placement avoids
-        it, the last online core is never taken down, and
-        :meth:`FaultPlan.next_event_after` caps coalescing windows at
-        the breakdown boundary.
+        it, and the last online core is never taken down.
         """
         if self.breakdowns == 0 or len(machine) <= 1:
             return None
@@ -410,7 +407,6 @@ class OpenSystemRun:
         pollution_beta: float = 0.6,
         faults=None,
         checkpoint=None,
-        coalesce=None,
     ) -> OpenSystemResult:
         """Run the open system for *until* simulated seconds (defaults
         to the plan horizon).
@@ -453,7 +449,6 @@ class OpenSystemRun:
                 on_complete=self._on_complete,
                 on_cancel=self._on_cancel,
                 faults=fault_arg,
-                coalesce=coalesce,
             )
             if self._closed is not None:
                 for slot in range(self._closed.workload.slots):

@@ -87,27 +87,6 @@ class Scheduler(abc.ABC):
         is a no-op for schedulers without placement state.
         """
 
-    def stability_horizon(self, core_id: int, now: float) -> float:
-        """Earliest future time at which this scheduler might perturb
-        *core_id*'s runqueue on its own initiative.
-
-        The executor's quantum-coalescing layer opens a macro window
-        over a core's turns only when this returns a time strictly
-        after *now* — the scheduler vouching that no periodic balance
-        pass, queue migration, priority boost, or other self-initiated
-        mechanism is *already due* on that core.  Inside the window the
-        executor still re-verifies the scheduler's own guards per turn
-        with the exact stepped comparisons, so the horizon gates window
-        admission; it is never a substitute for those checks.  External
-        events (arrivals, affinity changes, hotplug) are the executor's
-        problem — it checks for those separately.
-
-        The contract is conservative-by-default: the base returns
-        ``now``, i.e. "no guarantee", which disables coalescing for any
-        scheduler that does not opt in.
-        """
-        return now
-
     def remove(self, pid: int, now: float) -> Optional[SimProcess]:
         """Remove and return the queued process with *pid* (open-system
         cancellation), or ``None`` when it is not queued.

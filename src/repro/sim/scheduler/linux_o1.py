@@ -169,23 +169,6 @@ class LinuxO1Scheduler(Scheduler):
                     return proc
         return None
 
-    def stability_horizon(self, core_id: int, now: float) -> float:
-        """Until the next periodic balance pass is due, this scheduler
-        touches a core's queue only through pick/requeue on that core
-        (stealing needs an *empty* queue, which the coalescing layer
-        rules out separately), so the horizon is the balance due time.
-
-        The executor treats a horizon at or below *now* as a refusal
-        and steps the next turn normally; a future horizon admits a
-        macro window, inside which the executor re-verifies the balance
-        guard per turn with the exact stepped comparison (so the
-        horizon only ever gates window *admission*, never replaces the
-        guard).
-        """
-        if core_id in self._offline:
-            return now
-        return self._last_balance + self.balance_interval
-
     def queued_processes(self) -> list:
         procs = []
         for queue in self._queues.values():

@@ -14,12 +14,11 @@ group in the exported Chrome trace.  Runs carry a clock-domain tag
 (``"sim"`` seconds or ``"wall"`` seconds) so the analyzer never mixes
 simulated and real time.
 
-Event streams are execution-mode invariant: the executor's coalesced
-macro-quantum path emits per-turn ``quantum`` spans (and ``sched`` /
-``exec`` instants) one by one as it replays the stepped event order,
-so a traced coalesced run records the same events, in the same order,
-with the same timestamps as the per-quantum loop — turning tracing on
-never forces coalescing off, and traces from either mode diff clean.
+Event streams are execution-mode invariant: the executor's batched
+and stepped quantum paths emit the same per-turn ``quantum`` spans (and
+``sched`` / ``exec`` instants), in the same order, with the same
+timestamps — turning tracing on never changes which path runs, and
+traces from either path diff clean.
 
 Recorders are shipped across process boundaries the same way the
 pipeline cache ships entries: :meth:`TraceRecorder.export_blob` on the

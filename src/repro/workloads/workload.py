@@ -176,7 +176,6 @@ class WorkloadRun:
         pollution_beta: float = 0.6,
         faults=None,
         checkpoint=None,
-        coalesce=None,
     ) -> SimulationResult:
         """Run the workload for *interval* simulated seconds.
 
@@ -186,11 +185,6 @@ class WorkloadRun:
             contention_alpha / pollution_beta: executor knobs.
             faults: optional :class:`~repro.sim.faults.FaultPlan` (or
                 injector) perturbing the run; ``None`` runs fault-free.
-            coalesce: macro-quantum coalescing override; ``None`` (the
-                default) lets the simulation resolve the
-                ``REPRO_NO_COALESCE`` environment kill-switch.  On a
-                checkpoint resume the snapshot's mode wins (modulo the
-                kill-switch), like every other snapshot argument.
             checkpoint: optional
                 :class:`~repro.sim.checkpoint.CheckpointManager` (or a
                 directory path).  The run checkpoints at the manager's
@@ -216,7 +210,6 @@ class WorkloadRun:
                 pollution_beta=pollution_beta,
                 on_complete=self._on_complete,
                 faults=faults,
-                coalesce=coalesce,
             )
             for slot in range(self.workload.slots):
                 simulation.add_process(self._spawn(slot), 0.0)

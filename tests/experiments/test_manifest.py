@@ -1,0 +1,65 @@
+"""``resume DIR`` replays a ``--run-dir`` manifest from an older writer.
+
+Manifests written before the ``--no-coalesce`` flag was removed carry a
+``"no_coalesce"`` key.  ``resume`` reads only the keys it knows, so
+such a run directory still resumes, with the same stdout as a fresh
+invocation.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: A manifest exactly as the writer with ``--no-coalesce`` produced it.
+LEGACY_MANIFEST = {
+    "names": ["open_system"],
+    "jobs": 1,
+    "log": False,
+    "cache_dir": None,
+    "store_url": None,
+    "store_dir": None,
+    "no_coalesce": True,
+    "trace_out": None,
+    "trace_categories": None,
+    "checkpoint_interval": None,
+    "task_timeout": None,
+    "task_retries": None,
+    "backoff_base": None,
+    "lease_ttl": None,
+    "broker_dir": None,
+    "broker_url": None,
+    "priority": None,
+}
+
+
+def _cli(*argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_legacy_manifest_with_no_coalesce_resumes(tmp_path):
+    fresh = _cli("--jobs", "1", "open_system", cwd=tmp_path)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text(
+        json.dumps(LEGACY_MANIFEST, indent=2, sort_keys=True)
+    )
+    resumed = _cli("resume", str(run_dir), cwd=tmp_path)
+    assert fresh.strip()
+    assert resumed == fresh

@@ -1,11 +1,11 @@
-"""Property tests pinning the coalesced executor to the reference paths.
+"""Property tests pinning the batched executor to the stepped reference.
 
 One invariant, swept over random seeds, nonzero fault plans, and
-tracing on/off: the stepped (``batched=False``), per-quantum batched
-(``coalesce=False``), and coalesced (default) executors produce
-*exactly* equal results — completion floats, switch/migration counts,
-telemetry event streams, throughput buckets, idle accounting — and the
-equality survives a kill/resume from a checkpoint cut mid-window.
+tracing on/off: the stepped (``batched=False``) and batched (default)
+executors produce *exactly* equal results — completion floats,
+switch/migration counts, telemetry event streams, throughput buckets,
+idle accounting — and the equality survives a kill/resume from a
+checkpoint cut between two grid points.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -27,8 +27,8 @@ _PROGRAM, _SPEC = make_phased_program(
 _TRACE = TraceGenerator(MACHINE).generate(_PROGRAM, _SPEC)
 
 
-def _build(plan, *, batched=True, coalesce=None):
-    sim = Simulation(MACHINE, faults=plan, batched=batched, coalesce=coalesce)
+def _build(plan, *, batched=True):
+    sim = Simulation(MACHINE, faults=plan, batched=batched)
     for pid in range(5):
         sim.add_process(
             SimProcess(
@@ -43,16 +43,14 @@ def _build(plan, *, batched=True, coalesce=None):
     return sim
 
 
-def _run(plan, *, batched=True, coalesce=None, traced=False):
+def _run(plan, *, batched=True, traced=False):
     """One run; returns (summary, telemetry events sans run id)."""
     recorder = None
     if traced:
         recorder = TraceRecorder(categories={"exec", "sched", "quantum"})
         previous = set_recorder(recorder)
     try:
-        summary = _summary(
-            _build(plan, batched=batched, coalesce=coalesce).run(INTERVAL)
-        )
+        summary = _summary(_build(plan, batched=batched).run(INTERVAL))
     finally:
         if traced:
             set_recorder(previous)
@@ -69,11 +67,12 @@ def _run(plan, *, batched=True, coalesce=None, traced=False):
     traced=st.booleans(),
 )
 def test_three_paths_exactly_equal(seed, rate, traced):
+    """Batched equals stepped.  (The name predates the removal of the
+    third, coalesced path; it is kept so the test id stays stable.)"""
     plan = FaultPlan.scaled(rate, MACHINE, INTERVAL, seed=seed)
-    coalesced = _run(plan, coalesce=True, traced=traced)
-    batched = _run(plan, coalesce=False, traced=traced)
-    stepped = _run(plan, batched=False, coalesce=False, traced=traced)
-    assert coalesced == batched == stepped
+    batched = _run(plan, traced=traced)
+    stepped = _run(plan, batched=False, traced=traced)
+    assert batched == stepped
 
 
 @settings(max_examples=6, deadline=None)
@@ -82,17 +81,17 @@ def test_three_paths_exactly_equal(seed, rate, traced):
     cut=st.floats(min_value=3.0, max_value=12.0),
 )
 def test_kill_resume_mid_window_equals_stepped(seed, cut, tmp_path_factory):
-    """A coalesced run checkpointed on the grid, killed at *cut*, and
+    """A batched run checkpointed on the grid, killed at *cut*, and
     resumed from its snapshot matches the uninterrupted stepped run."""
     plan = FaultPlan.scaled(0.5, MACHINE, INTERVAL, seed=seed)
-    reference, _ = _run(plan, batched=False, coalesce=False)
+    reference, _ = _run(plan, batched=False)
 
     ckpt_dir = tmp_path_factory.mktemp("ck")
     partial = CheckpointManager(ckpt_dir, interval=2.0)
-    _build(plan, coalesce=True).run(cut, checkpoint=partial)
+    _build(plan).run(cut, checkpoint=partial)
     assert partial.saves > 0
 
     state = CheckpointManager(ckpt_dir, interval=2.0).latest_state()
     resumed = Simulation.from_snapshot(state)
-    assert resumed.coalesce
+    assert resumed.batched
     assert _summary(resumed.run(INTERVAL)) == reference

@@ -49,9 +49,28 @@ def _summary(result):
     }
 
 
-def _run(machine, batched, strategy=None, delta=0.12, faults=None, procs=3):
+#: A long input: each process runs for tens of simulated seconds
+#: (hundreds of quanta), so long mark-free stretches and mid-run faults
+#: land while work is in flight.
+LONG_RUN = dict(
+    procs=5,
+    until=60.0,
+    program=dict(compute_iters=5_000_000, memory_iters=5_000_000, outer=30),
+)
+
+
+def _run(
+    machine,
+    batched,
+    strategy=None,
+    delta=0.12,
+    faults=None,
+    procs=3,
+    until=1000.0,
+    program=None,
+):
     """One multi-process run; everything rebuilt fresh per call."""
-    program, spec = make_phased_program(outer=6)
+    program, spec = make_phased_program(**(program or dict(outer=6)))
     generator = TraceGenerator(machine)
     if strategy is not None:
         source = instrument(program, strategy)
@@ -69,18 +88,20 @@ def _run(machine, batched, strategy=None, delta=0.12, faults=None, procs=3):
             isolated_time=1.0,
         )
         sim.add_process(proc, 0.0)
-    return _summary(sim.run(1000.0))
+    return _summary(sim.run(until))
 
 
 def test_batched_matches_stepped_baseline(machine):
     """Runtime-less multiprogrammed run: identical down to the float."""
-    assert _run(machine, True) == _run(machine, False)
+    for size in ({}, LONG_RUN):
+        assert _run(machine, True, **size) == _run(machine, False, **size)
 
 
 def test_batched_matches_stepped_under_runtime(machine):
-    assert _run(machine, True, strategy=LoopStrategy(20)) == _run(
-        machine, False, strategy=LoopStrategy(20)
-    )
+    for size in ({}, LONG_RUN):
+        assert _run(machine, True, strategy=LoopStrategy(20), **size) == _run(
+            machine, False, strategy=LoopStrategy(20), **size
+        )
 
 
 def test_batched_matches_stepped_bb_strategy(machine):

@@ -10,6 +10,7 @@ import pytest
 from repro.errors import OpenSystemError
 from repro.sim import Simulation, SimProcess, core2quad_amp
 from repro.sim.cost_model import CostVector
+from repro.sim.executor import NO_BATCH_ENV
 from repro.sim.opensys import (
     OPEN_PID_BASE,
     LoadController,
@@ -221,14 +222,18 @@ def test_open_run_ledger_and_determinism(machine):
     assert d1 == d2
 
 
-def test_open_run_stepped_vs_coalesced_identical(machine):
+def test_open_run_stepped_vs_coalesced_identical(machine, monkeypatch):
+    """The batched (default) open run equals the stepped one that
+    ``REPRO_NO_BATCH`` forces.  (The name predates the removal of the
+    coalesced path; it is kept so the test id stays stable.)"""
     plan = OpenSystemPlan(
         seed=4, rate=0.6, horizon=40.0, classes=CLASSES,
         cancel_fraction=0.2, breakdowns=1,
     )
-    coalesced = OpenSystemRun(plan, machine).run(coalesce=True)
-    stepped = OpenSystemRun(plan, machine).run(coalesce=False)
-    assert json.dumps(coalesced.to_dict(), sort_keys=True) == json.dumps(
+    batched = OpenSystemRun(plan, machine).run()
+    monkeypatch.setenv(NO_BATCH_ENV, "1")
+    stepped = OpenSystemRun(plan, machine).run()
+    assert json.dumps(batched.to_dict(), sort_keys=True) == json.dumps(
         stepped.to_dict(), sort_keys=True
     )
 
