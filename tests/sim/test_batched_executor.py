@@ -93,15 +93,13 @@ def _run(
 
 def test_batched_matches_stepped_baseline(machine):
     """Runtime-less multiprogrammed run: identical down to the float."""
-    for size in ({}, LONG_RUN):
-        assert _run(machine, True, **size) == _run(machine, False, **size)
+    assert _run(machine, True) == _run(machine, False)
 
 
 def test_batched_matches_stepped_under_runtime(machine):
-    for size in ({}, LONG_RUN):
-        assert _run(machine, True, strategy=LoopStrategy(20), **size) == _run(
-            machine, False, strategy=LoopStrategy(20), **size
-        )
+    assert _run(machine, True, strategy=LoopStrategy(20)) == _run(
+        machine, False, strategy=LoopStrategy(20)
+    )
 
 
 def test_batched_matches_stepped_bb_strategy(machine):

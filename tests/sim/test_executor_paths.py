@@ -4,14 +4,15 @@
 trace arrays; ``batched=False`` — or the ``REPRO_NO_BATCH`` environment
 kill-switch — forces the stepped tree-walking reference.  Beyond the
 golden cases in :mod:`tests.sim.test_batched_executor`, these pin the
-two paths equal under machine faults, under tracing (same telemetry
-spans), and across a checkpoint kill/resume, including a resume from a
-snapshot in the older format that still carried a ``"coalesce"`` mode
-flag.
+two paths equal over long runs (with and without the runtime), under
+machine faults, under tracing (same telemetry spans), and across a
+checkpoint kill/resume, including a resume from a snapshot in the older
+format that still carried a ``"coalesce"`` mode flag.
 """
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import make_workload
+from repro.instrument import LoopStrategy
 from repro.instrument.marker import parse_strategy
 from repro.sim import Simulation
 from repro.sim.checkpoint import (
@@ -26,6 +27,19 @@ from repro.telemetry.recorder import TraceRecorder
 from repro.tuning.pipeline import PipelineCache
 from repro.workloads.workload import WorkloadRun
 from tests.sim.test_batched_executor import LONG_RUN, _run, _summary
+
+
+def test_batched_matches_stepped_long_run(machine):
+    """Hundreds of quanta per process, no runtime: identical down to
+    the float."""
+    assert _run(machine, True, **LONG_RUN) == _run(machine, False, **LONG_RUN)
+
+
+def test_batched_matches_stepped_long_run_under_runtime(machine):
+    strategy = LoopStrategy(20)
+    assert _run(machine, True, strategy=strategy, **LONG_RUN) == _run(
+        machine, False, strategy=strategy, **LONG_RUN
+    )
 
 
 def test_batched_matches_stepped_with_machine_faults(machine):
