@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import MutableMapping, Optional
 
 from repro.errors import InstrumentationError
 from repro.isa.encoding import code_size
@@ -38,26 +38,31 @@ from repro.instrument.phase_mark import (
 )
 
 
-def _is_fallthrough_edge(cfg: CFG, src: int, dst: int) -> bool:
+def _is_fallthrough_edge(cfg: CFG, labels: dict, src: int, dst: int) -> bool:
     """True if edge (src, dst) exists only by block adjacency, so an
-    inline jump stub is needed to divert it through a trampoline."""
+    inline jump stub is needed to divert it through a trampoline.
+
+    *labels* is the label table of the procedure *cfg* was built from.
+    """
     src_block = cfg.blocks[src]
     last = src_block.instrs[-1]
     target = last.label_target
-    if target is not None:
-        # Does the explicit target land on dst?  Then the branch can be
-        # retargeted for free.
-        dst_start = cfg.blocks[dst].start
-        proc_labels = _LABELS_CACHE.get(id(cfg))
-        if proc_labels is not None and proc_labels.get(target) == dst_start:
-            return False
+    if target is not None and labels.get(target) == cfg.blocks[dst].start:
+        # The explicit target lands on dst: the branch can be retargeted
+        # for free.
+        return False
     if last.opcode is Opcode.JMP:
         return False  # Direct jump: always retargetable.
     return dst == src + 1
 
 
-#: CFG id -> label table of the owning procedure (set by instrument()).
-_LABELS_CACHE: dict = {}
+def live_scratch_registers(cfg: CFG) -> list[tuple]:
+    """Per block of *cfg*, the clobbered scratch registers live at its
+    entry: what a mark guarding that block must save (Section III)."""
+    return [
+        tuple(r for r in CLOBBERED_REGISTERS if r in live)
+        for live in compute_liveness(cfg).live_in
+    ]
 
 
 @dataclass
@@ -179,7 +184,7 @@ class InstrumentedProgram:
             if fall_dst is not None:
                 mark = self._edge_index.get((proc.name, block.index, fall_dst))
                 if mark is not None and _is_fallthrough_edge(
-                    cfg, block.index, fall_dst
+                    cfg, proc.labels, block.index, fall_dst
                 ):
                     code.append(
                         Instruction(Opcode.JMP, (tramp_label[mark.mark_id],))
@@ -239,30 +244,38 @@ class InstrumentedProgram:
 
 
 def build_marks(
-    aprog: AttributedProgram, points: list[TransitionPoint]
+    aprog: AttributedProgram,
+    points: list[TransitionPoint],
+    live_scratch: Optional[MutableMapping] = None,
 ) -> list[PhaseMark]:
     """Turn transition points into phase marks with byte accounting.
 
     Applies Section III's live-register analysis: a mark saves only the
     clobbered scratch registers that are live at the section entry it
     guards, shrinking the trampoline.
+
+    Args:
+        live_scratch: memo of :func:`live_scratch_registers` keyed by
+            CFG.  Liveness depends on the CFG alone, not on the
+            technique, so a caller marking one program for many
+            techniques passes one memo to all of them; a private one is
+            used when omitted.
     """
-    liveness_cache: dict = {}
+    if live_scratch is None:
+        live_scratch = {}
     marks = []
     for mark_id, point in enumerate(sorted(points, key=lambda p: p.uid)):
         cfg = aprog.cfgs[point.proc]
-        _LABELS_CACHE[id(cfg)] = aprog.program[point.proc].labels
+        labels = aprog.program[point.proc].labels
         fallthrough = sum(
             1
             for (src, dst) in point.trigger_edges
-            if _is_fallthrough_edge(cfg, src, dst)
+            if _is_fallthrough_edge(cfg, labels, src, dst)
         )
-        liveness = liveness_cache.get(point.proc)
-        if liveness is None:
-            liveness = compute_liveness(cfg)
-            liveness_cache[point.proc] = liveness
-        live = liveness.live_at_block_entry(point.entry_block)
-        saves = tuple(r for r in CLOBBERED_REGISTERS if r in live)
+        saves_by_block = live_scratch.get(cfg)
+        if saves_by_block is None:
+            saves_by_block = live_scratch[cfg] = live_scratch_registers(cfg)
+        saves = saves_by_block[point.entry_block]
         marks.append(PhaseMark(mark_id, point, fallthrough, saves))
     return marks
 

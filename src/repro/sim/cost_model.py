@@ -9,8 +9,10 @@ executor can apply L2-sharing contention to the stall part only.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -196,16 +198,45 @@ class _ProcCostTable:
         return pair
 
 
+class _ProgramCosts:
+    """One program's memoized costs under one cost model: procedure cost
+    tables by procedure name, block costs by ``(block uid, core type)``."""
+
+    __slots__ = ("tables", "blocks")
+
+    def __init__(self) -> None:
+        self.tables: dict = {}
+        self.blocks: dict = {}
+
+
 class CostModel:
-    """Computes block costs for the core types of one machine."""
+    """Computes block costs for the core types of one machine.
+
+    Costs are memoized per program, keyed weakly on the program object:
+    one model can serve any number of programs (a pipeline cache shares
+    one per machine), and a dropped program's costs go with it instead
+    of being served to a new program that reuses its address.
+    """
 
     def __init__(self, machine, memory: MemoryModel = None):
         self.machine = machine
         self.memory = memory or MemoryModel()
-        self._block_cache: dict = {}
-        self._proc_tables: dict = {}
+        self._programs: "weakref.WeakKeyDictionary[Program, _ProgramCosts]" = (
+            weakref.WeakKeyDictionary()
+        )
 
-    def _table_for(self, block: BasicBlock, program: Program):
+    def _costs_of(self, program: Program) -> _ProgramCosts:
+        memo = self._programs.get(program)
+        if memo is None:
+            memo = self._programs[program] = _ProgramCosts()
+        return memo
+
+    def _table_for(
+        self,
+        block: BasicBlock,
+        program: Program,
+        memo: Optional[_ProgramCosts] = None,
+    ):
         """The procedure cost table covering *block*, or ``None``.
 
         Falls back to ``None`` (scalar path) when the block's instruction
@@ -215,11 +246,9 @@ class CostModel:
         """
         if type(self.memory) is not MemoryModel:
             return None
-        entry = self._proc_tables.get(id(program))
-        if entry is None or entry[0] is not program:
-            entry = (program, {})
-            self._proc_tables[id(program)] = entry
-        tables = entry[1]
+        if memo is None:
+            memo = self._costs_of(program)
+        tables = memo.tables
         table = tables.get(block.proc, False)
         if table is False:
             proc = program.procedures.get(block.proc)
@@ -241,12 +270,21 @@ class CostModel:
         self, block: BasicBlock, ctype: CoreType, program: Program
     ) -> BlockCost:
         """Cost of one execution of *block* on a *ctype* core."""
-        key = (id(program), block.uid, ctype.name)
-        cached = self._block_cache.get(key)
+        return self._block_cost(block, ctype, program, self._costs_of(program))
+
+    def _block_cost(
+        self,
+        block: BasicBlock,
+        ctype: CoreType,
+        program: Program,
+        memo: _ProgramCosts,
+    ) -> BlockCost:
+        key = (block.uid, ctype.name)
+        cached = memo.blocks.get(key)
         if cached is not None:
             return cached
 
-        table = self._table_for(block, program)
+        table = self._table_for(block, program, memo)
         if table is not None:
             stall_col, l2_col = table.columns(ctype, self.memory)
             start, end = block.start, block.end
@@ -269,7 +307,7 @@ class CostModel:
                     profile = self.memory.miss_profile(instr.mem, program, ctype)
                     l2_hits += profile.l2_hits
             cost = BlockCost(len(block.instrs), compute, stall, l2_hits)
-        self._block_cache[key] = cost
+        memo.blocks[key] = cost
         return cost
 
     def block_ipc(
@@ -280,11 +318,12 @@ class CostModel:
 
     def block_vector(self, block: BasicBlock, program: Program) -> CostVector:
         """The block's cost on every core type of the machine."""
+        memo = self._costs_of(program)
         core_types = self.machine.core_types()
         vector = CostVector.zero(core_types)
         vector.instrs = float(len(block.instrs))
         for ctype in core_types:
-            cost = self.block_cost(block, ctype, program)
+            cost = self._block_cost(block, ctype, program, memo)
             vector.compute[ctype.name] = cost.compute_cycles
             vector.stall[ctype.name] = cost.stall_cycles
             vector.l2hits[ctype.name] = cost.l2_hits

@@ -11,6 +11,7 @@ cores each.  The cores running at the same frequency share an L2 cache."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import SimulationError
 from repro.sim.core import Core, CoreType
@@ -47,12 +48,26 @@ class MachineConfig:
     def __len__(self) -> int:
         return len(self.cores)
 
-    def core_types(self) -> list[CoreType]:
+    def __getstate__(self) -> dict:
+        # Fields only: a machine pickles to the same bytes (and so the
+        # same harness task keys) whichever cached views were computed.
+        return {"name": self.name, "cores": self.cores}
+
+    def core_types(self) -> tuple[CoreType, ...]:
         """Distinct core types, fastest first."""
+        return self._core_types
+
+    # The machine is immutable, so both derived views below are computed
+    # once per machine.  cached_property writes the instance dict, which
+    # a frozen dataclass allows; equality, hashing and pickling see the
+    # fields alone.
+
+    @cached_property
+    def _core_types(self) -> tuple[CoreType, ...]:
         seen = {}
         for core in self.cores:
             seen.setdefault(core.ctype.name, core.ctype)
-        return sorted(seen.values(), key=lambda ct: (-ct.freq_ghz, ct.name))
+        return tuple(sorted(seen.values(), key=lambda ct: (-ct.freq_ghz, ct.name)))
 
     def cores_of_type(self, ctype: CoreType) -> list[int]:
         """Core ids of all cores of *ctype*."""
@@ -62,7 +77,7 @@ class MachineConfig:
         """Affinity mask selecting every core of *ctype*."""
         return frozenset(self.cores_of_type(ctype))
 
-    @property
+    @cached_property
     def all_cores_mask(self) -> frozenset:
         return frozenset(c.cid for c in self.cores)
 

@@ -32,6 +32,7 @@ segment budget, beyond which a loop collapses.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -107,12 +108,78 @@ class _ScopeItem:
         return ("block", self.block)
 
 
-class TraceGenerator:
-    """Generates traces for one machine configuration."""
+class AnalysisMemo:
+    """The variant-invariant products trace generation reads.
 
-    def __init__(self, machine: MachineConfig, memory: Optional[MemoryModel] = None):
+    A procedure's loops and its collapsed scope DAGs (with their
+    frequencies and topological order) depend on its CFG alone, and a
+    block's costs on the program, machine and memory model alone: none
+    depends on the marks a technique places or on a spec's trip counts.
+    So one memo can serve every generator that builds traces of the same
+    programs.  :class:`~repro.tuning.pipeline.PipelineCache` owns one and
+    hands it to each generator it makes, so the stock trace and every
+    Table 2 variant of a program analyse the program once.  A generator
+    made without one gets a private memo that dies with it.
+
+    Products are keyed weakly on the CFG or program object, so they go
+    with the program and are never served to a new one.
+    """
+
+    def __init__(self) -> None:
+        self._cost_models: dict = {}
+        self._loops: "weakref.WeakKeyDictionary[CFG, list]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._scopes: "weakref.WeakKeyDictionary[CFG, dict]" = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def cost_model(
+        self, machine: MachineConfig, memory: Optional[MemoryModel] = None
+    ) -> CostModel:
+        """The cost model of *machine* under *memory*; it memoizes block
+        costs per program."""
+        key = (machine, memory)
+        model = self._cost_models.get(key)
+        if model is None:
+            model = self._cost_models[key] = CostModel(machine, memory)
+        return model
+
+    def loops(self, cfg: CFG) -> list:
+        """:func:`~repro.program.loops.find_loops` of *cfg*."""
+        loops = self._loops.get(cfg)
+        if loops is None:
+            loops = self._loops[cfg] = find_loops(cfg)
+        return loops
+
+    def scopes(self, cfg: CFG) -> dict:
+        """Scope infos of *cfg* by enclosing loop uid (``None`` for the
+        procedure scope), filled in by :meth:`TraceGenerator._scope_info`."""
+        scopes = self._scopes.get(cfg)
+        if scopes is None:
+            scopes = self._scopes[cfg] = {}
+        return scopes
+
+
+class TraceGenerator:
+    """Generates traces for one machine configuration.
+
+    Args:
+        machine: the machine whose core types costs are computed for.
+        memory: the analytic memory model (the default when omitted).
+        analysis: a memo of variant-invariant products to share with
+            other generators; a private one when omitted.
+    """
+
+    def __init__(
+        self,
+        machine: MachineConfig,
+        memory: Optional[MemoryModel] = None,
+        analysis: Optional[AnalysisMemo] = None,
+    ):
         self.machine = machine
-        self.cost_model = CostModel(machine, memory)
+        self.analysis = analysis if analysis is not None else AnalysisMemo()
+        self.cost_model = self.analysis.cost_model(machine, memory)
         self._reset()
 
     def _reset(self) -> None:
@@ -124,7 +191,6 @@ class TraceGenerator:
         self._trips: dict = {}
         self._agg_memo: dict = {}
         self._loop_memo: dict = {}
-        self._dag_memo: dict = {}
         self._in_progress: set = set()
 
     # -- public API ---------------------------------------------------------
@@ -148,7 +214,7 @@ class TraceGenerator:
             self._program = target
             self._cfgs = {p.name: cached_cfg(p) for p in target}
         self._loops = {
-            name: find_loops(cfg) for name, cfg in self._cfgs.items()
+            name: self.analysis.loops(cfg) for name, cfg in self._cfgs.items()
         }
         self._resolve_trips()
         self._precompute_aggregates()
@@ -271,32 +337,35 @@ class TraceGenerator:
         return items, succs, entry_key
 
     def _scope_info(self, proc_name: str, within: Optional[Loop]):
-        """Memoized (items, succs, entry_key, freq, order) of one scope.
+        """Memoized (items, freq, order) of one scope.
 
-        The scope DAG, its frequencies and its topological order depend
-        only on program structure and trip counts — both fixed for the
-        duration of one :meth:`generate` call — so aggregation rounds and
-        emission share one computation per scope.  Callers treat the
-        returned structures as read-only.
+        The scope's items, their frequencies and their topological order
+        depend only on the procedure's CFG and loops, so they live in the
+        :class:`AnalysisMemo`: aggregation rounds, emission and every
+        other generator sharing the memo use one computation per scope.
+        The DAG's edges are needed only to derive them and are not kept.
+        Callers treat the returned structures as read-only.
         """
-        key = (proc_name, within.uid if within is not None else None)
-        got = self._dag_memo.get(key)
+        scopes = self.analysis.scopes(self._cfgs[proc_name])
+        key = within.uid if within is not None else None
+        got = scopes.get(key)
         if got is None:
             items, succs, entry_key = self._scope_dag(proc_name, within)
-            freq = self._frequencies(items, succs, entry_key)
             order = self._topo_order(items, succs, entry_key)
-            got = (items, succs, entry_key, freq, order)
-            self._dag_memo[key] = got
+            freq = self._frequencies(items, succs, entry_key, order)
+            got = (items, freq, order)
+            scopes[key] = got
         return got
 
-    def _frequencies(self, items, succs, entry_key) -> dict:
+    @staticmethod
+    def _frequencies(items, succs, entry_key, order) -> dict:
         """Expected executions of each item per scope execution.
 
-        Propagates in topological order, splitting each item's frequency
-        equally among its distinct successors.  Retreating edges of
-        irreducible regions are ignored (DFS-order approximation).
+        Propagates in topological *order*, splitting each item's
+        frequency equally among its distinct successors.  Retreating
+        edges of irreducible regions are ignored (DFS-order
+        approximation).
         """
-        order = self._topo_order(items, succs, entry_key)
         position = {key: i for i, key in enumerate(order)}
         freq = {key: 0.0 for key in items}
         freq[entry_key] = 1.0
@@ -409,7 +478,7 @@ class TraceGenerator:
         return result
 
     def _aggregate_scope(self, proc_name: str, within: Optional[Loop]):
-        items, succs, entry_key, freq, _ = self._scope_info(proc_name, within)
+        items, freq, _ = self._scope_info(proc_name, within)
         member_blocks = self._scope_members(proc_name, within)
         core_types = self.machine.core_types()
         total = CostVector.zero(core_types)
@@ -541,7 +610,7 @@ class TraceGenerator:
     def _emit_scope(
         self, proc_name: str, within: Optional[Loop], depth: int, budget: float
     ) -> list:
-        items, succs, entry_key, freq, order = self._scope_info(proc_name, within)
+        items, freq, order = self._scope_info(proc_name, within)
         member_blocks = self._scope_members(proc_name, within)
         cfg = self._cfgs[proc_name]
         program = self._program

@@ -34,9 +34,11 @@ Cache levels (each usable on its own):
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -51,7 +53,7 @@ from repro.instrument.marker import LoopStrategy, MarkingStrategy
 from repro.instrument.rewriter import InstrumentedProgram, build_marks
 from repro.sim.machine import MachineConfig, core2quad_amp
 from repro.sim.process import Trace
-from repro.sim.tracegen import BehaviorSpec, TraceGenerator
+from repro.sim.tracegen import AnalysisMemo, BehaviorSpec, TraceGenerator
 from repro.telemetry.context import current_recorder
 
 
@@ -145,6 +147,23 @@ def _key_digest(key: tuple) -> str:
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
+def _loads(blob: bytes):
+    """``pickle.loads`` with the cyclic collector paused.
+
+    Decoding an entry allocates thousands of containers (a tuned
+    binary's program copy and CFGs), and those allocation bursts would
+    otherwise trigger collections that walk the whole heap for garbage
+    that cannot exist yet.
+    """
+    if not gc.isenabled():
+        return pickle.loads(blob)
+    gc.disable()
+    try:
+        return pickle.loads(blob)
+    finally:
+        gc.enable()
+
+
 def _low_water(budget: Optional[int]) -> float:
     """Where disk eviction stops once *budget* is exceeded: 1/8 below
     it, so one eviction pass is paid back by ``budget // 8`` publishes.
@@ -159,6 +178,16 @@ class PipelineCache:
     so sharing entries across runs cannot change results — only skip
     recomputation.  Tracks hit/miss counts per level for the benchmark
     harness.
+
+    Beside its entries the cache owns the *variant-invariant* analyses
+    its builds share: block costs per (program, machine), liveness per
+    procedure CFG, and loops and scope DAGs per CFG (an
+    :class:`~repro.sim.tracegen.AnalysisMemo` plus a live-register
+    memo).  They depend on the program alone, not on the technique, so
+    the stock trace and every Table 2 variant of a program compute them
+    once.  They are not entries: never persisted, shipped or counted as
+    hits or misses, keyed weakly on the CFG or program object, and
+    dropped by :meth:`clear`.
 
     Every entry stores a sha256 digest of its key alongside the value;
     each hit re-hashes the lookup key and compares (detecting a cache
@@ -218,6 +247,7 @@ class PipelineCache:
         max_disk_bytes: Optional[int] = None,
     ) -> None:
         self._entries: dict = {}
+        self._reset_analyses()
         self.strict = strict
         self.max_disk_entries = max_disk_entries
         self.max_disk_bytes = max_disk_bytes
@@ -238,6 +268,15 @@ class PipelineCache:
         self.evicted_bytes = 0
         if disk_dir is not None:
             self.set_disk_dir(disk_dir)
+
+    def _reset_analyses(self) -> None:
+        #: Variant-invariant products shared by every build of this
+        #: cache; see the class docstring.
+        self.analysis = AnalysisMemo()
+        #: CFG -> per-block live scratch registers, for build_marks.
+        self.live_scratch: "weakref.WeakKeyDictionary" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # -- disk tier ----------------------------------------------------------
 
@@ -270,7 +309,7 @@ class PipelineCache:
         for stale in sorted(self._disk_dir.glob("*.pkl")):
             try:
                 blob = stale.read_bytes()
-                stored_key, value, digest = pickle.loads(blob)
+                stored_key, value, digest = _loads(blob)
                 if digest != _key_digest(stored_key):
                     continue
                 obj = self._store.put(blob)
@@ -285,7 +324,7 @@ class PipelineCache:
     def _decode_entry(self, blob: bytes, key: tuple):
         """``(value,)`` if *blob* is a valid entry for *key*, else None."""
         try:
-            stored_key, value, digest = pickle.loads(blob)
+            stored_key, value, digest = _loads(blob)
             if digest == _key_digest(key) and stored_key == key:
                 return (value,)
         except Exception:
@@ -523,7 +562,7 @@ class PipelineCache:
                 if blob is None:
                     continue
                 try:
-                    stored_key, value, key_digest = pickle.loads(blob)
+                    stored_key, value, key_digest = _loads(blob)
                     ok = key_digest == _key_digest(stored_key)
                 except Exception:
                     ok = False
@@ -553,7 +592,7 @@ class PipelineCache:
         accepted.  Each entry's digest is re-verified against its key,
         so damage in transit is dropped (or raised under ``strict``)."""
         count = 0
-        for key, (value, digest) in pickle.loads(blob):
+        for key, (value, digest) in _loads(blob):
             if digest != _key_digest(key):
                 self.corruptions += 1
                 if self.strict:
@@ -593,6 +632,7 @@ class PipelineCache:
     def clear(self) -> None:
         self._entries.clear()
         self._published.clear()
+        self._reset_analyses()
         self.reset_stats()
 
     def reset_stats(self) -> None:
@@ -696,7 +736,7 @@ def instrument_cached(
         )
         aprog = annotate_program(program, block_typing)
         points = transition_points(aprog, strategy, cache=cache)
-        marks = build_marks(aprog, points)
+        marks = build_marks(aprog, points, cache.live_scratch)
         return InstrumentedProgram(program, aprog, strategy.name, marks)
 
     return cache.get_or_build(key, build)
@@ -720,7 +760,7 @@ def baseline_binary(
     )
 
     def build() -> tuple:
-        generator = TraceGenerator(machine)
+        generator = TraceGenerator(machine, analysis=cache.analysis)
         trace = generator.generate(program, spec)
         return trace, generator.isolated_seconds(trace)
 
@@ -790,7 +830,7 @@ def tune_program(
 
     def build() -> TunedBinary:
         instrumented = instrument_cached(program, strategy, typing, cache=cache)
-        generator = TraceGenerator(machine)
+        generator = TraceGenerator(machine, analysis=cache.analysis)
         tuned_trace = generator.generate(instrumented, spec)
         baseline_trace, isolated = baseline_binary(
             program, machine, spec, cache=cache

@@ -117,3 +117,56 @@ def test_entry_mark_indexed():
     program = pb.build()
     inst = instrument(program, BBStrategy(10, 0))
     assert inst.entry_mark("main") is not None
+
+
+def _branch_to_adjacent_program():
+    """``main``: block 0 ends in a conditional branch whose explicit
+    target is block 1, the block it also falls through to."""
+    from repro.isa import ProgramBuilder
+
+    pb = ProgramBuilder("adjacent")
+    with pb.proc("main") as b:
+        b.movi("r1", 0)
+        b.cmp("r1", 1)
+        b.br("lt", "next")
+        b.label("next")
+        b.add("r1", "r1", 1)
+        b.ret()
+    return pb.build()
+
+
+def test_branch_to_adjacent_block_needs_no_stub():
+    """The edge is reached by retargeting the branch, so it is not a
+    fall-through edge, whether or not marks were ever built for it."""
+    from repro.instrument.rewriter import _is_fallthrough_edge
+
+    program = _branch_to_adjacent_program()
+    proc = program["main"]
+    cfg = build_cfg(proc)
+    assert cfg.blocks[0].instrs[-1].opcode is Opcode.BR
+    assert proc.labels["next"] == cfg.blocks[1].start
+    assert not _is_fallthrough_edge(cfg, proc.labels, 0, 1)
+
+
+def test_materialize_agrees_with_accounting_without_build_marks():
+    """``materialize`` reads the procedure's labels itself: an
+    instrumented program whose marks were never built in this process
+    (e.g. loaded from a persistent tier) rewrites exactly as accounted."""
+    from repro.analysis import StaticBlockTyper
+    from repro.analysis.annotate import annotate_program
+    from repro.analysis.transitions import TransitionPoint
+    from repro.instrument.phase_mark import PhaseMark
+    from repro.instrument.rewriter import InstrumentedProgram, build_marks
+
+    program = _branch_to_adjacent_program()
+    aprog = annotate_program(program, StaticBlockTyper().type_blocks(program))
+    size = len(aprog.cfgs["main"].blocks[1].instrs)
+    point = TransitionPoint("main", "bb", 0, 1, frozenset({1}), size, ((0, 1),))
+    mark = PhaseMark(0, point, fallthrough_edges=0, saves=())
+    inst = InstrumentedProgram(program, aprog, "manual", [mark])
+    tuned = inst.materialize()
+    assert validate_program(tuned) == []
+    code_growth = tuned.size_bytes - program.size_bytes
+    assert code_growth == inst.added_bytes - MARK_DATA_BYTES
+    # build_marks classifies the edge the same way afterwards.
+    assert build_marks(aprog, [point])[0].fallthrough_edges == 0
