@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, replace
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.errors import (
     AffinitySyscallError,
     CheckpointError,
@@ -68,15 +66,6 @@ _SNAPSHOT_VERSION = 2
 #: non-empty value forces ``batched=False`` (the stepped reference
 #: path) wherever the constructor is left to pick the default.
 NO_BATCH_ENV = "REPRO_NO_BATCH"
-
-#: Minimum step count before _run_quantum_flat's numpy window engages.
-#: Below this the scalar per-step loop is faster (the batch pays ~15
-#: small-array numpy calls of fixed overhead); both paths commit
-#: bit-identical floats (np.add.accumulate folds left-to-right like the
-#: scalar ``t += elapsed`` chain and the elementwise per-step
-#: expressions round identically), so the threshold is purely a speed
-#: knob — any value picks the same numbers, just via different code.
-_NP_WINDOW_MIN = 10
 
 
 @dataclass(frozen=True)
@@ -1000,16 +989,15 @@ class Simulation:
     def _run_quantum_flat(
         self, core_id: int, proc: SimProcess, start: float, cursor: FlatCursor
     ) -> float:
-        """Segment-batched quantum loop over a flat trace.
+        """Quantum loop over a flat trace.
 
-        Bit-identical to :meth:`_run_quantum_stepped`: windows of
-        mark-free steps run through one numpy pipeline whose cumulative
-        arrays (``np.add.accumulate``) reproduce the scalar
-        ``t += elapsed`` / ``budget -= elapsed`` sequences operation for
-        operation; the step straddling the timeslice (or phase-mark)
-        boundary — located via the cumulative budget array — and every
-        marked step execute through the same scalar expressions as the
-        stepped loop.
+        Bit-identical to :meth:`_run_quantum_stepped`: every step runs
+        through the same scalar expressions, in the same order, but reads
+        its costs from the :class:`FlatTrace` columns instead of walking
+        the trace tree, and keeps the cursor state in locals.  Mark-free
+        entries skip the :meth:`_fire_marks` call (a no-op for them), and
+        a quantum that resumes mid-step and ends inside it returns after
+        one committed step with a minimal prologue.
         """
         (
             core_exec,
@@ -1138,35 +1126,18 @@ class Simulation:
             instrs_l,
             ovh_l,
             entry_marked,
-            next_entry,
             any_marked,
-            next_any,
             emb_multi,
             comp_l,
             stall_l,
             l2_l,
             sfrac_l,
-            np_iters,
-            np_comp,
-            np_stall,
-            np_l2,
-            np_ovh,
-            est_cum,
         ) = flat.cols[ctype_name]
-        # Steps needing scalar treatment: with a runtime attached, any
-        # mark (entry or embedded) may call into it; without one, only
-        # entry marks charge cycles (embedded overhead is a constant
-        # per-iteration term already present in the cost arrays).
-        if runtime is not None:
-            marked = any_marked
-            next_marked = next_any
-        else:
-            marked = entry_marked
-            next_marked = next_entry
-        apply_alpha = neighbor > 0 and contention_alpha > 0
-        apply_beta = neighbor > 0 and pollution_beta > 0
-        alpha_factor = 1.0 + contention_alpha * neighbor
-        beta_neighbor = pollution_beta * neighbor
+        # Steps needing the mark path: with a runtime attached, any mark
+        # (entry or embedded) may call into it; without one, only entry
+        # marks charge cycles (embedded overhead is a constant
+        # per-iteration term already present in the cost columns).
+        marked = any_marked if runtime is not None else entry_marked
 
         while budget > 0 and pos < n_steps:
             if at_entry:
@@ -1214,88 +1185,6 @@ class Simulation:
                 # loop (zero cycles, zero firings); just clear the flag.
                 at_entry = False
 
-            # Batch only from a fresh step boundary (done == 0.0): a
-            # fully-consumed fresh step always advances the cursor
-            # exactly (done' == iterations, residue 0), whereas resuming
-            # a partially-consumed step can leave a float residue above
-            # the 1e-9 advance tolerance that the stepped loop would
-            # execute as an extra mini-step.
-            window_end = next_marked[pos] if done == 0.0 else pos
-            if window_end - pos >= _NP_WINDOW_MIN:
-                # Upper-bound the reachable step count: contention and
-                # the 1e-18 time floor only slow steps down, so the
-                # uncontended cumulative-cycle prefix cannot undershoot.
-                hi = int(
-                    np.searchsorted(
-                        est_cum, est_cum[pos] + budget * freq, side="right"
-                    )
-                )
-                window_end = min(window_end, hi + 1, pos + 4096)
-            if window_end - pos >= _NP_WINDOW_MIN:
-                w = window_end
-                stall_a = np_stall[pos:w]
-                if apply_alpha:
-                    stall_a = stall_a * alpha_factor
-                if apply_beta:
-                    stall_a = stall_a + (beta_neighbor * np_l2[pos:w]) * (
-                        pollution_penalty
-                    )
-                if mem_pressure > 0.0:
-                    stall_a = stall_a + (mem_pressure * np_l2[pos:w]) * (
-                        pollution_penalty
-                    )
-                total_a = (np_comp[pos:w] + stall_a) + np_ovh[pos:w]
-                per_iter_a = total_a / freq
-                np.maximum(per_iter_a, 1e-18, out=per_iter_a)
-                rem_a = np_iters[pos:w]
-                elapsed_a = rem_a * per_iter_a
-                m = w - pos
-                # Cumulative budget/time with the scalar accumulation
-                # order: add.accumulate is strictly left-to-right.
-                b_cum = np.add.accumulate(
-                    np.concatenate(((budget,), -elapsed_a))
-                )
-                t_cum = np.add.accumulate(np.concatenate(((t,), elapsed_a)))
-                fits = (b_cum[:m] / per_iter_a) >= rem_a
-                fits[1:] &= b_cum[1:m] > _MIN_STEP_S
-                blocked = np.flatnonzero(~fits)
-                j = int(blocked[0]) if blocked.size else m
-                if j > 0:
-                    n_l = rem_a[:j].tolist()
-                    total_l = total_a[:j].tolist()
-                    elapsed_l = elapsed_a[:j].tolist()
-                    t_l = t_cum[:j].tolist()
-                    instructions = stats.instructions
-                    cycles_ct = stats.cycles_by_type.get(ctype_name, 0.0)
-                    instrs_ct = stats.instrs_by_type.get(ctype_name, 0.0)
-                    mark_overhead = stats.mark_overhead_cycles
-                    cpu_time = stats.cpu_time
-                    for i in range(j):
-                        n = n_l[i]
-                        step = pos + i
-                        instrs = n * instrs_l[step]
-                        instructions += instrs
-                        cycles_ct += n * total_l[i]
-                        instrs_ct += instrs
-                        mark_overhead += n * ovh_l[step]
-                        cpu_time += elapsed_l[i]
-                        bucket = int(t_l[i])
-                        buckets[bucket] = buckets.get(bucket, 0.0) + instrs
-                    stats.instructions = instructions
-                    stats.cycles_by_type[ctype_name] = cycles_ct
-                    stats.instrs_by_type[ctype_name] = instrs_ct
-                    stats.mark_overhead_cycles = mark_overhead
-                    stats.cpu_time = cpu_time
-                    core_stall_frac[core_id] = sfrac_l[pos + j - 1]
-                    pos += j
-                    done = 0.0
-                    at_entry = True
-                    t = float(t_cum[j])
-                    budget = float(b_cum[j])
-                    if budget <= _MIN_STEP_S and pos < n_steps:
-                        break
-                    continue
-                # j == 0: the first step already straddles the boundary.
 
             compute = comp_l[pos]
             stall = stall_l[pos]

@@ -1,27 +1,20 @@
-"""Flat (vectorized) trace representation for the batched executor.
+"""Flat trace representation for the batched executor.
 
 A :class:`~repro.sim.process.Trace` is a tree of segments and repeats;
 the stepped executor walks it one segment-step at a time through a
 :class:`~repro.sim.process.TraceCursor`.  This module flattens the tree
-once per trace into parallel arrays — one entry per *visit* of a
+once per trace into parallel per-step lists — one entry per *visit* of a
 segment, in exactly the order the cursor would produce — so the
-executor can
-
-* index any step in O(1) (plain Python lists for the scalar fast path),
-* run whole windows of mark-free steps through one numpy pipeline
-  (cumulative elapsed time / remaining budget via ``np.add.accumulate``,
-  which accumulates strictly left-to-right and therefore rounds exactly
-  like the scalar ``t += elapsed`` / ``budget -= elapsed`` sequence),
-* bound the window size cheaply with ``np.searchsorted`` over a
-  precomputed cumulative uncontended-cycle array (contention only adds
-  cycles, so the uncontended prefix sums give an upper bound on how many
-  steps a timeslice can cover).
+executor's quantum loop indexes any step in O(1) and keeps the cursor
+state in a position and an iteration count.  The lists are plain Python
+lists: the loop is scalar, and a quantum rarely spans enough steps for
+array arithmetic to repay its per-call overhead.
 
 Flattening is capped (:data:`FLATTEN_LIMIT` steps): traces whose repeat
 structure expands beyond the cap — possible only for hand-built
 pathological traces, not generator output — keep the tree walker.
 
-The arrays are a pure cache over the trace (cached on
+The lists are a pure cache over the trace (cached on
 ``Trace._flat``, excluded from equality and pickling); every float in
 them is taken verbatim from ``Segment.cost_tuple``, so the batched and
 stepped executors see bit-identical per-step costs.
@@ -30,8 +23,6 @@ stepped executors see bit-identical per-step costs.
 from __future__ import annotations
 
 from typing import Optional
-
-import numpy as np
 
 from repro.errors import SimulationError
 from repro.instrument.phase_mark import MARK_FIRE_CYCLES
@@ -73,7 +64,7 @@ def _flat_steps(trace: Trace, limit: int) -> list:
 
 
 class FlatTrace:
-    """Parallel per-step arrays of one trace (shared, read-only)."""
+    """Parallel per-step lists of one trace (shared, read-only)."""
 
     __slots__ = (
         "n",
@@ -88,14 +79,6 @@ class FlatTrace:
         "entry_marked",
         "any_marked",
         "emb_multi",
-        "next_entry_mark",
-        "next_any_mark",
-        "np_iters",
-        "np_compute",
-        "np_stall",
-        "np_l2",
-        "np_ovh",
-        "est_cum",
         "cols",
         "fastinfo",
     )
@@ -121,21 +104,13 @@ class FlatTrace:
         # between decided core types, so only these need the full
         # Simulation._embedded_overhead computation under a runtime.
         self.emb_multi = [len(seg.embedded) > 1 for seg in steps]
-        self.next_entry_mark = _next_true(self.entry_marked)
-        self.next_any_mark = _next_true(self.any_marked)
 
         self.compute = {}
         self.stall = {}
         self.l2 = {}
         self.sfrac = {}
-        self.np_compute = {}
-        self.np_stall = {}
-        self.np_l2 = {}
-        self.est_cum = {}
         self.cols = {}
         self.fastinfo = {}
-        self.np_iters = np.asarray(self.iters, dtype=np.float64)
-        self.np_ovh = np.asarray(self.ovh, dtype=np.float64)
         for name in ctype_names:
             comp = [0.0] * n
             stall = [0.0] * n
@@ -147,18 +122,6 @@ class FlatTrace:
             self.stall[name] = stall
             self.l2[name] = l2
             self.sfrac[name] = sfrac
-            np_comp = np.asarray(comp, dtype=np.float64)
-            np_stall = np.asarray(stall, dtype=np.float64)
-            self.np_compute[name] = np_comp
-            self.np_stall[name] = np_stall
-            self.np_l2[name] = np.asarray(l2, dtype=np.float64)
-            # Cumulative uncontended cycles per step (estimate only —
-            # used to size batch windows, never for accounting).
-            est = np.zeros(n + 1, dtype=np.float64)
-            np.cumsum(
-                self.np_iters * (np_comp + np_stall + self.np_ovh), out=est[1:]
-            )
-            self.est_cum[name] = est
             # Everything the executor's quantum prologue needs, bundled
             # behind one dict lookup (the ctype-independent views are
             # duplicated references — free — so the prologue is a
@@ -169,20 +132,12 @@ class FlatTrace:
                 self.instrs,
                 self.ovh,
                 self.entry_marked,
-                self.next_entry_mark,
                 self.any_marked,
-                self.next_any_mark,
                 self.emb_multi,
                 comp,
                 stall,
                 l2,
                 sfrac,
-                self.np_iters,
-                np_comp,
-                np_stall,
-                self.np_l2[name],
-                self.np_ovh,
-                est,
             )
             # Row-major per-step tuples for the executor's mid-step
             # resume fast path (the overwhelmingly common quantum
@@ -200,18 +155,6 @@ class FlatTrace:
                     sfrac,
                 )
             )
-
-
-def _next_true(flags: list) -> list:
-    """``out[i]`` = smallest ``j >= i`` with ``flags[j]``, else ``len``."""
-    n = len(flags)
-    out = [n] * n
-    nxt = n
-    for i in range(n - 1, -1, -1):
-        if flags[i]:
-            nxt = i
-        out[i] = nxt
-    return out
 
 
 def flat_trace(trace: Trace) -> Optional[FlatTrace]:

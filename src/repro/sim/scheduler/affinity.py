@@ -39,7 +39,7 @@ def pick_core(mask: frozenset, load: dict, prefer: int = None) -> int:
         prefer: return this core if allowed and not busier than the best
             alternative (cheap cache-affinity heuristic).
     """
-    best = min(sorted(mask), key=lambda cid: (load.get(cid, 0), cid))
+    best = min(mask, key=lambda cid: (load.get(cid, 0), cid))
     if prefer is not None and prefer in mask:
         if load.get(prefer, 0) <= load.get(best, 0):
             return prefer

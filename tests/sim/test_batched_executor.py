@@ -13,7 +13,12 @@ import pytest
 from repro.instrument import BBStrategy, LoopStrategy, instrument
 from repro.sim import SimProcess, Simulation, TraceGenerator
 from repro.sim.cost_model import CostVector
-from repro.sim.faults import DvfsEvent, FaultPlan, HotplugEvent
+from repro.sim.faults import (
+    DvfsEvent,
+    FaultPlan,
+    HotplugEvent,
+    MemoryPressureEvent,
+)
 from repro.sim.flattrace import (
     FLATTEN_LIMIT,
     FlatCursor,
@@ -200,3 +205,105 @@ def test_hand_built_repeat_trace_runs_identically(machine):
         return _summary(sim.run(100.0))
 
     assert run(True) == run(False)
+
+
+# -- quanta spanning many short steps -------------------------------------------
+
+#: Steps in the short-step trace, and how many of them any one quantum
+#: that starts at a step boundary must provably complete.
+SHORT_STEPS = 128
+MIN_STEPS_PER_QUANTUM = 10
+
+_SHORT_DVFS_SCALE = 0.7
+_SHORT_SHRINK = 0.5
+
+
+def _short_step_trace(machine):
+    """A runtime-less, mark-free trace of short steps with distinct
+    costs (so every step's float arithmetic differs), stall cycles (so
+    L2 co-runners contend) and L2 hits (so pollution and memory
+    pressure apply)."""
+    steps = []
+    for i in range(SHORT_STEPS):
+        vector = CostVector.zero(machine.core_types())
+        vector.instrs = 40.0 + i
+        for name in vector.compute:
+            vector.compute[name] = 1900.0 + 13.25 * i
+            vector.stall[name] = 450.0 + 7.5 * (i % 11)
+            vector.l2hits[name] = 3.0 + 0.125 * (i % 5)
+        steps.append(Segment(f"s{i}", None, 700.0 + 37.0 * (i % 9), vector))
+    return Trace(tuple(steps))
+
+
+def _worst_step_seconds(sim, trace):
+    """Upper bound on each step's duration on any core: the slowest
+    clock after the DVFS step, the most-stalled co-runner (stall
+    fraction 1) and the memory-pressure shrink, all at once."""
+    bounds = []
+    for seg in trace.nodes:
+        worst = 0.0
+        for core in sim.machine.cores:
+            name = core.ctype.name
+            compute, stall, l2, _, _ = seg.cost_tuple(name)
+            penalty = sim._pollution_penalty[name]
+            cycles = (
+                compute
+                + stall * (1.0 + sim.contention_alpha)
+                + (sim.pollution_beta + _SHORT_SHRINK) * l2 * penalty
+            )
+            freq = core.ctype.freq_hz * _SHORT_DVFS_SCALE
+            worst = max(worst, seg.iterations * cycles / freq)
+        bounds.append(worst)
+    return bounds
+
+
+def _short_step_run(machine, batched, procs, faults=None):
+    sim = Simulation(machine, faults=faults, batched=batched)
+    for pid in range(procs):
+        # Cores 0 and 1 share an L2: two processes run side by side.
+        proc = SimProcess(
+            pid, f"short{pid}", _short_step_trace(machine),
+            frozenset({0, 1}), isolated_time=1.0,
+        )
+        sim.add_process(proc, 0.0)
+    return sim, _summary(sim.run(100.0))
+
+
+@pytest.mark.parametrize(
+    "procs, faulted",
+    [(1, False), (2, False), (2, True)],
+    ids=["alone", "shared-l2", "dvfs-and-memory-pressure"],
+)
+def test_quantum_across_many_short_steps_matches_stepped(machine, procs, faulted):
+    """Quanta that cross at least ten mark-free steps run the same
+    floats on both paths: alone, beside an L2 co-runner, and with a
+    DVFS step and L2 memory pressure landing mid-run."""
+    plan = None
+    if faulted:
+        plan = FaultPlan(
+            seed=3,
+            dvfs=(DvfsEvent(time=0.03, core_id=0, scale=_SHORT_DVFS_SCALE),),
+            mem_pressure=(
+                MemoryPressureEvent(time=0.06, core_id=1, shrink=_SHORT_SHRINK),
+            ),
+        )
+    sim, batched = _short_step_run(machine, True, procs, faults=plan)
+    # Any quantum that starts at a step boundary (every process's first
+    # one does) completes at least MIN_STEPS_PER_QUANTUM steps, even
+    # under the worst slowdown this test can apply.
+    worst = _worst_step_seconds(sim, _short_step_trace(machine))
+    assert len(worst) >= 64
+    timeslice = sim.scheduler.timeslice
+    assert timeslice == 0.05
+    assert all(
+        sum(worst[i : i + MIN_STEPS_PER_QUANTUM]) < timeslice
+        for i in range(len(worst) - MIN_STEPS_PER_QUANTUM + 1)
+    )
+    # Every process finishes, over at least three quanta, so quanta
+    # also resume mid-step.
+    assert len(batched["completed"]) == procs
+    assert all(p[2] > 2 * timeslice for p in batched["completed"])
+    assert batched == _short_step_run(machine, False, procs, faults=plan)[1]
+    if faulted:
+        # The plan really changed the run (otherwise this is vacuous).
+        assert batched != _short_step_run(machine, True, procs)[1]
