@@ -144,10 +144,7 @@ def _store_bench(config, workdir) -> dict:
     )
     programs = [spec_benchmark(name).program for name in names]
     store_dir = Path(workdir) / "store"
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_STORE_URL", "REPRO_STORE_TIMEOUT")
-    }
+    saved = os.environ.get("REPRO_STORE_URL")
 
     def _leg(url, disk_dir):
         if url is None:
@@ -169,16 +166,14 @@ def _store_bench(config, workdir) -> dict:
         warm, warm_stats, warm_refs = _leg(
             str(store_dir), Path(workdir) / "second-host"
         )
-        os.environ["REPRO_STORE_TIMEOUT"] = "0.2"
         dead, dead_stats, dead_refs = _leg(
             "http://127.0.0.1:9", Path(workdir) / "cut-off-host"
         )
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_STORE_URL", None)
+        else:
+            os.environ["REPRO_STORE_URL"] = saved
 
     return {
         "benchmarks": len(programs),

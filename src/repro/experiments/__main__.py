@@ -68,7 +68,7 @@ directory (or ``--broker-url``/``REPRO_BROKER_URL`` instead of the
 positional target).  The transport retries with backoff and jitter,
 carries idempotency keys on every mutating request, and trips a
 cooldown circuit breaker when the server is down — workers poll
-through outages for ``REPRO_BROKER_GRACE`` seconds and results stay
+through outages for a 60 s grace window and results stay
 exactly-once through server crashes.  ``serve --token`` (or
 ``REPRO_AUTH_TOKEN``, which clients also read) requires a bearer token
 on every request; ``--readonly`` serves status-only.  ``enqueue
@@ -85,11 +85,11 @@ from *its own* host's ``REPRO_JOBS``/``--jobs``, never the submitter's);
 ``status`` reports queue states, quarantines, sessions, and drift
 against the golden baseline recorded by ``bless``.
 
-Per-task retry knobs (all backends): ``--task-timeout SECONDS``,
-``--task-retries N``, ``--backoff-base SECONDS``, matching the
-``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES`` /
-``REPRO_BACKOFF_BASE`` environment variables (``--lease-ttl`` likewise
-matches ``REPRO_LEASE_TTL`` for broker leases).
+Per-task knobs (all backends): ``--task-timeout SECONDS`` (or
+``REPRO_TASK_TIMEOUT``; zero or negative means no timeout) and
+``--lease-ttl SECONDS`` (or ``REPRO_LEASE_TTL``) for broker leases.
+Attempt budgets, backoff, transport timeouts, cooldowns and the outage
+grace window are fixed in :mod:`repro.net`.
 
 ``--run-dir DIR`` makes the invocation durable: the chosen experiments
 and options are written to ``DIR/manifest.json``, every sweep runs
@@ -126,7 +126,6 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.broker import (
-    BACKOFF_BASE_ENV,
     BROKER_DIR_ENV,
     BROKER_URL_ENV,
     LEASE_TTL_ENV,
@@ -361,26 +360,9 @@ def _parse_args(argv):
         default=None,
         metavar="SECONDS",
         help="per-task wall-clock budget (default: REPRO_TASK_TIMEOUT, "
-        "else none); an over-budget worker reports the attempt failed "
-        "and kills itself, and the task is re-offered until its attempt "
-        "budget is spent",
-    )
-    parser.add_argument(
-        "--task-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry budget per task (default: REPRO_TASK_RETRIES, else 0); "
-        "the broker always grants at least its quarantine threshold of "
-        "attempts",
-    )
-    parser.add_argument(
-        "--backoff-base",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="exponential-backoff base between broker re-offers of a "
-        "failed task (default: REPRO_BACKOFF_BASE, else 0.5)",
+        "else none; 0 or less = none); an over-budget worker reports the "
+        "attempt failed and kills itself, and the task is re-offered "
+        "until its attempt budget is spent",
     )
     parser.add_argument(
         "--lease-ttl",
@@ -517,8 +499,6 @@ _MANIFEST_KEYS = (
     "trace_categories",
     "checkpoint_interval",
     "task_timeout",
-    "task_retries",
-    "backoff_base",
     "lease_ttl",
     "broker_dir",
     "broker_url",
@@ -576,10 +556,6 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
     # workers and resumed invocations all see them.
     if getattr(args, "task_timeout", None) is not None:
         os.environ[harness.TASK_TIMEOUT_ENV] = str(args.task_timeout)
-    if getattr(args, "task_retries", None) is not None:
-        os.environ[harness.TASK_RETRIES_ENV] = str(args.task_retries)
-    if getattr(args, "backoff_base", None) is not None:
-        os.environ[BACKOFF_BASE_ENV] = str(args.backoff_base)
     if getattr(args, "lease_ttl", None) is not None:
         os.environ[LEASE_TTL_ENV] = str(args.lease_ttl)
     if getattr(args, "broker_dir", None):
@@ -732,8 +708,6 @@ def _cmd_work(args) -> None:
     directory = _verb_dir(args, "work")
     if getattr(args, "lease_ttl", None) is not None:
         os.environ[LEASE_TTL_ENV] = str(args.lease_ttl)
-    if getattr(args, "backoff_base", None) is not None:
-        os.environ[BACKOFF_BASE_ENV] = str(args.backoff_base)
     jobs = harness.worker_count(args.jobs)
     log = lambda line: print(line, file=sys.stderr, flush=True)  # noqa: E731
     timeout = harness.resolve_timeout(args.task_timeout)
@@ -939,7 +913,6 @@ def _cmd_serve(args) -> None:
         host=args.host,
         port=args.port,
         lease_ttl=args.lease_ttl,
-        backoff_base=args.backoff_base,
         token=args.token,
         readonly=args.readonly,
         verbose=args.log,

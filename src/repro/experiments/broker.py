@@ -21,10 +21,10 @@ worker death
 
 poison tasks
     Every claim consumes one attempt from a bounded budget.  Re-offers
-    back off exponentially (``backoff_base * 2**(attempt-1)``), and a
-    task that exhausts its budget is **quarantined**: parked in a
-    terminal state with its blamed error, visible in ``status``, while
-    the rest of the sweep completes.  One crashing task cannot take a
+    back off exponentially (``backoff_base * 2**(attempt-1)``, see
+    :data:`repro.net.BACKOFF_BASE`), and a task that exhausts its budget
+    is **quarantined**: parked in a terminal state with its blamed
+    error, visible in ``status``, while the rest of the sweep completes.  One crashing task cannot take a
     whole figure down.
 
 lease races
@@ -76,27 +76,27 @@ from repro.errors import (
     LeaseLostError,
     TaskTimeoutError,
 )
+from repro.net import (
+    BACKOFF_BASE,
+    DOWN_GRACE,
+    LEASE_TTL,
+    MAX_ATTEMPTS,
+    env_number,
+)
 from repro.sim.checkpoint import task_checkpoint_dir
 from repro.taxonomy import failed_reason, lease_expired_reason
 from repro.store import atomic_publish, default_store
 from repro.telemetry.context import current_recorder
 
 __all__ = [
-    "BACKOFF_BASE_ENV",
     "BROKER_DIR_ENV",
-    "BROKER_GRACE_ENV",
     "BROKER_URL_ENV",
     "Broker",
-    "DEFAULT_BACKOFF_BASE",
-    "DEFAULT_DOWN_GRACE",
-    "DEFAULT_LEASE_TTL",
-    "DEFAULT_MAX_ATTEMPTS",
     "LEASE_TTL_ENV",
     "Lease",
     "PRIORITY_ENV",
     "connect",
     "prepare_enqueue",
-    "resolve_down_grace",
     "task_key",
     "task_label",
     "worker_loop",
@@ -115,32 +115,12 @@ BROKER_URL_ENV = "REPRO_BROKER_URL"
 #: (``--priority``); higher claims first, 0 when unset.
 PRIORITY_ENV = "REPRO_SWEEP_PRIORITY"
 
-#: Environment variable bounding how long a worker or submitter keeps
-#: polling a hard-down networked broker before abandoning the wait.
-BROKER_GRACE_ENV = "REPRO_BROKER_GRACE"
-
-#: Default grace window (seconds) for ``REPRO_BROKER_GRACE``.
-DEFAULT_DOWN_GRACE = 60.0
-
-#: Environment variable overriding the retry backoff base (seconds).
-BACKOFF_BASE_ENV = "REPRO_BACKOFF_BASE"
-
-#: Environment variable overriding the lease TTL (seconds).  Read on
-#: each host independently; enqueuers and workers sharing a broker
-#: directory should agree on it (a worker renews at a third of its own
-#: TTL, so a modestly shorter enqueuer TTL only reclaims faster).
+#: Environment variable overriding the lease TTL (seconds,
+#: :data:`repro.net.LEASE_TTL` when unset).  Read on each host
+#: independently; enqueuers and workers sharing a broker directory
+#: should agree on it (a worker renews at a third of its own TTL, so a
+#: modestly shorter enqueuer TTL only reclaims faster).
 LEASE_TTL_ENV = "REPRO_LEASE_TTL"
-
-#: Seconds a lease lives between heartbeats.  Workers renew at a third
-#: of this, so a healthy worker never comes near expiry while a dead
-#: one is reclaimed within one TTL.
-DEFAULT_LEASE_TTL = 30.0
-
-#: Claims allowed per task before quarantine (first attempt included).
-DEFAULT_MAX_ATTEMPTS = 3
-
-#: Default exponential-backoff base between re-offers of a failed task.
-DEFAULT_BACKOFF_BASE = 0.5
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS sweeps (
@@ -198,34 +178,10 @@ CREATE TABLE IF NOT EXISTS idempotency (
 IDEMPOTENCY_TTL = 3600.0
 
 
-def resolve_down_grace(down_grace: Optional[float] = None) -> float:
-    """The effective grace window for polling an unreachable broker:
-    the explicit argument, else ``REPRO_BROKER_GRACE``, else 60 s."""
-    if down_grace is not None:
-        return float(down_grace)
-    raw = os.environ.get(BROKER_GRACE_ENV, "").strip()
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            raise BrokerError(
-                f"{BROKER_GRACE_ENV} must be a number, got {raw!r}"
-            ) from None
-    return DEFAULT_DOWN_GRACE
-
-
 def _resolve_priority(priority: Optional[int]) -> int:
     if priority is not None:
         return int(priority)
-    raw = os.environ.get(PRIORITY_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise BrokerError(
-            f"{PRIORITY_ENV} must be an integer, got {raw!r}"
-        ) from None
+    return env_number(PRIORITY_ENV, int, 0, BrokerError)
 
 
 #: Longest default task label, in characters.
@@ -361,11 +317,12 @@ class Broker:
 
     Args:
         directory: the broker root (created unless ``create=False``).
-        lease_ttl: seconds a claim stays valid without a heartbeat.
+        lease_ttl: seconds a claim stays valid without a heartbeat;
+            ``REPRO_LEASE_TTL`` (else :data:`repro.net.LEASE_TTL`) when
+            ``None``.
         max_attempts: claims allowed per task before quarantine.
         backoff_base: exponential-backoff base (seconds) between
-            re-offers; the ``REPRO_BACKOFF_BASE`` environment variable
-            when ``None``, falling back to 0.5 s.
+            re-offers.
         fsync: fsync result files before publishing them, and queue
             commits (off for throwaway queues and tests, where losing
             a result to power loss is fine).
@@ -379,32 +336,20 @@ class Broker:
         self,
         directory,
         lease_ttl: Optional[float] = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff_base: Optional[float] = None,
+        max_attempts: int = MAX_ATTEMPTS,
+        backoff_base: float = BACKOFF_BASE,
         fsync: bool = True,
     ):
         if lease_ttl is None:
-            raw = os.environ.get(LEASE_TTL_ENV, "").strip()
-            try:
-                lease_ttl = float(raw) if raw else DEFAULT_LEASE_TTL
-            except ValueError:
-                raise BrokerError(
-                    f"{LEASE_TTL_ENV} must be a number, got {raw!r}"
-                ) from None
+            lease_ttl = env_number(
+                LEASE_TTL_ENV, float, LEASE_TTL, BrokerError
+            )
         if lease_ttl <= 0:
             raise BrokerError(f"lease_ttl must be positive, got {lease_ttl}")
         if max_attempts < 1:
             raise BrokerError(
                 f"max_attempts must be >= 1, got {max_attempts}"
             )
-        if backoff_base is None:
-            raw = os.environ.get(BACKOFF_BASE_ENV, "").strip()
-            try:
-                backoff_base = float(raw) if raw else DEFAULT_BACKOFF_BASE
-            except ValueError:
-                raise BrokerError(
-                    f"{BACKOFF_BASE_ENV} must be a number, got {raw!r}"
-                ) from None
         if backoff_base < 0:
             raise BrokerError(
                 f"backoff_base must be >= 0, got {backoff_base}"
@@ -1169,8 +1114,8 @@ class Broker:
 def connect(
     target,
     lease_ttl: Optional[float] = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base: Optional[float] = None,
+    max_attempts: int = MAX_ATTEMPTS,
+    backoff_base: float = BACKOFF_BASE,
     fsync: bool = True,
 ):
     """The broker transport for *target*: an ``http(s)://`` URL returns
@@ -1179,19 +1124,15 @@ def connect(
 
     Both transports expose the same claim/lease surface, so callers —
     :func:`worker_loop`, the harness, the CLI verbs — never branch on
-    which one they got.
+    which one they got.  The lease arguments configure a filesystem
+    broker only: a client adopts its server's lease semantics.
     """
     if isinstance(target, str) and target.startswith(
         ("http://", "https://")
     ):
         from repro.experiments.broker_net import HTTPBroker
 
-        return HTTPBroker(
-            target,
-            lease_ttl=lease_ttl,
-            max_attempts=max_attempts,
-            backoff_base=backoff_base,
-        )
+        return HTTPBroker(target)
     return Broker(
         target,
         lease_ttl=lease_ttl,
@@ -1273,15 +1214,14 @@ def worker_loop(
     directory,
     worker: Optional[str] = None,
     lease_ttl: Optional[float] = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base: Optional[float] = None,
+    max_attempts: int = MAX_ATTEMPTS,
+    backoff_base: float = BACKOFF_BASE,
     task_timeout: Optional[float] = None,
     timeout_kills: bool = False,
     poll_interval: float = 0.2,
     drain: bool = True,
     max_tasks: Optional[int] = None,
     log: Optional[Callable] = None,
-    down_grace: Optional[float] = None,
     durable: bool = True,
 ) -> int:
     """Claim and run tasks from the broker at *directory* (a path or an
@@ -1297,8 +1237,8 @@ def worker_loop(
     Over the HTTP transport the loop degrades instead of crashing: an
     unreachable server is polled (cheaply — the transport's breaker
     answers without touching the network inside its cooldown) until it
-    returns or *down_grace* (``REPRO_BROKER_GRACE``, 60 s) of
-    continuous unavailability passes while draining; a completion the
+    returns or :data:`repro.net.DOWN_GRACE` seconds of continuous
+    unavailability pass while draining; a completion the
     server never acknowledged is simply recomputed by a later claim
     and deduped by content key.
 
@@ -1312,8 +1252,6 @@ def worker_loop(
         drain: return once no task is runnable or running anywhere in
             the queue; ``False`` keeps serving until interrupted.
         max_tasks: stop after this many completed claims (tests).
-        down_grace: seconds of continuous broker unavailability a
-            draining worker tolerates before giving up.
         durable: ``False`` for a throwaway queue that nothing resumes
             from: tasks run without a checkpoint directory and results
             are not fsynced.
@@ -1321,7 +1259,6 @@ def worker_loop(
     Returns:
         the number of tasks this worker completed.
     """
-    down_grace = resolve_down_grace(down_grace)
     worker = worker or default_worker_id()
     started = time.monotonic()
     while True:
@@ -1338,7 +1275,7 @@ def worker_loop(
             )
             break
         except BrokerUnavailableError as exc:
-            if time.monotonic() - started > down_grace:
+            if time.monotonic() - started > DOWN_GRACE:
                 raise
             if log is not None:
                 log(f"worker {worker}: {exc}; waiting for broker")
@@ -1371,11 +1308,11 @@ def worker_loop(
                 down_since = now
                 if log is not None:
                     log(f"worker {worker}: {exc}; polling")
-            if drain and now - down_since > down_grace:
+            if drain and now - down_since > DOWN_GRACE:
                 if log is not None:
                     log(
                         f"worker {worker}: broker still unreachable "
-                        f"after {down_grace:g}s; giving up"
+                        f"after {DOWN_GRACE:g}s; giving up"
                     )
                 return completed
             time.sleep(poll_interval)

@@ -16,10 +16,10 @@ backend, and the CLI verbs work against either transport unchanged
 Robustness model, layer by layer:
 
 bounded timeouts + retries
-    Every request carries a timeout (``REPRO_BROKER_TIMEOUT``) and a
-    bounded exponential-backoff-with-jitter retry budget
-    (``REPRO_BROKER_RETRIES``); a hard-down server costs a few bounded
-    timeouts, never a hang.
+    Every request carries a timeout (:data:`repro.net.BROKER_TIMEOUT`)
+    and a bounded exponential-backoff-with-jitter retry budget
+    (:data:`repro.net.TRANSPORT_ATTEMPTS`); a hard-down server costs a
+    few bounded timeouts, never a hang.
 
 idempotency keys
     Every mutating request carries a fresh ``Idempotency-Key`` header,
@@ -33,7 +33,7 @@ idempotency keys
 circuit breaker
     The first exhausted retry budget trips a cooldown breaker (shared
     implementation with :class:`repro.store.cas.HTTPStore`); until the
-    cooldown (``REPRO_BROKER_COOLDOWN``) elapses every call raises
+    cooldown (:data:`repro.net.BROKER_COOLDOWN`) elapses every call raises
     :class:`~repro.errors.BrokerUnavailableError` instantly, no
     network.  A dead server costs a worker at most one timeout per
     cooldown window.
@@ -87,7 +87,6 @@ from repro.errors import BrokerError, BrokerUnavailableError, LeaseLostError
 from repro.experiments.broker import (
     BROKER_URL_ENV,
     Broker,
-    DEFAULT_MAX_ATTEMPTS,
     Lease,
     _resolve_priority,
     default_worker_id,
@@ -95,6 +94,12 @@ from repro.experiments.broker import (
 )
 from repro.experiments.results_db import ResultsDB, format_diff
 from repro.net import (
+    BACKOFF_BASE,
+    BROKER_COOLDOWN,
+    BROKER_TIMEOUT,
+    LEASE_TTL,
+    MAX_ATTEMPTS,
+    TRANSPORT_ATTEMPTS,
     AuthPolicy,
     CooldownBreaker,
     RetryPolicy,
@@ -106,33 +111,12 @@ from repro.taxonomy import broker_down_reason
 from repro.telemetry.context import current_recorder
 
 __all__ = [
-    "BROKER_COOLDOWN_ENV",
-    "BROKER_RETRIES_ENV",
-    "BROKER_TIMEOUT_ENV",
     "BROKER_URL_ENV",
     "BrokerRequestHandler",
-    "DEFAULT_BROKER_COOLDOWN",
-    "DEFAULT_BROKER_RETRIES",
-    "DEFAULT_BROKER_TIMEOUT",
     "HTTPBroker",
     "make_broker_server",
     "serve",
 ]
-
-#: Per-request timeout (seconds) for the HTTP broker transport.
-BROKER_TIMEOUT_ENV = "REPRO_BROKER_TIMEOUT"
-DEFAULT_BROKER_TIMEOUT = 5.0
-
-#: Seconds the transport's breaker stays open after the retry budget is
-#: spent; within the window every call fails instantly, no network.
-#: Shorter than the store's cooldown — the broker is the work source,
-#: so workers should re-probe a recovering server promptly.
-BROKER_COOLDOWN_ENV = "REPRO_BROKER_COOLDOWN"
-DEFAULT_BROKER_COOLDOWN = 5.0
-
-#: Tries per logical request (including the first).
-BROKER_RETRIES_ENV = "REPRO_BROKER_RETRIES"
-DEFAULT_BROKER_RETRIES = 3
 
 #: Refuse request bodies above this size (mirrors the store server).
 MAX_BODY = 256 * 1024 * 1024
@@ -140,16 +124,6 @@ MAX_BODY = 256 * 1024 * 1024
 _PAYLOAD_RE = re.compile(
     r"^/api/payload/([A-Za-z0-9._-]{1,80})/([0-9a-f]{8,64})$"
 )
-
-
-def _env_number(name: str, cast, fallback):
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise BrokerError(f"{name} must be a number, got {raw!r}") from None
 
 
 def _b64(data: bytes) -> str:
@@ -172,9 +146,9 @@ class HTTPBroker:
     the *server's* broker (it runs the transactions); the constructor
     handshakes ``/api/ping`` and adopts the server's values, so the
     heartbeat cadence and supervision math on this side match what the
-    queue actually enforces.  The ``lease_ttl``/``max_attempts``/
-    ``backoff_base`` arguments are accepted for signature parity with
-    :class:`Broker` and intentionally ignored.
+    queue actually enforces.  *timeout*, *cooldown* and *retries*
+    (tries per request) default to the :mod:`repro.net` transport
+    constants; tests shorten them to drill outages quickly.
 
     Raises:
         BrokerUnavailableError: the server cannot be reached (after the
@@ -187,30 +161,15 @@ class HTTPBroker:
     def __init__(
         self,
         url: str,
-        lease_ttl: Optional[float] = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff_base: Optional[float] = None,
-        timeout: Optional[float] = None,
-        cooldown: Optional[float] = None,
-        retries: Optional[int] = None,
+        timeout: float = BROKER_TIMEOUT,
+        cooldown: float = BROKER_COOLDOWN,
+        retries: int = TRANSPORT_ATTEMPTS,
         token: Optional[str] = None,
     ) -> None:
         if not url.startswith(("http://", "https://")):
             raise BrokerError(f"not an http(s) broker URL: {url!r}")
         self.url = url.rstrip("/")
         self.directory = None
-        if timeout is None:
-            timeout = _env_number(
-                BROKER_TIMEOUT_ENV, float, DEFAULT_BROKER_TIMEOUT
-            )
-        if cooldown is None:
-            cooldown = _env_number(
-                BROKER_COOLDOWN_ENV, float, DEFAULT_BROKER_COOLDOWN
-            )
-        if retries is None:
-            retries = _env_number(
-                BROKER_RETRIES_ENV, int, DEFAULT_BROKER_RETRIES
-            )
         self.timeout = float(timeout)
         self._breaker = CooldownBreaker(float(cooldown))
         self._retry = RetryPolicy(attempts=int(retries), base=0.1, cap=2.0)
@@ -219,9 +178,9 @@ class HTTPBroker:
         self._telemetry_run = None
         # Handshake: adopt the queue's actual lease semantics.
         cfg = self._call("/api/ping")
-        self.lease_ttl = float(cfg.get("lease_ttl", 30.0))
-        self.max_attempts = int(cfg.get("max_attempts", max_attempts))
-        self.backoff_base = float(cfg.get("backoff_base", 0.5))
+        self.lease_ttl = float(cfg.get("lease_ttl", LEASE_TTL))
+        self.max_attempts = int(cfg.get("max_attempts", MAX_ATTEMPTS))
+        self.backoff_base = float(cfg.get("backoff_base", BACKOFF_BASE))
         self.readonly = bool(cfg.get("readonly", False))
 
     @property
@@ -866,8 +825,7 @@ def make_broker_server(
     host: str = "127.0.0.1",
     port: int = 0,
     lease_ttl: Optional[float] = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base: Optional[float] = None,
+    max_attempts: int = MAX_ATTEMPTS,
     token: Optional[str] = None,
     readonly: bool = False,
     verbose: bool = False,
@@ -887,8 +845,7 @@ def make_broker_server(
     server = ThreadingHTTPServer((host, port), handler)
     server.daemon_threads = True
     server.broker = Broker(
-        directory, lease_ttl=lease_ttl, max_attempts=max_attempts,
-        backoff_base=backoff_base,
+        directory, lease_ttl=lease_ttl, max_attempts=max_attempts
     )
     server.auth = AuthPolicy(token=resolve_token(token), readonly=readonly)
     # ResultsDB holds one sqlite connection (not thread-safe), so the
@@ -912,8 +869,7 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8751,
     lease_ttl: Optional[float] = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base: Optional[float] = None,
+    max_attempts: int = MAX_ATTEMPTS,
     token: Optional[str] = None,
     readonly: bool = False,
     verbose: bool = False,
@@ -922,8 +878,8 @@ def serve(
     ``serve`` CLI verb of ``python -m repro.experiments``)."""
     server = make_broker_server(
         directory, host=host, port=port, lease_ttl=lease_ttl,
-        max_attempts=max_attempts, backoff_base=backoff_base,
-        token=token, readonly=readonly, verbose=verbose,
+        max_attempts=max_attempts, token=token, readonly=readonly,
+        verbose=verbose,
     )
     bound_host, bound_port = server.server_address[:2]
     print(

@@ -89,6 +89,7 @@ from repro.experiments.broker import (
     BROKER_URL_ENV,
     task_label,
 )
+from repro.net import DOWN_GRACE, env_number
 from repro.sim.checkpoint import task_checkpoint_dir
 from repro.telemetry.context import current_recorder, set_recorder
 from repro.telemetry.recorder import TraceRecorder
@@ -96,11 +97,10 @@ from repro.telemetry.recorder import TraceRecorder
 #: Environment variable overriding the default worker count.
 JOBS_ENV = "REPRO_JOBS"
 
-#: Environment variables giving the per-task retry knobs defaults
-#: (CLI ``--task-timeout`` / ``--task-retries`` write them through, so
-#: workers and resumed runs see the same budgets).
+#: Environment variable giving the per-task timeout its default (CLI
+#: ``--task-timeout`` writes it through, so workers and resumed runs
+#: see the same budget).
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-TASK_RETRIES_ENV = "REPRO_TASK_RETRIES"
 
 #: Local worker count for a durable queue (a broker directory or
 #: server, or a run dir).  Resolved on the host that runs the workers
@@ -136,46 +136,19 @@ def worker_count(jobs: Optional[int] = None) -> int:
             environment variable, then to ``os.cpu_count()``.
     """
     if jobs is None:
-        env = os.environ.get(JOBS_ENV, "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ExperimentError(
-                    f"{JOBS_ENV} must be an integer, got {env!r}"
-                ) from None
-        else:
+        jobs = env_number(JOBS_ENV, int, None, ExperimentError)
+        if jobs is None:
             jobs = os.cpu_count() or 1
     return max(1, int(jobs))
 
 
-def _env_number(name: str, cast, fallback):
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ExperimentError(
-            f"{name} must be a number, got {raw!r}"
-        ) from None
-
-
 def resolve_timeout(timeout: Optional[float]) -> Optional[float]:
     """The effective per-task timeout: the explicit argument, else the
-    ``REPRO_TASK_TIMEOUT`` environment variable, else no timeout."""
-    if timeout is not None:
-        return timeout
-    value = _env_number(TASK_TIMEOUT_ENV, float, None)
-    return value if value and value > 0 else None
-
-
-def resolve_retries(retries: Optional[int]) -> int:
-    """The effective per-task retry budget: the explicit argument, else
-    the ``REPRO_TASK_RETRIES`` environment variable, else 0."""
-    if retries is not None:
-        return retries
-    return _env_number(TASK_RETRIES_ENV, int, 0)
+    ``REPRO_TASK_TIMEOUT`` environment variable, else no timeout.  Zero
+    or a negative value, from either source, means no timeout."""
+    if timeout is None:
+        timeout = env_number(TASK_TIMEOUT_ENV, float, None, ExperimentError)
+    return timeout if timeout is not None and timeout > 0 else None
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -200,7 +173,6 @@ def run_tasks(
     log: Optional[Callable] = None,
     labels: Optional[Sequence[str]] = None,
     timeout: Optional[float] = None,
-    retries: Optional[int] = None,
     start_method: Optional[str] = None,
     backend: Optional[str] = None,
     broker_dir=None,
@@ -226,14 +198,11 @@ def run_tasks(
             backoff until its attempt budget is spent, and then
             :class:`TaskTimeoutError` is raised.  Defaults to the
             ``REPRO_TASK_TIMEOUT`` environment variable (no timeout
-            when unset).  Not enforced in-process (``jobs=1``), which
-            cannot interrupt a call.
-        retries: extra attempts allowed per task; defaults to the
-            ``REPRO_TASK_RETRIES`` environment variable, else 0.  A
-            task always gets at least the broker's default attempt
-            budget, so one worker death never quarantines it.  Re-offers
-            back off exponentially (``REPRO_BACKOFF_BASE`` seconds,
-            doubling per attempt).
+            when unset, zero or negative).  Not enforced in-process
+            (``jobs=1``), which cannot interrupt a call.  Each task
+            gets :data:`repro.net.MAX_ATTEMPTS` claims, so one worker
+            death never quarantines it; re-offers back off
+            exponentially from :data:`repro.net.BACKOFF_BASE` seconds.
         start_method: multiprocessing start method for local workers
             (``fork`` / ``spawn`` / ``forkserver``); the platform
             default when omitted.  Non-fork workers do not inherit the
@@ -262,12 +231,9 @@ def run_tasks(
         raise ExperimentError(
             f"got {len(labels)} labels for {total} tasks"
         )
-    timeout = resolve_timeout(timeout)
-    retries = resolve_retries(retries)
     if timeout is not None and timeout <= 0:
         raise ExperimentError(f"timeout must be positive, got {timeout}")
-    if retries < 0:
-        raise ExperimentError(f"retries must be >= 0, got {retries}")
+    timeout = resolve_timeout(timeout)
     if backend not in (None, "broker"):
         raise ExperimentError(
             f"backend must be None or 'broker', got {backend!r}"
@@ -287,7 +253,7 @@ def run_tasks(
     rec = current_recorder()
     rec = rec if rec.enabled else None
     sweep = functools.partial(
-        _run_broker, fn, tasks, labels, jobs, log, timeout, retries, rec,
+        _run_broker, fn, tasks, labels, jobs, log, timeout, rec,
         start_method=start_method,
     )
     # *broker_dir* may be a directory or an http(s):// URL — the
@@ -436,7 +402,7 @@ def _broker_local_workers(jobs: Optional[int], total: int) -> int:
     other hosts); otherwise the usual :func:`worker_count` resolution —
     of *this* host's environment, never anything recorded in the queue.
     """
-    override = _env_number(BROKER_WORKERS_ENV, int, None)
+    override = env_number(BROKER_WORKERS_ENV, int, None, ExperimentError)
     if override is not None:
         return max(0, min(override, total))
     return min(worker_count(jobs), total)
@@ -449,7 +415,6 @@ def _run_broker(
     jobs: Optional[int],
     log: Optional[Callable],
     timeout: Optional[float],
-    retries: int,
     rec,
     target,
     start_method: Optional[str] = None,
@@ -466,12 +431,7 @@ def _run_broker(
     last resort, so a genuine poison task raises its real traceback in
     the caller.
     """
-    from repro.experiments.broker import (
-        DEFAULT_MAX_ATTEMPTS,
-        Lease,
-        connect,
-        task_key,
-    )
+    from repro.experiments.broker import Lease, connect, task_key
     from repro.experiments.results_db import ResultsDB
 
     traced = rec is not None
@@ -483,11 +443,7 @@ def _run_broker(
         run_fn = functools.partial(
             _telemetry_task, fn, tuple(sorted(rec.categories))
         )
-    # Worker deaths must not instantly quarantine: grant the broker at
-    # least its own default budget even when the caller asked for zero
-    # retries.
-    max_attempts = max(retries + 1, DEFAULT_MAX_ATTEMPTS)
-    broker = connect(target, max_attempts=max_attempts, fsync=durable)
+    broker = connect(target, fsync=durable)
     total = len(tasks)
     sweep = broker.enqueue(run_fn, tasks, labels=labels, traced=traced)
     if durable:
@@ -613,14 +569,12 @@ def _drive_broker_sweep(
     infinite respawn loop).
 
     A networked broker may drop out mid-sweep: the supervision loops
-    here poll through outages for the down-grace window
-    (``REPRO_BROKER_GRACE``) and only then let
-    :class:`BrokerUnavailableError` propagate — which ``run_tasks``
-    turns into the single-host fallback.
+    here poll through outages for :data:`repro.net.DOWN_GRACE` seconds
+    and only then let :class:`BrokerUnavailableError` propagate — which
+    ``run_tasks`` turns into the single-host fallback.
     """
-    from repro.experiments.broker import resolve_down_grace, worker_loop
+    from repro.experiments.broker import worker_loop
 
-    grace = resolve_down_grace(None)
     down_since = None
 
     def outage(exc) -> None:
@@ -631,8 +585,8 @@ def _drive_broker_sweep(
         if down_since is None:
             down_since = now
             if log is not None:
-                log(f"broker: {exc}; waiting up to {grace:.0f}s")
-        if now - down_since > grace:
+                log(f"broker: {exc}; waiting up to {DOWN_GRACE:.0f}s")
+        if now - down_since > DOWN_GRACE:
             raise exc
 
     if local == 1:

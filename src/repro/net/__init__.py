@@ -3,7 +3,11 @@
 Two subsystems speak HTTP over stdlib sockets — the artifact store
 (:mod:`repro.store`) and the networked sweep broker
 (:mod:`repro.experiments.broker_net`) — and both need the same three
-defenses.  This module is their single implementation:
+defenses.  This module is their single implementation, and the one
+place that decides how a remote endpoint or a task is retried, timed
+out and given up on: every retry, backoff, cooldown and grace default
+is a constant below (only the lease TTL and the per-task timeout stay
+settable from the environment, through :func:`env_number`).
 
 :class:`CooldownBreaker`
     A cooldown circuit breaker with a negative-result cache.  The first
@@ -44,11 +48,76 @@ from typing import Dict, Iterator, Optional, Tuple
 __all__ = [
     "AUTH_TOKEN_ENV",
     "AuthPolicy",
+    "BACKOFF_BASE",
+    "BROKER_COOLDOWN",
+    "BROKER_TIMEOUT",
     "CooldownBreaker",
+    "DOWN_GRACE",
+    "LEASE_TTL",
+    "MAX_ATTEMPTS",
     "RetryPolicy",
+    "STORE_COOLDOWN",
+    "STORE_TIMEOUT",
+    "TRANSPORT_ATTEMPTS",
     "bearer_headers",
+    "env_number",
     "resolve_token",
 ]
+
+#: Seconds a broker lease lives between heartbeats (``REPRO_LEASE_TTL``
+#: overrides it).  Workers renew at a third of this, so a healthy
+#: worker never comes near expiry while a dead one is reclaimed within
+#: one TTL.
+LEASE_TTL = 30.0
+
+#: Claims allowed per task before quarantine (first attempt included).
+MAX_ATTEMPTS = 3
+
+#: Base (seconds) of the exponential backoff between re-offers of a
+#: failed task: attempt *n* waits ``BACKOFF_BASE * 2**(n-1)``.
+BACKOFF_BASE = 0.5
+
+#: Seconds a worker or submitter keeps polling a hard-down networked
+#: broker before abandoning the wait.
+DOWN_GRACE = 60.0
+
+#: Per-request timeout (seconds) of the HTTP broker transport.
+BROKER_TIMEOUT = 5.0
+
+#: Seconds the broker transport's breaker stays open once a request's
+#: tries are spent.  Shorter than the store's: the broker is the work
+#: source, so workers re-probe a recovering server promptly.
+BROKER_COOLDOWN = 5.0
+
+#: Seconds an HTTP store tier may take before it is declared slow and
+#: tripped into its cooldown.
+STORE_TIMEOUT = 2.0
+
+#: Seconds a failed store tier stays tripped — every operation an
+#: instant miss — before it is probed again.  Negative results (a
+#: digest or ref the tier did not have) are cached for the same window.
+STORE_COOLDOWN = 30.0
+
+#: Tries per logical broker-transport request, the first included.
+TRANSPORT_ATTEMPTS = 3
+
+
+def env_number(name: str, cast, default, error_cls):
+    """The environment variable *name* parsed with *cast* (``int`` or
+    ``float``), or *default* when it is unset or blank.
+
+    A value *cast* rejects raises *error_cls* naming the variable, so
+    each caller keeps its own error type.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        return cast(raw)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise error_cls(f"{name}={raw!r} is not {kind}") from None
+
 
 #: Environment variable holding the shared bearer token.  Servers
 #: started with ``--token`` (or this variable) require it on every
@@ -179,7 +248,7 @@ class RetryPolicy:
         jitter: disable only in tests that need exact timings.
     """
 
-    def __init__(self, attempts: int = 3, base: float = 0.1,
+    def __init__(self, attempts: int = TRANSPORT_ATTEMPTS, base: float = 0.1,
                  cap: float = 2.0, jitter: bool = True) -> None:
         self.attempts = max(1, int(attempts))
         self.base = float(base)

@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.errors import CheckpointError, StoreError
+from repro.net import env_number
 
 __all__ = [
     "CHECKPOINT_INTERVAL_ENV",
@@ -379,15 +380,10 @@ def task_checkpoint_manager(
         return None
     if subdir:
         directory = os.path.join(directory, subdir)
-    interval = DEFAULT_CHECKPOINT_INTERVAL
-    raw = os.environ.get(CHECKPOINT_INTERVAL_ENV, "").strip()
-    if raw:
-        try:
-            interval = float(raw)
-        except ValueError as exc:
-            raise CheckpointError(
-                f"{CHECKPOINT_INTERVAL_ENV}={raw!r} is not a number"
-            ) from exc
+    interval = env_number(
+        CHECKPOINT_INTERVAL_ENV, float, DEFAULT_CHECKPOINT_INTERVAL,
+        CheckpointError,
+    )
     store = None
     ref = None
     name = os.environ.get(TASK_CHECKPOINT_REF_ENV, "").strip()

@@ -26,8 +26,6 @@ import os
 from typing import List, Optional
 
 from repro.store.cas import (
-    DEFAULT_COOLDOWN,
-    DEFAULT_TIMEOUT,
     HTTPStore,
     LocalStore,
     TieredStore,
@@ -37,8 +35,6 @@ from repro.store.cas import (
 )
 
 __all__ = [
-    "DEFAULT_COOLDOWN",
-    "DEFAULT_TIMEOUT",
     "HTTPStore",
     "LocalStore",
     "STORE_DIR_ENV",

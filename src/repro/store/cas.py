@@ -64,12 +64,16 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import StoreCorruptionError, StoreError
-from repro.net import CooldownBreaker, bearer_headers, resolve_token
+from repro.net import (
+    STORE_COOLDOWN,
+    STORE_TIMEOUT,
+    CooldownBreaker,
+    bearer_headers,
+    resolve_token,
+)
 from repro.telemetry.context import current_recorder
 
 __all__ = [
-    "DEFAULT_COOLDOWN",
-    "DEFAULT_TIMEOUT",
     "HTTPStore",
     "LocalStore",
     "TieredStore",
@@ -77,19 +81,6 @@ __all__ = [
     "object_digest",
     "parse_store_url",
 ]
-
-#: Seconds an HTTP-tier request may take before the tier is declared
-#: slow and tripped into its cooldown (``REPRO_STORE_TIMEOUT``).
-DEFAULT_TIMEOUT = 2.0
-
-#: Seconds a failed remote tier stays tripped — every operation is an
-#: instant miss — before it is probed again (``REPRO_STORE_COOLDOWN``).
-#: Negative results (a digest or ref the tier did not have) are cached
-#: for the same window, so a cold remote is not re-asked per lookup.
-DEFAULT_COOLDOWN = 30.0
-
-STORE_TIMEOUT_ENV = "REPRO_STORE_TIMEOUT"
-STORE_COOLDOWN_ENV = "REPRO_STORE_COOLDOWN"
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 _REF_PART_RE = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -492,23 +483,19 @@ class HTTPStore:
     network) until *cooldown* elapses, so a dead server costs one
     bounded *timeout*, not one per lookup.  Negative results — a digest
     or ref the server answered 404 for — are remembered for the same
-    window.
+    window.  Both default to the :mod:`repro.net` store constants.
     """
 
     def __init__(
         self,
         url: str,
-        timeout: Optional[float] = None,
-        cooldown: Optional[float] = None,
+        timeout: float = STORE_TIMEOUT,
+        cooldown: float = STORE_COOLDOWN,
         token: Optional[str] = None,
     ) -> None:
         if not url.startswith(("http://", "https://")):
             raise StoreError(f"not an http(s) store URL: {url!r}")
         self.url = url.rstrip("/")
-        if timeout is None:
-            timeout = _env_float(STORE_TIMEOUT_ENV, DEFAULT_TIMEOUT)
-        if cooldown is None:
-            cooldown = _env_float(STORE_COOLDOWN_ENV, DEFAULT_COOLDOWN)
         self.timeout = float(timeout)
         self.cooldown = float(cooldown)
         self.stats = _TierStats()
@@ -717,16 +704,6 @@ class HTTPStore:
         counts = self.stats.as_dict()
         counts["tripped"] = self.tripped
         return counts
-
-
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise StoreError(f"{name} must be a number, got {raw!r}") from None
 
 
 def parse_store_url(text: str) -> list:

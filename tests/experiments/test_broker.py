@@ -22,7 +22,6 @@ import pytest
 from repro.errors import BrokerError, ExperimentError, LeaseLostError
 from repro.experiments import harness
 from repro.experiments.broker import (
-    BACKOFF_BASE_ENV,
     BROKER_DIR_ENV,
     Broker,
     LEASE_TTL_ENV,
@@ -324,22 +323,15 @@ def test_lease_ttl_env(tmp_path, monkeypatch):
         Broker(tmp_path)
 
 
-def test_backoff_base_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(BACKOFF_BASE_ENV, "0.125")
-    assert Broker(tmp_path).backoff_base == 0.125
-    monkeypatch.setenv(BACKOFF_BASE_ENV, "junk")
-    with pytest.raises(BrokerError, match=BACKOFF_BASE_ENV):
-        Broker(tmp_path)
-
-
 def test_harness_timeout_and_retry_envs(monkeypatch):
     monkeypatch.setenv(harness.TASK_TIMEOUT_ENV, "12.5")
-    monkeypatch.setenv(harness.TASK_RETRIES_ENV, "4")
     assert harness.resolve_timeout(None) == 12.5
-    assert harness.resolve_retries(None) == 4
     # Explicit arguments beat the environment.
     assert harness.resolve_timeout(3.0) == 3.0
-    assert harness.resolve_retries(0) == 0
+    # Zero or less means no timeout, from either source.
+    assert harness.resolve_timeout(0.0) is None
+    monkeypatch.setenv(harness.TASK_TIMEOUT_ENV, "-1")
+    assert harness.resolve_timeout(None) is None
     monkeypatch.setenv(harness.TASK_TIMEOUT_ENV, "junk")
     with pytest.raises(ExperimentError):
         harness.resolve_timeout(None)
@@ -402,7 +394,6 @@ def test_run_tasks_broker_rescues_quarantined_serially(tmp_path):
     with pytest.raises(ValueError, match="exploded"):
         run_tasks(
             _boom, [1], jobs=1, backend="broker", broker_dir=tmp_path,
-            retries=1,
         )
 
 

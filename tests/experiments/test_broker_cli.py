@@ -11,6 +11,7 @@ worker subprocess without test-module path games.
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from repro.experiments.broker import Broker, worker_loop
@@ -46,6 +47,18 @@ def test_work_drains_and_status_reports_settled(tmp_path):
     status = _cli("status", str(tmp_path))
     assert f"{sweep} [settled]" in status.stdout
     assert "3/3 done" in status.stdout
+
+
+def test_work_task_timeout_zero_means_no_timeout(tmp_path):
+    """``work --task-timeout 0`` means no timeout, as on the main CLI:
+    the worker drains the queue instead of SIGKILLing itself at each
+    claim."""
+    broker = Broker(tmp_path)
+    sweep = broker.enqueue(time.sleep, [0.2, 0.3])
+    out = _cli("work", str(tmp_path), "--jobs", "1", "--task-timeout", "0")
+    assert out.returncode == 0, out.stderr
+    assert "worker drained: 2 task(s) completed" in out.stdout
+    assert broker.replay(sweep) == {0: None, 1: None}
 
 
 def test_work_honors_worker_host_jobs_env(tmp_path):

@@ -29,11 +29,6 @@ def _nap_square(task):
 
 
 def _net_worker(url):
-    # Fast transport knobs so the outage costs polling, not minutes.
-    os.environ["REPRO_BROKER_TIMEOUT"] = "2.0"
-    os.environ["REPRO_BROKER_RETRIES"] = "1"
-    os.environ["REPRO_BROKER_COOLDOWN"] = "0.2"
-    os.environ["REPRO_BROKER_GRACE"] = "60"
     worker_loop(url, poll_interval=0.05)
 
 

@@ -181,8 +181,6 @@ def test_env_drives_run_tasks(monkeypatch):
 def test_invalid_timeout_and_retries_rejected():
     with pytest.raises(ExperimentError, match="timeout"):
         run_tasks(_square, [1], jobs=1, timeout=0.0)
-    with pytest.raises(ExperimentError, match="retries"):
-        run_tasks(_square, [1], jobs=1, retries=-1)
 
 
 def test_timeout_raises_when_retries_exhausted():
@@ -213,7 +211,6 @@ def test_timeout_retry_recovers(tmp_path):
         [(7, flag), (8, steady)],
         jobs=2,
         timeout=1.0,
-        retries=2,
         log=lines.append,
         labels=["flaky", "steady"],
     )
@@ -276,7 +273,6 @@ def test_straggler_is_killed_and_pool_rebuilt(tmp_path):
         [(1, flag), (2, fast), (3, fast)],
         jobs=2,
         timeout=1.0,
-        retries=1,
         log=lines.append,
         labels=["straggler", "fast-a", "fast-b"],
     )

@@ -1,8 +1,10 @@
 """``resume DIR`` replays a ``--run-dir`` manifest from an older writer.
 
 Manifests written before the ``--no-coalesce`` flag was removed carry a
-``"no_coalesce"`` key.  ``resume`` reads only the keys it knows, so
-such a run directory still resumes, with the same stdout as a fresh
+``"no_coalesce"`` key, and manifests written before ``--task-retries``
+and ``--backoff-base`` were removed carry ``"task_retries"`` and
+``"backoff_base"``.  ``resume`` reads only the keys it knows, so such
+run directories still resume, with the same stdout as a fresh
 invocation.
 """
 
@@ -37,6 +39,14 @@ LEGACY_MANIFEST = {
     "priority": None,
 }
 
+#: A manifest as the writer with ``--task-retries``/``--backoff-base``
+#: produced it, with both flags given.
+RETRIES_MANIFEST = {
+    key: value for key, value in LEGACY_MANIFEST.items()
+    if key != "no_coalesce"
+}
+RETRIES_MANIFEST.update(task_retries=5, backoff_base=2.0)
+
 
 def _cli(*argv, cwd):
     env = dict(os.environ)
@@ -55,11 +65,15 @@ def _cli(*argv, cwd):
 
 def test_legacy_manifest_with_no_coalesce_resumes(tmp_path):
     fresh = _cli("--jobs", "1", "open_system", cwd=tmp_path)
-    run_dir = tmp_path / "run"
-    run_dir.mkdir()
-    (run_dir / "manifest.json").write_text(
-        json.dumps(LEGACY_MANIFEST, indent=2, sort_keys=True)
-    )
-    resumed = _cli("resume", str(run_dir), cwd=tmp_path)
     assert fresh.strip()
-    assert resumed == fresh
+    for name, manifest in [
+        ("no-coalesce", LEGACY_MANIFEST),
+        ("retries", RETRIES_MANIFEST),
+    ]:
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True)
+        )
+        resumed = _cli("resume", str(run_dir), cwd=tmp_path)
+        assert resumed == fresh, name

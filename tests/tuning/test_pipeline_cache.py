@@ -658,7 +658,6 @@ def test_remote_read_through_promotes(tmp_path, monkeypatch):
 def test_dead_remote_tier_degrades_to_recompute(tmp_path, monkeypatch):
     """An unreachable remote tier must never fail a build."""
     monkeypatch.setenv("REPRO_STORE_URL", "http://127.0.0.1:9")
-    monkeypatch.setenv("REPRO_STORE_TIMEOUT", "0.2")
     program, spec = make_phased_program(outer=4)
     cache = PipelineCache(disk_dir=tmp_path)
     tuned = tune_program(program, LoopStrategy(20), spec=spec, cache=cache)
