@@ -135,9 +135,9 @@ def _store_bench(config, workdir) -> dict:
       without a store (this leg also leaves *workdir*/store warm);
     * ``warm_store``: empty local cache + the warm store as a remote
       tier — every entry is fetched and digest-verified, zero rebuilt;
-    * ``dead_remote``: empty local cache + an unreachable remote — the
-      breaker trips once and the host falls back to recompute with
-      identical results.
+    * ``dead_remote``: empty local cache + a remote tier directory that
+      does not exist — every lookup misses and the host falls back to
+      recompute with identical results.
     """
     names = sorted(
         Workload.random(config.slots, seed=config.seed).benchmark_names()
@@ -167,7 +167,8 @@ def _store_bench(config, workdir) -> dict:
             str(store_dir), Path(workdir) / "second-host"
         )
         dead, dead_stats, dead_refs = _leg(
-            "http://127.0.0.1:9", Path(workdir) / "cut-off-host"
+            str(Path(workdir) / "never-mounted"),
+            Path(workdir) / "cut-off-host",
         )
     finally:
         if saved is None:

@@ -79,9 +79,9 @@ class CheckpointError(SimulationError):
 
 class StoreError(ReproError):
     """Raised by :mod:`repro.store` for invalid usage (malformed digests
-    or ref names, an unusable store directory/URL).  Remote-tier
-    *transport* failures are never raised — a dead or slow tier degrades
-    to a miss — so a run can always fall back to local compute."""
+    or ref names, an ``http(s)://`` tier in ``REPRO_STORE_URL``).  A
+    missing or unreadable tier is never an error — it degrades to a
+    miss — so a run can always fall back to local compute."""
 
 
 class StoreCorruptionError(StoreError):
@@ -129,14 +129,6 @@ class BrokerError(ExperimentError):
     """Raised by :mod:`repro.experiments.broker` for invalid usage or a
     broker directory that cannot be opened/created (the harness catches
     this and degrades to a queue on its own host)."""
-
-
-class BrokerUnavailableError(BrokerError):
-    """A networked broker server cannot be reached: the transport's
-    retry budget is spent (or its circuit breaker is open) and the
-    operation never happened.  ``run_tasks`` catches this (via
-    :class:`BrokerError`) and degrades to a queue on its own host; workers
-    treat it as "poll again later" while their grace window lasts."""
 
 
 class LeaseLostError(BrokerError):

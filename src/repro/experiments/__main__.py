@@ -17,15 +17,14 @@ cache to disk: a second invocation rebuilds nothing and reports a 100%
 pipeline-cache hit rate in the stats line printed at the end.
 
 ``--store-url`` (or ``REPRO_STORE_URL``) adds shared artifact-store
-tiers — comma-separated ``http(s)://`` servers (``python -m
-repro.store serve``) and/or rsync-able directories — consulted on a
-local cache miss: a host that never ran the pipeline fetches every
-entry (digest-verified) instead of recomputing it.  ``--store-dir``
-(or ``REPRO_STORE_DIR``) names the local store directory used by
-broker results and checkpoint snapshots; the ``--cache-dir`` directory
-is itself a valid store, so it can be served or listed in another
-host's ``REPRO_STORE_URL`` directly.  A dead or slow remote tier costs
-one bounded timeout and the run falls back to local compute with
+tiers — comma-separated store directories (shared mounts or rsync'd
+copies) — consulted on a local cache miss: a host that never ran the
+pipeline fetches every entry (digest-verified) instead of recomputing
+it.  ``--store-dir`` (or ``REPRO_STORE_DIR``) names the local store
+directory used by broker results and checkpoint snapshots; the
+``--cache-dir`` directory is itself a valid store, so it can be listed
+in another host's ``REPRO_STORE_URL`` directly.  A missing or damaged
+tier is a miss and the run falls back to local compute with
 byte-identical output.
 
 ``--trace-out DIR`` (or the ``REPRO_TRACE_DIR`` environment variable)
@@ -55,26 +54,6 @@ Broker-backed sweeps (multi-worker, multi-host, fault-tolerant)::
     python -m repro.experiments status /shared/q              # queue + drift
     python -m repro.experiments bless /shared/q               # golden baseline
 
-Networked sweeps (no shared filesystem; see
-:mod:`repro.experiments.broker_net`)::
-
-    python -m repro.experiments serve /srv/q --port 8751      # broker host
-    python -m repro.experiments enqueue http://host:8751 fig6 &
-    python -m repro.experiments work http://host:8751          # any machine
-    python -m repro.experiments status http://host:8751 --watch
-
-Every broker verb accepts an ``http(s)://`` URL wherever it accepts a
-directory (or ``--broker-url``/``REPRO_BROKER_URL`` instead of the
-positional target).  The transport retries with backoff and jitter,
-carries idempotency keys on every mutating request, and trips a
-cooldown circuit breaker when the server is down — workers poll
-through outages for a 60 s grace window and results stay
-exactly-once through server crashes.  ``serve --token`` (or
-``REPRO_AUTH_TOKEN``, which clients also read) requires a bearer token
-on every request; ``--readonly`` serves status-only.  ``enqueue
---priority N`` claims higher-priority sweeps first (FIFO within a
-band).
-
 ``--broker-dir DIR`` (or ``REPRO_BROKER_DIR``) routes every sweep
 through the claim/lease task queue of :mod:`repro.experiments.broker`:
 tasks survive worker ``kill -9`` via lease reclamation, repeatedly
@@ -83,13 +62,15 @@ results are recorded idempotently by content key.  ``enqueue`` submits
 without computing (workers elsewhere run ``work``, which sizes itself
 from *its own* host's ``REPRO_JOBS``/``--jobs``, never the submitter's);
 ``status`` reports queue states, quarantines, sessions, and drift
-against the golden baseline recorded by ``bless``.
+against the golden baseline recorded by ``bless``.  ``enqueue
+--priority N`` claims higher-priority sweeps first (FIFO within a
+band).
 
 Per-task knobs (all backends): ``--task-timeout SECONDS`` (or
 ``REPRO_TASK_TIMEOUT``; zero or negative means no timeout) and
 ``--lease-ttl SECONDS`` (or ``REPRO_LEASE_TTL``) for broker leases.
-Attempt budgets, backoff, transport timeouts, cooldowns and the outage
-grace window are fixed in :mod:`repro.net`.
+The attempt budget and the backoff are constants in
+:mod:`repro.experiments.broker`.
 
 ``--run-dir DIR`` makes the invocation durable: the chosen experiments
 and options are written to ``DIR/manifest.json``, every sweep runs
@@ -127,15 +108,12 @@ from repro.experiments import (
 )
 from repro.experiments.broker import (
     BROKER_DIR_ENV,
-    BROKER_URL_ENV,
     LEASE_TTL_ENV,
     PRIORITY_ENV,
     Broker,
-    connect,
     worker_loop,
 )
-from repro.errors import BrokerError
-from repro.net import AUTH_TOKEN_ENV
+from repro.errors import BrokerError, StoreError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results_db import ResultsDB, format_diff
 from repro.sim.checkpoint import CHECKPOINT_INTERVAL_ENV
@@ -151,7 +129,7 @@ from repro.telemetry import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.store import STORE_DIR_ENV, STORE_URL_ENV
+from repro.store import STORE_DIR_ENV, STORE_URL_ENV, remote_tiers
 from repro.tuning.pipeline import CACHE_DIR_ENV, default_cache
 
 
@@ -305,10 +283,9 @@ def _parse_args(argv):
     parser.add_argument(
         "--store-url",
         default=None,
-        metavar="URL[,URL...]",
-        help="read artifacts through shared store tiers on a cache miss: "
-        "http(s) servers (python -m repro.store serve) and/or plain "
-        "directories, consulted in order (default: the REPRO_STORE_URL "
+        metavar="DIR[,DIR...]",
+        help="read artifacts through shared store directories on a cache "
+        "miss, consulted in order (default: the REPRO_STORE_URL "
         "environment variable, if set)",
     )
     parser.add_argument(
@@ -381,15 +358,6 @@ def _parse_args(argv):
         "see also the enqueue/work/status/bless verbs",
     )
     parser.add_argument(
-        "--broker-url",
-        default=None,
-        metavar="URL",
-        help="route sweeps through a networked broker server "
-        "(python -m repro.experiments serve DIR) instead of a shared "
-        "directory (default: the REPRO_BROKER_URL environment variable, "
-        "if set); broker verbs also accept the URL positionally",
-    )
-    parser.add_argument(
         "--priority",
         type=int,
         default=None,
@@ -397,34 +365,6 @@ def _parse_args(argv):
         help="with enqueue (or any broker-backed sweep): claim this "
         "sweep's tasks before lower-priority ones (default: "
         "REPRO_SWEEP_PRIORITY, else 0; FIFO within a priority band)",
-    )
-    parser.add_argument(
-        "--token",
-        default=None,
-        metavar="TOKEN",
-        help="bearer token for networked broker/store servers; with the "
-        "serve verb, require it on every request (default: the "
-        "REPRO_AUTH_TOKEN environment variable, if set)",
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        metavar="ADDR",
-        help="with the serve verb: address to bind (default: 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8751,
-        metavar="N",
-        help="with the serve verb: port to bind (default: 8751; "
-        "0 = ephemeral)",
-    )
-    parser.add_argument(
-        "--readonly",
-        action="store_true",
-        help="with the serve verb: reject mutating requests with 403 "
-        "(status-only mirror)",
     )
     parser.add_argument(
         "--forever",
@@ -501,7 +441,6 @@ _MANIFEST_KEYS = (
     "task_timeout",
     "lease_ttl",
     "broker_dir",
-    "broker_url",
     "priority",
 )
 
@@ -538,6 +477,15 @@ def _merge_manifest(run_dir: Path, args):
     return merged, list(manifest.get("names") or _EXPERIMENTS)
 
 
+def _check_store_tiers() -> None:
+    """Exit with the reason if ``REPRO_STORE_URL`` names a tier that
+    cannot be used, before any work starts."""
+    try:
+        remote_tiers()
+    except StoreError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
     """Run *chosen* experiments under *args*; the body shared by a
     fresh invocation and ``resume``."""
@@ -550,6 +498,7 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
         # Same routing as --cache-dir: workers (fork or spawn) and the
         # process-wide default_store() read the environment.
         os.environ[STORE_URL_ENV] = args.store_url
+    _check_store_tiers()
     if getattr(args, "store_dir", None):
         os.environ[STORE_DIR_ENV] = args.store_dir
     # Retry/broker knobs travel through the environment too, so sweep
@@ -560,14 +509,8 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
         os.environ[LEASE_TTL_ENV] = str(args.lease_ttl)
     if getattr(args, "broker_dir", None):
         os.environ[BROKER_DIR_ENV] = args.broker_dir
-    if getattr(args, "broker_url", None):
-        os.environ[BROKER_URL_ENV] = args.broker_url
     if getattr(args, "priority", None) is not None:
         os.environ[PRIORITY_ENV] = str(args.priority)
-    if getattr(args, "token", None):
-        # The token is never written to manifests — it travels through
-        # the environment only.
-        os.environ[AUTH_TOKEN_ENV] = args.token
     if args.trace_categories:
         os.environ[TRACE_CATEGORIES_ENV] = args.trace_categories
     if args.trace_out:
@@ -635,29 +578,26 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
 
 
 def _flag_target(args) -> str:
-    """The broker target from flags/environment (no positional)."""
+    """The broker directory from ``--broker-dir`` or
+    ``REPRO_BROKER_DIR`` (no positional)."""
     return (
-        getattr(args, "broker_url", None)
-        or os.environ.get(BROKER_URL_ENV, "").strip()
-        or getattr(args, "broker_dir", None)
+        getattr(args, "broker_dir", None)
         or os.environ.get(BROKER_DIR_ENV, "").strip()
     )
 
 
 def _verb_dir(args, verb: str) -> str:
-    """The verb's broker target: the positional argument, else
-    ``--broker-url``/``--broker-dir`` (or their environment variables).
-    Directories and ``http(s)://`` URLs are both valid everywhere."""
+    """The verb's broker directory: the positional argument, else
+    ``--broker-dir`` (or its environment variable)."""
     if len(args.names) >= 2:
         return args.names[1]
     target = _flag_target(args)
     if target:
         return target
     raise SystemExit(
-        f"usage: python -m repro.experiments {verb} TARGET"
+        f"usage: python -m repro.experiments {verb} DIR"
         + (" [experiment ...]" if verb == "enqueue" else "")
-        + " (TARGET = broker directory or http(s):// URL;"
-        " or pass --broker-url)"
+        + " (or pass --broker-dir)"
     )
 
 
@@ -665,28 +605,24 @@ def _cmd_enqueue(args) -> None:
     """Submit experiments through the broker and wait for workers.
 
     Spawns no local workers (``REPRO_BROKER_WORKERS=0``): the sweep is
-    claimable by ``work`` processes on any host sharing the directory
-    (or reaching the URL), and this invocation blocks until they
-    finish, then prints the experiment output exactly as a local run
-    would.
+    claimable by ``work`` processes on any host sharing the directory,
+    and this invocation blocks until they finish, then prints the
+    experiment output exactly as a local run would.
     """
     rest = args.names[1:]
     if rest and rest[0] not in _EXPERIMENTS:
         target, chosen = rest[0], rest[1:]
     else:
         # Every positional is an experiment name: the target must come
-        # from --broker-url/--broker-dir or the environment.
+        # from --broker-dir or the environment.
         target = _flag_target(args)
         chosen = rest
         if not target:
             raise SystemExit(
-                "usage: python -m repro.experiments enqueue TARGET "
-                "[experiment ...] (or pass --broker-url)"
+                "usage: python -m repro.experiments enqueue DIR "
+                "[experiment ...] (or pass --broker-dir)"
             )
-    if target.startswith(("http://", "https://")):
-        os.environ[BROKER_URL_ENV] = target
-    else:
-        os.environ[BROKER_DIR_ENV] = target
+    os.environ[BROKER_DIR_ENV] = target
     os.environ[harness.BROKER_WORKERS_ENV] = "0"
     chosen = list(chosen) or list(_EXPERIMENTS)
     for name in chosen:
@@ -706,6 +642,7 @@ def _cmd_work(args) -> None:
     every worker host honors its own core budget.
     """
     directory = _verb_dir(args, "work")
+    _check_store_tiers()
     if getattr(args, "lease_ttl", None) is not None:
         os.environ[LEASE_TTL_ENV] = str(args.lease_ttl)
     jobs = harness.worker_count(args.jobs)
@@ -745,20 +682,12 @@ def _cmd_work(args) -> None:
     print(f"{jobs} worker(s) drained")
 
 
-def _render_status(directory: str, events_tail: int = 0,
-                   broker=None) -> str:
+def _render_status(directory: str, events_tail: int = 0) -> str:
     """One status snapshot as text: queue states, workers, quarantines,
     sessions, drift against the golden baseline, and (for ``--watch``)
-    the tail of the broker's audit-trail ``events`` table.
-
-    *directory* may be a broker directory or an ``http(s)://`` URL;
-    ``--watch`` passes its long-lived *broker* back in so transport
-    state (the circuit breaker) survives across refreshes.
-    """
-    if broker is None:
-        broker = connect(directory)
-    http = broker.directory is None
-    db = None if http else ResultsDB.for_broker(directory)
+    the tail of the broker's audit-trail ``events`` table."""
+    broker = Broker(directory)
+    db = ResultsDB.for_broker(directory)
     lines = []
     sweeps = broker.sweeps()
     if not sweeps:
@@ -772,22 +701,16 @@ def _render_status(directory: str, events_tail: int = 0,
             f"{counts['leased']} leased, {counts['quarantined']} quarantined"
             + (" (traced)" if traced else "")
         )
-        if http:
-            # The results DB lives on the server; it renders the diff.
-            info = broker.diff_info(sweep)
-            show, text = info.get("show"), info.get("text", "")
-        else:
-            rows = broker.result_rows(sweep)
-            show = rows or db.golden_for(fn)
-            text = format_diff(db.diff(fn, rows)) if show else ""
-        if show:
+        rows = broker.result_rows(sweep)
+        if rows or db.golden_for(fn):
+            text = format_diff(db.diff(fn, rows))
             lines.append("  " + text.replace("\n", "\n  "))
     workers = broker.active_workers()
     if workers:
         lines.append(f"active workers: {', '.join(workers)}")
     for sweep, idx, label, attempts, reason in broker.quarantined():
         lines.append(f"QUARANTINED {sweep}[{idx}] {label}: {reason}")
-    sessions = broker.sessions(limit=5) if http else db.sessions(limit=5)
+    sessions = db.sessions(limit=5)
     if sessions:
         lines.append("recent sessions:")
         for session, sweep, fn, total, host, _note, _created in sessions:
@@ -815,11 +738,8 @@ def _cmd_status(args) -> None:
     against the golden baseline; with ``--watch``, poll the broker
     and re-render in place until interrupted.
 
-    An unreachable networked broker is a report, not a crash: without
-    ``--watch`` it exits with the transport's reason; with ``--watch``
-    the snapshot shows the outage and the circuit-breaker state and
-    polling continues — the display recovers by itself when the server
-    comes back.
+    A broker directory that cannot be opened exits with the reason;
+    under ``--watch`` the snapshot shows it and polling continues.
     """
     directory = _verb_dir(args, "status")
     if not args.watch:
@@ -831,24 +751,14 @@ def _cmd_status(args) -> None:
     import time as _time
 
     interval = args.watch_interval
-    broker = None
     try:
         while True:
             try:
-                if broker is None:
-                    broker = connect(directory)
-                snapshot = _render_status(
-                    directory, events_tail=10, broker=broker
-                )
+                snapshot = _render_status(directory, events_tail=10)
             except BrokerError as exc:
-                state = (
-                    broker.breaker_state()
-                    if broker is not None and hasattr(broker, "breaker_state")
-                    else "unreachable"
-                )
                 snapshot = (
-                    f"{directory}: broker unavailable ({exc})\n"
-                    f"transport breaker: {state}; still polling"
+                    f"{directory}: broker unavailable ({exc}); "
+                    f"still polling"
                 )
             # Clear screen + home, then the snapshot: a cheap in-place
             # re-render with no terminal library dependencies.
@@ -866,23 +776,8 @@ def _cmd_status(args) -> None:
 
 def _cmd_bless(args) -> None:
     """Record every settled sweep's result digests as the golden
-    baseline future runs are diffed against.  Over HTTP the blessing
-    runs on the server, where the results DB lives."""
+    baseline future runs are diffed against."""
     directory = _verb_dir(args, "bless")
-    if directory.startswith(("http://", "https://")):
-        try:
-            out = connect(directory).bless_all()
-        except BrokerError as exc:
-            raise SystemExit(f"bless: {exc}")
-        for sweep, fn in out.get("skipped", []):
-            print(f"skipping {sweep} ({fn}): still running")
-        blessed = 0
-        for sweep, fn, count in out.get("blessed", []):
-            blessed += count
-            print(f"blessed {count} result(s) of {sweep} ({fn})")
-        if not blessed:
-            print("nothing to bless (no settled sweeps with results)")
-        return
     broker = Broker(directory)
     db = ResultsDB.for_broker(directory)
     blessed = 0
@@ -900,31 +795,11 @@ def _cmd_bless(args) -> None:
         print("nothing to bless (no settled sweeps with results)")
 
 
-def _cmd_serve(args) -> None:
-    """Serve a broker directory over HTTP (see
-    :mod:`repro.experiments.broker_net`)."""
-    from repro.experiments.broker_net import serve
-
-    directory = _verb_dir(args, "serve")
-    if directory.startswith(("http://", "https://")):
-        raise SystemExit("serve needs a broker *directory*, not a URL")
-    serve(
-        directory,
-        host=args.host,
-        port=args.port,
-        lease_ttl=args.lease_ttl,
-        token=args.token,
-        readonly=args.readonly,
-        verbose=args.log,
-    )
-
-
 _VERBS = {
     "enqueue": _cmd_enqueue,
     "work": _cmd_work,
     "status": _cmd_status,
     "bless": _cmd_bless,
-    "serve": _cmd_serve,
 }
 
 

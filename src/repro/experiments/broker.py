@@ -22,7 +22,7 @@ worker death
 poison tasks
     Every claim consumes one attempt from a bounded budget.  Re-offers
     back off exponentially (``backoff_base * 2**(attempt-1)``, see
-    :data:`repro.net.BACKOFF_BASE`), and a task that exhausts its budget
+    :data:`BACKOFF_BASE`), and a task that exhausts its budget
     is **quarantined**: parked in a terminal state with its blamed
     error, visible in ``status``, while the rest of the sweep completes.  One crashing task cannot take a
     whole figure down.
@@ -70,53 +70,50 @@ import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.errors import (
-    BrokerError,
-    BrokerUnavailableError,
-    LeaseLostError,
-    TaskTimeoutError,
-)
-from repro.net import (
-    BACKOFF_BASE,
-    DOWN_GRACE,
-    LEASE_TTL,
-    MAX_ATTEMPTS,
-    env_number,
-)
+from repro.env import env_number
+from repro.errors import BrokerError, LeaseLostError, TaskTimeoutError
 from repro.sim.checkpoint import task_checkpoint_dir
 from repro.taxonomy import failed_reason, lease_expired_reason
 from repro.store import atomic_publish, default_store
 from repro.telemetry.context import current_recorder
 
 __all__ = [
+    "BACKOFF_BASE",
     "BROKER_DIR_ENV",
-    "BROKER_URL_ENV",
     "Broker",
+    "LEASE_TTL",
     "LEASE_TTL_ENV",
     "Lease",
+    "MAX_ATTEMPTS",
     "PRIORITY_ENV",
-    "connect",
-    "prepare_enqueue",
     "task_key",
     "task_label",
     "worker_loop",
 ]
 
+#: Seconds a lease lives between heartbeats (``REPRO_LEASE_TTL``
+#: overrides it).  Workers renew at a third of this, so a healthy
+#: worker never comes near expiry while a dead one is reclaimed within
+#: one TTL.
+LEASE_TTL = 30.0
+
+#: Claims allowed per task before quarantine (first attempt included).
+MAX_ATTEMPTS = 3
+
+#: Base (seconds) of the exponential backoff between re-offers of a
+#: failed task: attempt *n* waits ``BACKOFF_BASE * 2**(n-1)``.
+BACKOFF_BASE = 0.5
+
 #: Environment variable naming the broker directory; ``run_tasks``
 #: routes sweeps through it when set.
 BROKER_DIR_ENV = "REPRO_BROKER_DIR"
-
-#: Environment variable naming a networked broker server
-#: (``http(s)://host:port``); same routing as ``REPRO_BROKER_DIR`` but
-#: over the HTTP transport of :mod:`repro.experiments.broker_net`.
-BROKER_URL_ENV = "REPRO_BROKER_URL"
 
 #: Environment variable giving enqueued sweeps a default priority
 #: (``--priority``); higher claims first, 0 when unset.
 PRIORITY_ENV = "REPRO_SWEEP_PRIORITY"
 
 #: Environment variable overriding the lease TTL (seconds,
-#: :data:`repro.net.LEASE_TTL` when unset).  Read on each host
+#: :data:`LEASE_TTL` when unset).  Read on each host
 #: independently; enqueuers and workers sharing a broker directory
 #: should agree on it (a worker renews at a third of its own TTL, so a
 #: modestly shorter enqueuer TTL only reclaims faster).
@@ -165,17 +162,7 @@ CREATE TABLE IF NOT EXISTS events (
     worker TEXT,
     detail TEXT
 );
-CREATE TABLE IF NOT EXISTS idempotency (
-    key      TEXT PRIMARY KEY,
-    response TEXT NOT NULL,
-    ts       REAL NOT NULL
-);
 """
-
-#: Seconds a served idempotency-key response stays replayable.  Long
-#: enough to cover any client retry schedule, short enough that the
-#: table never grows past one sweep's worth of mutations.
-IDEMPOTENCY_TTL = 3600.0
 
 
 def _resolve_priority(priority: Optional[int]) -> int:
@@ -201,53 +188,6 @@ def task_label(task) -> str:
     if len(text) > LABEL_LIMIT:
         text = text[: LABEL_LIMIT - 3] + "..."
     return text
-
-
-def prepare_enqueue(
-    fn: Callable,
-    tasks: Sequence,
-    labels: Optional[Sequence[str]] = None,
-    traced: bool = False,
-) -> tuple:
-    """Shred a sweep into its wire form: ``(ref, sweep, items)`` where
-    *items* is ``[(key, label, payload), ...]``.
-
-    The pure half of :meth:`Broker.enqueue`, shared with the HTTP
-    transport so a sweep enqueued over the network derives the exact
-    same content keys and sweep id as a filesystem enqueue — the
-    foundation of cross-backend byte-identity.
-    """
-    tasks = list(tasks)
-    if labels is None:
-        labels = [task_label(task) for task in tasks]
-    elif len(labels) != len(tasks):
-        raise BrokerError(
-            f"got {len(labels)} labels for {len(tasks)} tasks"
-        )
-    ref = (
-        f"{getattr(fn, '__module__', '?')}."
-        f"{getattr(fn, '__qualname__', repr(fn))}"
-    )
-    items = [
-        (
-            task_key(fn, task),
-            str(label),
-            pickle.dumps((fn, task), protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        for task, label in zip(tasks, labels)
-    ]
-    # Traced sweeps record (value, telemetry blob) wrappers — a
-    # different result shape, so a different sweep identity.  The
-    # priority is deliberately NOT part of the identity: re-submitting
-    # the same work at a new priority re-ranks it, never forks it.
-    h = hashlib.sha256(ref.encode("utf-8"))
-    if traced:
-        h.update(b"\x01traced")
-    for key, _label, _payload in items:
-        h.update(b"\x00")
-        h.update(key.encode("ascii"))
-    sweep = f"sweep-{h.hexdigest()[:12]}"
-    return ref, sweep, items
 
 
 def task_key(fn: Callable, task) -> str:
@@ -318,7 +258,7 @@ class Broker:
     Args:
         directory: the broker root (created unless ``create=False``).
         lease_ttl: seconds a claim stays valid without a heartbeat;
-            ``REPRO_LEASE_TTL`` (else :data:`repro.net.LEASE_TTL`) when
+            ``REPRO_LEASE_TTL`` (else :data:`LEASE_TTL`) when
             ``None``.
         max_attempts: claims allowed per task before quarantine.
         backoff_base: exponential-backoff base (seconds) between
@@ -380,11 +320,6 @@ class Broker:
             raise BrokerError(
                 f"cannot open broker directory {directory}: {exc}"
             ) from exc
-
-    @property
-    def target(self) -> str:
-        """The string another process would :func:`connect` to."""
-        return str(self.directory)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -464,26 +399,39 @@ class Broker:
         except the *priority* (``REPRO_SWEEP_PRIORITY`` when ``None``),
         which re-ranks the sweep's still-pending tasks.
         """
-        ref, derived, items = prepare_enqueue(
-            fn, tasks, labels=labels, traced=traced
+        tasks = list(tasks)
+        if labels is None:
+            labels = [task_label(task) for task in tasks]
+        elif len(labels) != len(tasks):
+            raise BrokerError(
+                f"got {len(labels)} labels for {len(tasks)} tasks"
+            )
+        ref = (
+            f"{getattr(fn, '__module__', '?')}."
+            f"{getattr(fn, '__qualname__', repr(fn))}"
         )
-        return self.enqueue_raw(
-            ref, items, sweep=sweep or derived, traced=traced,
-            priority=_resolve_priority(priority),
-        )
-
-    def enqueue_raw(
-        self,
-        ref: str,
-        items: Sequence,
-        sweep: str,
-        traced: bool = False,
-        priority: int = 0,
-    ) -> str:
-        """Enqueue pre-shredded ``(key, label, payload)`` *items* under
-        *sweep* — the transaction half of :meth:`enqueue`, called
-        directly by the HTTP server with items shredded client-side."""
-        priority = int(priority)
+        items = [
+            (
+                task_key(fn, task),
+                str(label),
+                pickle.dumps((fn, task), protocol=pickle.HIGHEST_PROTOCOL),
+            )
+            for task, label in zip(tasks, labels)
+        ]
+        if sweep is None:
+            # Traced sweeps record (value, telemetry blob) wrappers — a
+            # different result shape, so a different sweep identity.
+            # The priority is deliberately NOT part of the identity:
+            # re-submitting the same work at a new priority re-ranks
+            # it, never forks it.
+            h = hashlib.sha256(ref.encode("utf-8"))
+            if traced:
+                h.update(b"\x01traced")
+            for key, _label, _payload in items:
+                h.update(b"\x00")
+                h.update(key.encode("ascii"))
+            sweep = f"sweep-{h.hexdigest()[:12]}"
+        priority = _resolve_priority(priority)
         now = time.time()
         with self._txn() as cur:
             fresh = cur.execute(
@@ -665,41 +613,13 @@ class Broker:
         same bytes, different digests mean different files).
         """
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        return self.complete_raw(
-            lease.sweep, lease.index, lease.key, lease.label, lease.worker,
-            payload, traced=traced, now=now,
-        )
-
-    def complete_raw(
-        self,
-        sweep: str,
-        index: int,
-        key: str,
-        label: str,
-        worker: Optional[str],
-        payload: bytes,
-        traced: bool = False,
-        now: Optional[float] = None,
-    ) -> bool:
-        """Record already-pickled result *payload* — the durable half
-        of :meth:`complete`, called directly by the HTTP server with
-        bytes pickled client-side (the digest discipline is identical,
-        so retried network completions converge the same way racing
-        local ones always have)."""
+        sweep, key = lease.sweep, lease.key
         now = time.time() if now is None else now
         digest = hashlib.sha256(payload).hexdigest()
         name = f"{key}-{digest[:12]}.pkl"
         path = self.results_dir / name
         if not path.exists():
-            tmp = path.with_name(
-                f"{name}.{os.getpid()}.{threading.get_ident()}.tmp"
-            )
-            with open(tmp, "wb") as fh:
-                fh.write(payload)
-                if self.fsync:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            atomic_publish(path, payload, fsync=self.fsync)
         # Mirror the result into the shared artifact store (if one is
         # configured) so replays on other hosts can fetch it by digest.
         # Best-effort: a dead store tier never fails a completion.
@@ -711,8 +631,8 @@ class Broker:
                 "INSERT OR IGNORE INTO results "
                 "(sweep, key, label, file, sha256, traced, worker, recorded) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (sweep, key, label, name, digest,
-                 int(bool(traced)), worker, now),
+                (sweep, key, lease.label, name, digest,
+                 int(bool(traced)), lease.worker, now),
             ).rowcount == 1
             # Settle every task row sharing the key (duplicate content
             # within a sweep is computed once).
@@ -725,39 +645,10 @@ class Broker:
             self._event(
                 cur,
                 "complete" if recorded else "dedupe",
-                sweep=sweep, idx=index, worker=worker,
+                sweep=sweep, idx=lease.index, worker=lease.worker,
                 detail=digest[:12], now=now,
             )
         return recorded
-
-    # -- idempotency keys (served transport) --------------------------------
-
-    def idempotent_response(self, key: str) -> Optional[str]:
-        """The response previously served for idempotency key *key*, or
-        ``None`` if this key has not been (durably) served yet."""
-        row = self._conn().execute(
-            "SELECT response FROM idempotency WHERE key = ?", (key,)
-        ).fetchone()
-        return row[0] if row else None
-
-    def store_idempotent(
-        self, key: str, response: str, now: Optional[float] = None
-    ) -> None:
-        """Durably record *response* for *key* so a client retry of the
-        same mutation (dropped response, torn connection) replays the
-        original outcome instead of re-executing it.  Entries expire
-        after :data:`IDEMPOTENCY_TTL` — far beyond any retry budget."""
-        now = time.time() if now is None else now
-        with self._txn() as cur:
-            cur.execute(
-                "INSERT OR REPLACE INTO idempotency (key, response, ts) "
-                "VALUES (?, ?, ?)",
-                (key, response, now),
-            )
-            cur.execute(
-                "DELETE FROM idempotency WHERE ts < ?",
-                (now - IDEMPOTENCY_TTL,),
-            )
 
     def fail(
         self, lease: Lease, error, now: Optional[float] = None
@@ -907,48 +798,6 @@ class Broker:
             "ORDER BY label",
             (sweep,),
         ).fetchall()
-
-    def replay_manifest(self, sweep: str) -> dict:
-        """What a remote replayer needs before fetching payloads:
-        ``{"rows": [(key, sha256, traced)], "index_keys": [(idx, key)]}``
-        — served by the broker HTTP server so clients can verify every
-        payload against its recorded digest."""
-        rows = self._conn().execute(
-            "SELECT key, sha256, traced FROM results WHERE sweep = ? "
-            "ORDER BY key",
-            (sweep,),
-        ).fetchall()
-        index_keys = self._conn().execute(
-            "SELECT idx, key FROM tasks WHERE sweep = ? ORDER BY idx",
-            (sweep,),
-        ).fetchall()
-        return {
-            "rows": [list(row) for row in rows],
-            "index_keys": [list(row) for row in index_keys],
-        }
-
-    def result_payload(self, sweep: str, key: str) -> Optional[bytes]:
-        """The verified pickled result bytes for ``(sweep, key)``, or
-        ``None`` — local file first (digest-checked), shared store as
-        the fallback, exactly like :meth:`replay` resolves them."""
-        row = self._conn().execute(
-            "SELECT file, sha256 FROM results WHERE sweep = ? AND key = ?",
-            (sweep, key),
-        ).fetchone()
-        if row is None:
-            return None
-        name, digest = row
-        try:
-            data = (self.results_dir / name).read_bytes()
-        except OSError:
-            data = None
-        if data is not None and hashlib.sha256(data).hexdigest() != digest:
-            data = None
-        if data is None:
-            store = default_store()
-            if store is not None:
-                data = store.get_object(digest)
-        return data
 
     def replay(
         self, sweep: str, traced: bool = False, indices=None
@@ -1108,40 +957,6 @@ class Broker:
             self._local.conn = None
 
 
-# -- transport resolution ----------------------------------------------------
-
-
-def connect(
-    target,
-    lease_ttl: Optional[float] = None,
-    max_attempts: int = MAX_ATTEMPTS,
-    backoff_base: float = BACKOFF_BASE,
-    fsync: bool = True,
-):
-    """The broker transport for *target*: an ``http(s)://`` URL returns
-    an :class:`~repro.experiments.broker_net.HTTPBroker` client, any
-    other string or path opens the filesystem :class:`Broker` directly.
-
-    Both transports expose the same claim/lease surface, so callers —
-    :func:`worker_loop`, the harness, the CLI verbs — never branch on
-    which one they got.  The lease arguments configure a filesystem
-    broker only: a client adopts its server's lease semantics.
-    """
-    if isinstance(target, str) and target.startswith(
-        ("http://", "https://")
-    ):
-        from repro.experiments.broker_net import HTTPBroker
-
-        return HTTPBroker(target)
-    return Broker(
-        target,
-        lease_ttl=lease_ttl,
-        max_attempts=max_attempts,
-        backoff_base=backoff_base,
-        fsync=fsync,
-    )
-
-
 # -- worker loop ------------------------------------------------------------
 
 
@@ -1224,8 +1039,7 @@ def worker_loop(
     log: Optional[Callable] = None,
     durable: bool = True,
 ) -> int:
-    """Claim and run tasks from the broker at *directory* (a path or an
-    ``http(s)://`` broker-server URL).
+    """Claim and run tasks from the broker at *directory*.
 
     The core of the ``work`` CLI verb and of the local workers the
     harness runs for every multi-worker sweep.  Each claimed task runs
@@ -1233,14 +1047,6 @@ def worker_loop(
     and with its checkpoint directory exported; an exception inside the
     point function reports :meth:`Broker.fail` (backed-off re-offer, then
     quarantine) instead of killing the loop.
-
-    Over the HTTP transport the loop degrades instead of crashing: an
-    unreachable server is polled (cheaply — the transport's breaker
-    answers without touching the network inside its cooldown) until it
-    returns or :data:`repro.net.DOWN_GRACE` seconds of continuous
-    unavailability pass while draining; a completion the
-    server never acknowledged is simply recomputed by a later claim
-    and deduped by content key.
 
     Args:
         worker: worker identity for leases (host:pid by default).
@@ -1260,26 +1066,13 @@ def worker_loop(
         the number of tasks this worker completed.
     """
     worker = worker or default_worker_id()
-    started = time.monotonic()
-    while True:
-        # A worker may legitimately start before its broker server is
-        # up (CI launches both at once): keep trying to connect for the
-        # grace window instead of crashing on the first refused socket.
-        try:
-            broker = connect(
-                directory,
-                lease_ttl=lease_ttl,
-                max_attempts=max_attempts,
-                backoff_base=backoff_base,
-                fsync=durable,
-            )
-            break
-        except BrokerUnavailableError as exc:
-            if time.monotonic() - started > DOWN_GRACE:
-                raise
-            if log is not None:
-                log(f"worker {worker}: {exc}; waiting for broker")
-            time.sleep(poll_interval)
+    broker = Broker(
+        directory,
+        lease_ttl=lease_ttl,
+        max_attempts=max_attempts,
+        backoff_base=backoff_base,
+        fsync=durable,
+    )
     # Warm the pipeline cache from the shared store (when configured)
     # before claiming anything: a sweep point then reuses the fleet's
     # static-pipeline products instead of recomputing them per worker.
@@ -1292,38 +1085,13 @@ def worker_loop(
     rec = current_recorder()
     completed = 0
     task_run = None
-    down_since = None
     traced_cache: dict = {}
     while True:
         if max_tasks is not None and completed >= max_tasks:
             return completed
-        try:
-            lease = broker.claim(worker)
-        except BrokerUnavailableError as exc:
-            # Hard-down server: keep polling (the breaker makes each
-            # poll an instant no-network raise) until it returns or the
-            # grace window closes.  Never a hung worker, never a crash.
-            now = time.monotonic()
-            if down_since is None:
-                down_since = now
-                if log is not None:
-                    log(f"worker {worker}: {exc}; polling")
-            if drain and now - down_since > DOWN_GRACE:
-                if log is not None:
-                    log(
-                        f"worker {worker}: broker still unreachable "
-                        f"after {DOWN_GRACE:g}s; giving up"
-                    )
-                return completed
-            time.sleep(poll_interval)
-            continue
-        down_since = None
+        lease = broker.claim(worker)
         if lease is None:
-            try:
-                counts = broker.counts()
-            except BrokerUnavailableError:
-                time.sleep(poll_interval)
-                continue
+            counts = broker.counts()
             if counts["pending"] == 0 and counts["leased"] == 0:
                 if drain:
                     return completed
@@ -1351,35 +1119,18 @@ def worker_loop(
                 value = fn(task)
         except BaseException as exc:
             heartbeat.stop()
-            try:
-                state = broker.fail(lease, exc)
-            except BrokerUnavailableError:
-                # The lease lapses on its own and the task is
-                # re-offered; losing the failure report costs nothing.
-                state = "unreported"
+            state = broker.fail(lease, exc)
             if log is not None:
                 log(f"worker {worker}: {lease.label} failed ({exc!r}) -> {state}")
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             continue
         heartbeat.stop()
-        try:
-            if lease.sweep not in traced_cache:
-                traced_cache[lease.sweep] = broker.sweep_traced(lease.sweep)
-            recorded = broker.complete(
-                lease, value, traced=traced_cache[lease.sweep]
-            )
-        except BrokerUnavailableError as exc:
-            # The completion was computed but could not be recorded
-            # past the transport's retries.  Safe to drop: the lease
-            # lapses, the task is re-offered, and the recomputed result
-            # dedupes by content key.
-            if log is not None:
-                log(
-                    f"worker {worker}: could not record {lease.label} "
-                    f"({exc}); it will be recomputed"
-                )
-            continue
+        if lease.sweep not in traced_cache:
+            traced_cache[lease.sweep] = broker.sweep_traced(lease.sweep)
+        recorded = broker.complete(
+            lease, value, traced=traced_cache[lease.sweep]
+        )
         completed += 1
         if rec.enabled and rec.wants("task"):
             if task_run is None:

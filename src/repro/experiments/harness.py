@@ -27,9 +27,8 @@ against.
 One mechanism runs every multi-worker sweep: the claim/lease queue of
 :mod:`repro.experiments.broker`.  The queue lives
 
-* in the broker directory or server named by ``broker_dir=``,
-  ``REPRO_BROKER_URL`` or ``REPRO_BROKER_DIR`` (workers on any host may
-  serve it);
+* in the broker directory named by ``broker_dir=`` or
+  ``REPRO_BROKER_DIR`` (workers on any host sharing it may serve it);
 * else, under :func:`set_run_root` (the CLI's ``--run-dir``), at
   ``<run dir>/broker``;
 * else in a throwaway temporary directory, deleted when the sweep
@@ -78,18 +77,9 @@ import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.errors import (
-    BrokerError,
-    BrokerUnavailableError,
-    ExperimentError,
-    TaskTimeoutError,
-)
-from repro.experiments.broker import (
-    BROKER_DIR_ENV,
-    BROKER_URL_ENV,
-    task_label,
-)
-from repro.net import DOWN_GRACE, env_number
+from repro.env import env_number
+from repro.errors import BrokerError, ExperimentError, TaskTimeoutError
+from repro.experiments.broker import BROKER_DIR_ENV, task_label
 from repro.sim.checkpoint import task_checkpoint_dir
 from repro.telemetry.context import current_recorder, set_recorder
 from repro.telemetry.recorder import TraceRecorder
@@ -102,10 +92,10 @@ JOBS_ENV = "REPRO_JOBS"
 #: see the same budget).
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 
-#: Local worker count for a durable queue (a broker directory or
-#: server, or a run dir).  Resolved on the host that runs the workers
-#: (``REPRO_JOBS``/``--jobs`` otherwise), never recorded in the queue —
-#: a worker host honors its own core budget, not the enqueuing host's.
+#: Local worker count for a durable queue (a broker directory or a run
+#: dir).  Resolved on the host that runs the workers (``REPRO_JOBS``/
+#: ``--jobs`` otherwise), never recorded in the queue — a worker host
+#: honors its own core budget, not the enqueuing host's.
 #: ``0`` means "submit and wait": enqueue the sweep and block until
 #: workers elsewhere complete it.
 BROKER_WORKERS_ENV = "REPRO_BROKER_WORKERS"
@@ -200,9 +190,10 @@ def run_tasks(
             ``REPRO_TASK_TIMEOUT`` environment variable (no timeout
             when unset, zero or negative).  Not enforced in-process
             (``jobs=1``), which cannot interrupt a call.  Each task
-            gets :data:`repro.net.MAX_ATTEMPTS` claims, so one worker
-            death never quarantines it; re-offers back off
-            exponentially from :data:`repro.net.BACKOFF_BASE` seconds.
+            gets :data:`~repro.experiments.broker.MAX_ATTEMPTS` claims,
+            so one worker death never quarantines it; re-offers back off
+            exponentially from
+            :data:`~repro.experiments.broker.BACKOFF_BASE` seconds.
         start_method: multiprocessing start method for local workers
             (``fork`` / ``spawn`` / ``forkserver``); the platform
             default when omitted.  Non-fork workers do not inherit the
@@ -210,10 +201,9 @@ def run_tasks(
             are shipped to each worker at start-up instead.
         backend: ``None`` or ``"broker"``, the only backend; accepted
             so callers that name it keep working.
-        broker_dir: a broker directory or ``http(s)://`` server URL;
-            defaults to ``REPRO_BROKER_URL`` / ``REPRO_BROKER_DIR``.  If
-            it cannot be opened the sweep degrades gracefully to
-            workers on this host.
+        broker_dir: a broker directory; defaults to
+            ``REPRO_BROKER_DIR``.  If it cannot be opened the sweep
+            degrades gracefully to workers on this host.
 
     Raises:
         TaskTimeoutError: a task exceeded *timeout* on its last allowed
@@ -256,21 +246,15 @@ def run_tasks(
         _run_broker, fn, tasks, labels, jobs, log, timeout, rec,
         start_method=start_method,
     )
-    # *broker_dir* may be a directory or an http(s):// URL — the
-    # broker's connect() factory picks the transport either way.
-    target = (
-        broker_dir
-        or os.environ.get(BROKER_URL_ENV, "").strip()
-        or os.environ.get(BROKER_DIR_ENV, "").strip()
-    )
+    target = broker_dir or os.environ.get(BROKER_DIR_ENV, "").strip()
     if target:
         try:
             return sweep(target)
         except BrokerError as exc:
             # Graceful degradation: an unusable broker (read-only
-            # filesystem, missing mount, dead server) must not take the
-            # sweep down — fall through to a queue on this host, which
-            # needs nothing but this machine.
+            # filesystem, missing mount) must not take the sweep down —
+            # fall through to a queue on this host, which needs nothing
+            # but this machine.
             if log is not None:
                 log(f"broker unavailable ({exc}); using single-host pool")
     if _run_root is not None:
@@ -431,7 +415,7 @@ def _run_broker(
     last resort, so a genuine poison task raises its real traceback in
     the caller.
     """
-    from repro.experiments.broker import Lease, connect, task_key
+    from repro.experiments.broker import Broker, Lease, task_key
     from repro.experiments.results_db import ResultsDB
 
     traced = rec is not None
@@ -443,7 +427,7 @@ def _run_broker(
         run_fn = functools.partial(
             _telemetry_task, fn, tuple(sorted(rec.categories))
         )
-    broker = connect(target, fsync=durable)
+    broker = Broker(target, fsync=durable)
     total = len(tasks)
     sweep = broker.enqueue(run_fn, tasks, labels=labels, traced=traced)
     if durable:
@@ -452,15 +436,9 @@ def _run_broker(
             f"{getattr(fn, '__qualname__', repr(fn))}"
         )
         try:
-            if broker.directory is None:
-                # Networked broker: the results DB lives next to the
-                # queue on the server, so the session is recorded over
-                # the wire.
-                broker.record_session(sweep, fn_name, total)
-            else:
-                ResultsDB.for_broker(broker.directory).record_session(
-                    sweep, fn_name, total
-                )
+            ResultsDB.for_broker(broker.directory).record_session(
+                sweep, fn_name, total
+            )
         except BrokerError:
             pass  # session log is advisory; the queue itself is intact
     done = broker.replay(sweep, traced=traced)
@@ -519,19 +497,12 @@ def _run_broker(
                     value = run_fn(tasks[index])
             else:
                 value = run_fn(tasks[index])
-            try:
-                broker.complete(
-                    Lease(sweep, index, key, labels[index], b"", 0, 0.0,
-                          "parent-rescue"),
-                    value,
-                    traced=traced,
-                )
-            except BrokerUnavailableError as exc:
-                # Recording the rescue is best-effort: the value is in
-                # hand and the sweep must not fail because the broker
-                # went away after the compute finished.
-                if log is not None:
-                    log(f"broker: could not record rescue ({exc})")
+            broker.complete(
+                Lease(sweep, index, key, labels[index], b"", 0, 0.0,
+                      "parent-rescue"),
+                value,
+                traced=traced,
+            )
             done[index] = value
     broker.close()
     results = [done[index] for index in range(total)]
@@ -567,27 +538,8 @@ def _drive_broker_sweep(
     runnable work remains, up to a budget bounded by the per-task
     attempt limits (so a worker-killing task ends in quarantine, not an
     infinite respawn loop).
-
-    A networked broker may drop out mid-sweep: the supervision loops
-    here poll through outages for :data:`repro.net.DOWN_GRACE` seconds
-    and only then let :class:`BrokerUnavailableError` propagate — which
-    ``run_tasks`` turns into the single-host fallback.
     """
     from repro.experiments.broker import worker_loop
-
-    down_since = None
-
-    def outage(exc) -> None:
-        """Track one outage tick; raises the original error once the
-        grace window is spent."""
-        nonlocal down_since
-        now = time.monotonic()
-        if down_since is None:
-            down_since = now
-            if log is not None:
-                log(f"broker: {exc}; waiting up to {DOWN_GRACE:.0f}s")
-        if now - down_since > DOWN_GRACE:
-            raise exc
 
     if local == 1:
         # In-process: deterministic, no subprocess to supervise.  A
@@ -596,7 +548,7 @@ def _drive_broker_sweep(
         # worker's own log lines are replaced by collect(), run each
         # time the worker has something to say.
         worker_loop(
-            broker.target,
+            broker.directory,
             lease_ttl=broker.lease_ttl,
             max_attempts=broker.max_attempts,
             task_timeout=timeout,
@@ -614,7 +566,7 @@ def _drive_broker_sweep(
 
         warm = default_cache().export_entries()
     entry_args = (
-        broker.target, broker.lease_ttl, broker.max_attempts, timeout,
+        broker.directory, broker.lease_ttl, broker.max_attempts, timeout,
         durable, warm,
     )
     host = socket.gethostname()
@@ -635,28 +587,22 @@ def _drive_broker_sweep(
         while True:
             dead = [proc for proc in workers if not proc.is_alive()]
             workers = [proc for proc in workers if proc.is_alive()]
-            try:
-                for proc in dead:
-                    if proc.exitcode == 0:
-                        continue  # drained the queue and left
-                    # The worker's id is its host:pid, so exactly its
-                    # leases are expired — no waiting out the TTL.
-                    broker.reclaim_expired(worker=f"{host}:{proc.pid}")
-                    if log is not None:
-                        log(
-                            f"broker: local worker {proc.pid} died "
-                            f"(exit code {proc.exitcode})"
-                        )
-                counts = broker.counts(sweep)
-                collect()
-                if counts["pending"] == 0 and counts["leased"] == 0:
-                    return
-                broker.reclaim_expired()
-            except BrokerUnavailableError as exc:
-                outage(exc)
-                time.sleep(poll_interval)
-                continue
-            down_since = None
+            for proc in dead:
+                if proc.exitcode == 0:
+                    continue  # drained the queue and left
+                # The worker's id is its host:pid, so exactly its
+                # leases are expired — no waiting out the TTL.
+                broker.reclaim_expired(worker=f"{host}:{proc.pid}")
+                if log is not None:
+                    log(
+                        f"broker: local worker {proc.pid} died "
+                        f"(exit code {proc.exitcode})"
+                    )
+            counts = broker.counts(sweep)
+            collect()
+            if counts["pending"] == 0 and counts["leased"] == 0:
+                return
+            broker.reclaim_expired()
             while len(workers) < local and respawns < respawn_budget:
                 workers.append(spawn())
                 respawns += 1

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.errors import CheckpointError, StoreError
-from repro.net import env_number
+from repro.env import env_number
 
 __all__ = [
     "CHECKPOINT_INTERVAL_ENV",

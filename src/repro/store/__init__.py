@@ -10,8 +10,9 @@ Configuration is two environment variables, mirrored by CLI flags:
 
 ``REPRO_STORE_URL`` (``--store-url``)
     Comma-separated remote tiers, consulted in order on a local miss:
-    ``http(s)://`` servers (run one with ``python -m repro.store
-    serve``) and/or plain filesystem paths (an rsync-able directory).
+    store directories on a shared mount or rsync'd from another host.
+    An ``http(s)://`` entry raises :class:`~repro.errors.StoreError`
+    (the HTTP store tier was removed).
 
 :func:`default_store` builds one process-wide :class:`TieredStore` from
 those variables, re-built automatically if they change (the CLI writes
@@ -26,7 +27,6 @@ import os
 from typing import List, Optional
 
 from repro.store.cas import (
-    HTTPStore,
     LocalStore,
     TieredStore,
     atomic_publish,
@@ -35,7 +35,6 @@ from repro.store.cas import (
 )
 
 __all__ = [
-    "HTTPStore",
     "LocalStore",
     "STORE_DIR_ENV",
     "STORE_URL_ENV",
@@ -52,14 +51,14 @@ STORE_DIR_ENV = "REPRO_STORE_DIR"
 
 #: ``((dir, url), TieredStore | None)`` — rebuilt when the env changes.
 _cached_store = (None, None)
-#: ``(url, [tiers])`` — shared remote tier objects, so breaker/cooldown
-#: state is process-wide rather than per-consumer.
+#: ``(url, [tiers])`` — shared remote tier objects, so their hit/miss
+#: counters are process-wide rather than per-consumer.
 _cached_remotes = (None, [])
 
 
 def remote_tiers() -> List:
     """The remote tiers configured via :data:`STORE_URL_ENV` (shared
-    instances: every consumer sees the same breaker state)."""
+    instances: every consumer sees the same tier counters)."""
     global _cached_remotes
     url = os.environ.get(STORE_URL_ENV, "").strip()
     if url != _cached_remotes[0]:
@@ -70,9 +69,9 @@ def remote_tiers() -> List:
 def default_store() -> Optional[TieredStore]:
     """The process-wide store, or ``None`` when nothing is configured.
 
-    Writes are pushed to remote tiers too (best-effort — a dead or
-    read-only tier degrades silently), so one worker's compute warms
-    the whole fleet.
+    Writes are pushed to remote tiers too (best-effort — an unwritable
+    tier degrades silently), so one worker's compute warms the whole
+    fleet.
     """
     global _cached_store
     key = (

@@ -2,23 +2,22 @@
 
 ::
 
-    python -m repro.store serve --dir STORE [--host H] [--port P]
-                                [--token T] [--readonly]
     python -m repro.store push  --dir STORE --url REMOTE [--prefix P]
     python -m repro.store pull  --dir STORE --url REMOTE [--prefix P]
     python -m repro.store gc    --dir STORE [--broker-dir DIR]
                                 [--url REMOTE] [--max-age S] [--max-bytes N]
     python -m repro.store stats --dir STORE [--url REMOTE]
 
-``push``/``pull`` synchronise refs (and the objects they point at)
-between a local store directory and one or more remote tiers; ``gc``
-drops unreferenced objects and, with ``--broker-dir``, the per-key
-checkpoint directories of broker tasks that already completed.  With
-``--max-age``/``--max-bytes`` it becomes an age/LRU *prune* — refs
-idle past the age (or least-recently-touched while over the byte
-budget) are dropped first, then unreferenced objects collected — and
-with ``--url`` the prune runs on remote tiers (auth applies: export
-``REPRO_AUTH_TOKEN`` for a token-protected server).
+``REMOTE`` is one or more comma-separated store directories (a shared
+mount, or a copy synced with rsync).  ``push``/``pull`` synchronise
+refs (and the objects they point at) between a local store directory
+and the remote tiers; ``gc`` drops unreferenced objects and, with
+``--broker-dir``, the per-key checkpoint directories of broker tasks
+that already completed.  With ``--max-age``/``--max-bytes`` it becomes
+an age/LRU *prune* — refs idle past the age (or least-recently-touched
+while over the byte budget) are dropped first, then unreferenced
+objects collected — and with ``--url`` the prune runs on the remote
+tiers too.
 """
 
 from __future__ import annotations
@@ -30,29 +29,15 @@ from typing import List, Optional
 
 from repro.errors import ReproError, StoreCorruptionError
 from repro.store import STORE_URL_ENV, LocalStore, parse_store_url
-from repro.store.server import serve
 
 
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
-        description="Serve, sync, and maintain content-addressed "
-        "artifact stores.",
+        description="Sync and maintain content-addressed artifact "
+        "stores.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    sp = sub.add_parser("serve", help="serve a store directory over HTTP")
-    sp.add_argument("--dir", required=True, help="store directory to serve")
-    sp.add_argument("--host", default="127.0.0.1")
-    sp.add_argument("--port", type=int, default=8750,
-                    help="port to bind (0 = ephemeral)")
-    sp.add_argument("--verbose", action="store_true",
-                    help="log each request")
-    sp.add_argument("--token", default=None,
-                    help="require this bearer token on every request "
-                    "(default: $REPRO_AUTH_TOKEN; unset = open)")
-    sp.add_argument("--readonly", action="store_true",
-                    help="reject mutating requests with 403")
 
     for verb, text in (("push", "upload local refs/objects to remotes"),
                        ("pull", "download remote refs/objects locally")):
@@ -114,8 +99,7 @@ def _sync(source, targets, prefix: str) -> tuple:
             if target.has(digest) and target.get_ref(name) == digest:
                 continue
             # Object first, then the ref — file-before-index.
-            if target.put(data, digest) is None:
-                continue
+            target.put(data, digest)
             target.set_ref(name, digest)
             fresh = True
         if fresh:
@@ -164,23 +148,12 @@ def _cmd_gc(args) -> int:
             )
     if args.url:
         for remote in _remotes(args.url):
-            if isinstance(remote, LocalStore):
-                dropped, removed, freed = remote.prune(
-                    max_age=args.max_age, max_bytes=args.max_bytes
-                )
-                out = {"refs_dropped": dropped, "objects_removed": removed,
-                       "bytes_freed": freed}
-            else:
-                out = remote.prune(
-                    max_age=args.max_age, max_bytes=args.max_bytes
-                )
-            if out is None:
-                print(f"prune {remote.name}: unavailable", file=sys.stderr)
-                continue
+            dropped, removed, freed = remote.prune(
+                max_age=args.max_age, max_bytes=args.max_bytes
+            )
             print(
-                f"prune {remote.name}: dropped {out['refs_dropped']} refs, "
-                f"removed {out['objects_removed']} objects "
-                f"({out['bytes_freed']} bytes)"
+                f"prune {remote.name}: dropped {dropped} refs, "
+                f"removed {removed} objects ({freed} bytes)"
             )
     if args.broker_dir:
         from repro.experiments.broker import Broker
@@ -200,13 +173,7 @@ def _cmd_stats(args) -> int:
         local = LocalStore(args.dir)
         tiers[local.name] = local.stats_dict()
     for remote in _remotes(args.url) if (args.url or not args.dir) else []:
-        if isinstance(remote, LocalStore):
-            tiers[remote.name] = remote.stats_dict()
-        else:
-            tiers[remote.name] = {
-                "refs": len(remote.refs()),
-                "tripped": remote.tripped,
-            }
+        tiers[remote.name] = remote.stats_dict()
     print(json.dumps({"tiers": tiers}, indent=2, sort_keys=True))
     return 0
 
@@ -214,11 +181,6 @@ def _cmd_stats(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_args(argv)
     try:
-        if args.verb == "serve":
-            serve(args.dir, host=args.host, port=args.port,
-                  verbose=args.verbose, token=args.token,
-                  readonly=args.readonly)
-            return 0
         return {
             "push": _cmd_push,
             "pull": _cmd_pull,

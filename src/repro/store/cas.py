@@ -23,12 +23,12 @@ object immutability
     any interleaving yields one canonical object.
 
 verification on read
-    Every object read from disk or from a remote tier is re-hashed and
-    compared against its name **before** it is used or promoted into a
-    faster tier.  A mismatch quarantines the local file (or
-    negative-caches the remote entry) and raises
-    :class:`~repro.errors.StoreCorruptionError`; callers treat that as
-    a miss and fall through — to the next tier, or to recompute.
+    Every object read from any tier is re-hashed and compared against
+    its name **before** it is used or promoted into a faster tier.  A
+    mismatch quarantines the file (where the tier is writable) and
+    raises :class:`~repro.errors.StoreCorruptionError`; callers treat
+    that as a miss and fall through — to the next tier, or to
+    recompute.
 
 file before index
     A ref is only ever written after the object it points to has been
@@ -37,12 +37,10 @@ file before index
     pointing at missing bytes.
 
 graceful degradation
-    Remote tiers (:class:`HTTPStore`, or a :class:`LocalStore` over an
-    rsync-able directory) can die mid-run.  Transport errors are never
-    raised: a failing HTTP tier trips a cooldown breaker and every
-    operation degrades to an instant miss until it elapses, so a dead
-    store costs a bounded timeout once — not once per lookup — and the
-    run falls back to local compute, byte-identically.
+    Remote tiers are :class:`LocalStore` directories too — a shared
+    mount or an rsync'd copy.  One that is missing or unreadable answers
+    every lookup with a miss, and the run falls back to local compute,
+    byte-identically.
 
 :class:`TieredStore` chains tiers fastest-first (in-process dict →
 local CAS directory → remotes) with read-through promotion: a remote
@@ -53,28 +51,17 @@ tier so the next lookup never leaves the process.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import StoreCorruptionError, StoreError
-from repro.net import (
-    STORE_COOLDOWN,
-    STORE_TIMEOUT,
-    CooldownBreaker,
-    bearer_headers,
-    resolve_token,
-)
 from repro.telemetry.context import current_recorder
 
 __all__ = [
-    "HTTPStore",
     "LocalStore",
     "TieredStore",
     "atomic_publish",
@@ -143,13 +130,12 @@ def _incr(name: str, delta: float = 1.0) -> None:
 class _TierStats:
     """Hit/miss/byte counters one tier keeps for the stats surfaces."""
 
-    __slots__ = ("hits", "misses", "fetched_bytes", "errors", "corruptions")
+    __slots__ = ("hits", "misses", "fetched_bytes", "corruptions")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.fetched_bytes = 0
-        self.errors = 0
         self.corruptions = 0
 
     def as_dict(self) -> dict:
@@ -157,7 +143,6 @@ class _TierStats:
             "hits": self.hits,
             "misses": self.misses,
             "fetched_bytes": self.fetched_bytes,
-            "errors": self.errors,
             "corruptions": self.corruptions,
         }
 
@@ -167,7 +152,7 @@ class LocalStore:
 
     The same class serves both roles — a directory published over NFS
     or synced with rsync *is* a remote tier, read through the identical
-    verification path as an HTTP one.
+    verification path.
 
     Args:
         root: the store directory (created lazily on first write, so a
@@ -475,243 +460,15 @@ class LocalStore:
         return counts
 
 
-class HTTPStore:
-    """Client for one remote store served by :mod:`repro.store.server`.
-
-    All transport failures are swallowed into misses; the first failure
-    trips a cooldown breaker (the tier answers "miss" instantly, no
-    network) until *cooldown* elapses, so a dead server costs one
-    bounded *timeout*, not one per lookup.  Negative results — a digest
-    or ref the server answered 404 for — are remembered for the same
-    window.  Both default to the :mod:`repro.net` store constants.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        timeout: float = STORE_TIMEOUT,
-        cooldown: float = STORE_COOLDOWN,
-        token: Optional[str] = None,
-    ) -> None:
-        if not url.startswith(("http://", "https://")):
-            raise StoreError(f"not an http(s) store URL: {url!r}")
-        self.url = url.rstrip("/")
-        self.timeout = float(timeout)
-        self.cooldown = float(cooldown)
-        self.stats = _TierStats()
-        self._breaker = CooldownBreaker(self.cooldown)
-        self._headers = bearer_headers(resolve_token(token))
-
-    @property
-    def name(self) -> str:
-        return self.url
-
-    # -- breaker (shared implementation in :mod:`repro.net`) ----------------
-
-    def _unavailable(self, key: str) -> bool:
-        return self._breaker.unavailable(key)
-
-    def _trip(self) -> None:
-        self.stats.errors += 1
-        self._breaker.trip()
-
-    def _remember_miss(self, key: str) -> None:
-        self._breaker.remember_miss(key)
-
-    @property
-    def tripped(self) -> bool:
-        return self._breaker.tripped
-
-    def _request(self, method: str, path: str, data: Optional[bytes] = None):
-        req = urllib.request.Request(
-            f"{self.url}{path}", data=data, method=method
-        )
-        for name, value in self._headers.items():
-            req.add_header(name, value)
-        return urllib.request.urlopen(req, timeout=self.timeout)
-
-    def _fetch(self, kind: str, path: str, key: str) -> Optional[bytes]:
-        if self._unavailable(key):
-            self.stats.misses += 1
-            return None
-        try:
-            with self._request("GET", path) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            if exc.code == 404:
-                self._remember_miss(key)
-            else:
-                self._trip()
-            self.stats.misses += 1
-            return None
-        except (OSError, urllib.error.URLError, TimeoutError):
-            self._trip()
-            self.stats.misses += 1
-            return None
-
-    # -- store interface ----------------------------------------------------
-
-    def get(self, digest: str) -> Optional[bytes]:
-        data = self._fetch("obj", f"/obj/{_check_digest(digest)}", digest)
-        if data is None:
-            return None
-        if object_digest(data) != digest:
-            # The server shipped damaged bytes; never trust them, and
-            # never re-ask within the cooldown.
-            self.stats.corruptions += 1
-            self._remember_miss(digest)
-            raise StoreCorruptionError(
-                f"object {digest[:12]} from {self.url} failed verification"
-            )
-        self.stats.hits += 1
-        self.stats.fetched_bytes += len(data)
-        return data
-
-    def get_ref(self, name: str) -> Optional[str]:
-        data = self._fetch("ref", f"/ref/{_check_ref(name)}", f"ref:{name}")
-        if data is None:
-            return None
-        text = data.decode("ascii", "replace").strip()
-        if not _DIGEST_RE.match(text):
-            self.stats.corruptions += 1
-            return None
-        return text
-
-    def has(self, digest: str) -> bool:
-        if self._unavailable(digest):
-            return False
-        try:
-            with self._request("HEAD", f"/obj/{_check_digest(digest)}"):
-                return True
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            if exc.code == 404:
-                self._remember_miss(digest)
-            else:
-                self._trip()
-            return False
-        except (OSError, urllib.error.URLError, TimeoutError):
-            self._trip()
-            return False
-
-    def put(self, data: bytes, digest: Optional[str] = None) -> Optional[str]:
-        """Best-effort push; returns the digest, or ``None`` if the tier
-        is unavailable (never raises for transport failures)."""
-        actual = object_digest(data)
-        if digest is not None and _check_digest(digest) != actual:
-            raise StoreError(
-                f"digest mismatch on put: claimed {digest[:12]}, "
-                f"bytes hash to {actual[:12]}"
-            )
-        # Writes respect the breaker only, never the negative cache: a
-        # put is exactly how a remembered miss becomes a hit.
-        if self.tripped:
-            return None
-        try:
-            with self._request("PUT", f"/obj/{actual}", data=data):
-                pass
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            self._trip()
-            return None
-        except (OSError, urllib.error.URLError, TimeoutError):
-            self._trip()
-            return None
-        self._breaker.forget(actual)
-        return actual
-
-    def set_ref(self, name: str, digest: str) -> bool:
-        if self.tripped:
-            return False
-        try:
-            with self._request(
-                "PUT",
-                f"/ref/{_check_ref(name)}",
-                data=_check_digest(digest).encode("ascii"),
-            ):
-                pass
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            self._trip()
-            return False
-        except (OSError, urllib.error.URLError, TimeoutError):
-            self._trip()
-            return False
-        self._breaker.forget(f"ref:{name}")
-        return True
-
-    def refs(self, prefix: str = "") -> Dict[str, str]:
-        if prefix:
-            _check_ref(prefix)
-        data = self._fetch(
-            "refs", f"/refs/{prefix}".rstrip("/"), f"refs:{prefix}"
-        )
-        if data is None:
-            return {}
-        try:
-            parsed = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            self.stats.corruptions += 1
-            return {}
-        if not isinstance(parsed, dict):
-            return {}
-        return {
-            name: digest
-            for name, digest in parsed.items()
-            if isinstance(digest, str) and _DIGEST_RE.match(digest)
-        }
-
-    def prune(
-        self,
-        max_age: Optional[float] = None,
-        max_bytes: Optional[int] = None,
-    ) -> Optional[dict]:
-        """Ask the server to run :meth:`LocalStore.prune` (a mutating
-        request — rejected on readonly servers, and requires the bearer
-        token when one is configured).  Returns the server's summary
-        ``{"refs_dropped", "objects_removed", "bytes_freed"}``, or
-        ``None`` if the tier is unavailable.
-
-        Raises:
-            StoreError: the server refused the request (401/403/400) —
-                a policy failure, not a transport one, so it is NOT
-                swallowed into a miss.
-        """
-        if self.tripped:
-            return None
-        body = json.dumps({
-            "max_age": max_age, "max_bytes": max_bytes,
-        }).encode("utf-8")
-        try:
-            with self._request("POST", "/gc", data=body) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            code = exc.code
-            exc.close()
-            if code in (400, 401, 403):
-                raise StoreError(
-                    f"store {self.url} refused gc: HTTP {code}"
-                ) from None
-            self._trip()
-            return None
-        except (OSError, urllib.error.URLError, TimeoutError,
-                UnicodeDecodeError, ValueError):
-            self._trip()
-            return None
-
-    def stats_dict(self) -> dict:
-        counts = self.stats.as_dict()
-        counts["tripped"] = self.tripped
-        return counts
-
-
 def parse_store_url(text: str) -> list:
     """Tier objects for a ``REPRO_STORE_URL`` value.
 
-    Comma-separated entries, each either an ``http(s)://`` server or a
-    filesystem path (the rsync-able directory tier); listed order is
-    consulted order.
+    Comma-separated store directories; listed order is consulted order.
+
+    Raises:
+        StoreError: an entry is an ``http(s)://`` URL.  The HTTP store
+            tier was removed, and such an entry would otherwise be read
+            as a relative directory named ``http:``.
     """
     tiers: list = []
     for part in (text or "").split(","):
@@ -719,9 +476,11 @@ def parse_store_url(text: str) -> list:
         if not part:
             continue
         if part.startswith(("http://", "https://")):
-            tiers.append(HTTPStore(part))
-        else:
-            tiers.append(LocalStore(part))
+            raise StoreError(
+                f"store tier {part!r}: the HTTP store transport was "
+                f"removed; list store directories instead"
+            )
+        tiers.append(LocalStore(part))
     return tiers
 
 
@@ -734,8 +493,7 @@ class TieredStore:
 
     Args:
         local: optional :class:`LocalStore` persistent tier.
-        remotes: remote tiers (:class:`HTTPStore` / :class:`LocalStore`)
-            in consulted order.
+        remotes: remote :class:`LocalStore` tiers in consulted order.
         push_remotes: also publish writes to the remote tiers
             (best-effort; a dead remote never fails a publish).
     """
@@ -768,10 +526,10 @@ class TieredStore:
                 _incr("store.corrupt")
                 continue
             if data is None:
-                _incr(f"store.{_label(tier)}.miss")
+                _incr(f"store.{self._label(tier)}.miss")
                 continue
-            _incr(f"store.{_label(tier)}.hit")
-            _incr(f"store.{_label(tier)}.fetched_bytes", len(data))
+            _incr(f"store.{self._label(tier)}.hit")
+            _incr(f"store.{self._label(tier)}.fetched_bytes", len(data))
             self._promote(digest, data, tier)
             return data
         return None
@@ -808,7 +566,7 @@ class TieredStore:
         for tier in self._tiers():
             digest = tier.get_ref(name)
             if digest is None:
-                _incr(f"store.{_label(tier)}.miss")
+                _incr(f"store.{self._label(tier)}.miss")
                 continue
             data = self.get_object(digest)
             if data is None:
@@ -866,6 +624,9 @@ class TieredStore:
         tiers.extend(self.remotes)
         return tiers
 
+    def _label(self, tier) -> str:
+        return "local" if tier is self.local else "remote"
+
     def _promote(self, digest: str, data: bytes, source) -> None:
         self._mem_objects[digest] = data
         if self.local is not None and source is not self.local:
@@ -887,7 +648,3 @@ class TieredStore:
         for tier in self.remotes:
             tiers[tier.name] = tier.stats_dict()
         return {"tiers": tiers}
-
-
-def _label(tier) -> str:
-    return "local" if isinstance(tier, LocalStore) else "remote"

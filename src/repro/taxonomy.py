@@ -2,12 +2,11 @@
 
 Several subsystems retire jobs for reasons other than success, and
 before this module each invented its own prose: the sweep broker
-reclaims expired leases and quarantines poison tasks, its networked
-transport abandons operations on a dead server, and the open-system
-engine cancels simulated jobs while they wait or run.  The strings land
-in durable places — the broker's ``events`` audit table, telemetry
-args — so drift between them makes post-mortems needlessly hard
-("lease expired" vs "worker died" vs "blamed").
+reclaims expired leases and quarantines poison tasks, and the
+open-system engine cancels simulated jobs while they wait or run.  The
+strings land in durable places — the broker's ``events`` audit table,
+telemetry args — so drift between them makes post-mortems needlessly
+hard ("lease expired" vs "worker died" vs "blamed").
 
 Every terminal reason is now ``"<state>: <detail>"`` where ``<state>``
 is one of the :data:`TERMINAL_STATES` below, and every emitter builds
@@ -19,22 +18,15 @@ parsing prose.
 from __future__ import annotations
 
 __all__ = [
-    "BROKER_DOWN",
     "CANCELLED",
     "FAILED",
     "LEASE_EXPIRED",
     "TERMINAL_STATES",
-    "broker_down_reason",
     "cancelled_reason",
     "failed_reason",
     "lease_expired_reason",
     "state_of",
 ]
-
-#: A networked broker server stayed unreachable past the transport's
-#: retry budget and grace window; the operation was abandoned (and the
-#: sweep degraded), never left hanging.
-BROKER_DOWN = "broker-down"
 
 #: A job was cancelled by an external request (open-system departures).
 CANCELLED = "cancelled"
@@ -47,13 +39,7 @@ FAILED = "failed"
 LEASE_EXPIRED = "lease-expired"
 
 #: Every terminal state a reason string may carry.
-TERMINAL_STATES = frozenset({BROKER_DOWN, CANCELLED, FAILED, LEASE_EXPIRED})
-
-
-def broker_down_reason(target: str, detail: str) -> str:
-    """Reason for an operation abandoned because the broker at
-    *target* (URL or directory) stayed unreachable."""
-    return f"{BROKER_DOWN}: broker {target} unreachable ({detail})"
+TERMINAL_STATES = frozenset({CANCELLED, FAILED, LEASE_EXPIRED})
 
 
 def lease_expired_reason(attempts: int, limit: int, owner: str) -> str:

@@ -367,9 +367,9 @@ class PipelineCache:
 
     def _remote_load(self, key: tuple):
         """Read-through to the ``REPRO_STORE_URL`` tiers, promoting a
-        verified hit into the local store.  Transport failures and
-        corrupt remote objects degrade to a miss (the entry is then
-        recomputed locally), never an error."""
+        verified hit into the local store.  Missing tiers and corrupt
+        remote objects degrade to a miss (the entry is then recomputed
+        locally), never an error."""
         name = self._ref_name(key)
         for tier in remote_tiers():
             digest = tier.get_ref(name)

@@ -15,6 +15,7 @@ live in ``test_broker_races.py``.
 
 import hashlib
 import pickle
+import sqlite3
 import time
 
 import pytest
@@ -102,6 +103,135 @@ def test_label_count_mismatch_rejected(tmp_path):
 def test_unusable_directory_raises_broker_error():
     with pytest.raises(BrokerError, match="cannot open broker directory"):
         Broker("/proc/definitely/not/writable")
+
+
+#: The queue schema as written before the HTTP transport was removed:
+#: every existing broker directory still carries its ``idempotency``
+#: table (and the ``priority`` column added by migration).
+_LEGACY_SCHEMA = """
+CREATE TABLE sweeps (
+    sweep   TEXT PRIMARY KEY,
+    fn      TEXT NOT NULL,
+    total   INTEGER NOT NULL,
+    traced  INTEGER NOT NULL DEFAULT 0,
+    created REAL NOT NULL
+);
+CREATE TABLE tasks (
+    sweep      TEXT NOT NULL,
+    idx        INTEGER NOT NULL,
+    key        TEXT NOT NULL,
+    label      TEXT NOT NULL,
+    payload    BLOB NOT NULL,
+    state      TEXT NOT NULL DEFAULT 'pending',
+    attempts   INTEGER NOT NULL DEFAULT 0,
+    not_before REAL NOT NULL DEFAULT 0,
+    lease_owner    TEXT,
+    lease_deadline REAL,
+    quarantine_reason TEXT,
+    PRIMARY KEY (sweep, idx)
+);
+CREATE INDEX tasks_by_state ON tasks (state, not_before);
+CREATE TABLE results (
+    sweep    TEXT NOT NULL,
+    key      TEXT NOT NULL,
+    label    TEXT NOT NULL,
+    file     TEXT NOT NULL,
+    sha256   TEXT NOT NULL,
+    traced   INTEGER NOT NULL DEFAULT 0,
+    worker   TEXT,
+    recorded REAL NOT NULL,
+    PRIMARY KEY (sweep, key)
+);
+CREATE TABLE events (
+    seq    INTEGER PRIMARY KEY AUTOINCREMENT,
+    ts     REAL NOT NULL,
+    kind   TEXT NOT NULL,
+    sweep  TEXT,
+    idx    INTEGER,
+    worker TEXT,
+    detail TEXT
+);
+CREATE TABLE idempotency (
+    key      TEXT PRIMARY KEY,
+    response TEXT NOT NULL,
+    ts       REAL NOT NULL
+);
+ALTER TABLE tasks ADD COLUMN priority INTEGER NOT NULL DEFAULT 0;
+"""
+
+
+def test_queue_with_legacy_idempotency_table_still_works(tmp_path):
+    """A broker directory written before the idempotency table left the
+    schema opens, claims, completes and replays exactly as before; the
+    stale table is left alone."""
+    tmp_path.joinpath("results").mkdir()
+    conn = sqlite3.connect(tmp_path / "queue.db")
+    conn.executescript(_LEGACY_SCHEMA)
+    conn.execute(
+        "INSERT INTO idempotency (key, response, ts) VALUES (?, ?, ?)",
+        ("k1", '{"ok": true}', 1.0),
+    )
+    conn.commit()
+    conn.close()
+
+    broker = Broker(tmp_path)
+    sweep = broker.enqueue(_square, [2, 3])
+    while (lease := broker.claim("w1")) is not None:
+        assert broker.complete(lease, _square(lease.load()[1])) is True
+    assert broker.settled(sweep)
+    broker.close()
+    reopened = Broker(tmp_path)
+    assert reopened.replay(sweep) == {0: 4, 1: 9}
+    # run_tasks over the same directory replays instead of recomputing.
+    assert run_tasks(_square, [2, 3], jobs=2, broker_dir=tmp_path) == [4, 9]
+    assert [row[1] for row in reopened.events(sweep)].count("claim") == 2
+    rows = reopened._conn().execute(
+        "SELECT key, response FROM idempotency"
+    ).fetchall()
+    assert rows == [("k1", '{"ok": true}')]
+
+
+# -- priority ----------------------------------------------------------------
+
+
+def test_priority_bands_claim_order_and_fifo_within_band(tmp_path):
+    """Higher priority claims first; within a band, enqueue (FIFO)
+    order is preserved."""
+    broker = Broker(tmp_path / "q")
+    broker.enqueue(_square, [1, 2], labels=["lo-1", "lo-2"], priority=0)
+    broker.enqueue(str, ["x", "y"], labels=["hi-1", "hi-2"], priority=5)
+    order = []
+    while True:
+        lease = broker.claim("w")
+        if lease is None:
+            break
+        order.append(lease.label)
+        fn, task = lease.load()
+        broker.complete(lease, fn(task))
+    assert order == ["hi-1", "hi-2", "lo-1", "lo-2"]
+
+
+def test_resubmission_at_new_priority_reranks(tmp_path):
+    broker = Broker(tmp_path / "q")
+    low = broker.enqueue(_square, [1], priority=0)
+    high = broker.enqueue(str, ["a"], priority=3)
+    assert broker.claim("w").sweep == high
+    # Resubmitting an existing sweep with a new priority re-ranks it
+    # without forking it.
+    broker.enqueue(_square, [2], priority=1)
+    assert broker.enqueue(_square, [1], priority=9) == low
+    assert broker.claim("w2").sweep == low
+
+
+def test_priority_env_default(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_SWEEP_PRIORITY", "4")
+    broker = Broker(tmp_path / "q")
+    broker.enqueue(_square, [1])
+    monkeypatch.delenv("REPRO_SWEEP_PRIORITY")
+    broker.enqueue(str, ["x"])
+    lease = broker.claim("w")
+    fn, _task = lease.load()
+    assert fn is _square  # priority-4 sweep claims before priority-0
 
 
 # -- claim / lease / reclaim ------------------------------------------------

@@ -3,9 +3,10 @@
 Manifests written before the ``--no-coalesce`` flag was removed carry a
 ``"no_coalesce"`` key, and manifests written before ``--task-retries``
 and ``--backoff-base`` were removed carry ``"task_retries"`` and
-``"backoff_base"``.  ``resume`` reads only the keys it knows, so such
-run directories still resume, with the same stdout as a fresh
-invocation.
+``"backoff_base"``.  Every manifest written before the HTTP broker
+transport was removed carries ``"broker_url"`` (``--broker-url`` is no
+longer a flag).  ``resume`` reads only the keys it knows, so such run
+directories still resume, with the same stdout as a fresh invocation.
 """
 
 import json

@@ -1,15 +1,9 @@
 """Unit tests for the content-addressed store tiers."""
 
-import json
-import threading
-import urllib.error
-import urllib.request
-
 import pytest
 
 from repro.errors import StoreCorruptionError, StoreError
 from repro.store import (
-    HTTPStore,
     LocalStore,
     TieredStore,
     default_store,
@@ -17,24 +11,6 @@ from repro.store import (
     parse_store_url,
     remote_tiers,
 )
-from repro.store.server import make_server
-
-
-@pytest.fixture
-def served_store(tmp_path):
-    """A LocalStore served over HTTP on an ephemeral port."""
-    directory = tmp_path / "served"
-    server = make_server(directory)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    try:
-        yield LocalStore(directory), HTTPStore(
-            f"http://{host}:{port}", timeout=5.0, cooldown=0.2
-        )
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 # -- LocalStore -------------------------------------------------------------
@@ -141,143 +117,6 @@ def test_gc_keep_set_protects_objects(tmp_path):
     assert store.has(kept)
 
 
-# -- HTTPStore + server -----------------------------------------------------
-
-
-def test_http_roundtrip_and_refs(served_store):
-    _, remote = served_store
-    digest = remote.put(b"over the wire")
-    assert remote.has(digest)
-    assert remote.get(digest) == b"over the wire"
-    assert remote.set_ref("pipeline/x", digest)
-    assert remote.get_ref("pipeline/x") == digest
-    assert remote.refs("pipeline") == {"pipeline/x": digest}
-
-
-def test_http_404_is_negative_cached(served_store):
-    _, remote = served_store
-    missing = "0" * 64
-    assert remote.get(missing) is None
-    # Second lookup inside the cooldown is answered from the negative
-    # cache (no request); then the entry expires and a fresh probe
-    # still misses.
-    assert remote._unavailable(missing)
-    assert remote.get(missing) is None
-
-
-def test_http_write_after_negative_lookup_still_lands(served_store):
-    # The push/publish pattern is check-then-write: a 404 on the check
-    # is negative-cached, but writes must respect only the breaker —
-    # a put is exactly how a remembered miss becomes a hit.
-    local, remote = served_store
-    probe = HTTPStore(remote.url, timeout=5.0, cooldown=60.0)
-    data = b"late arrival"
-    digest = object_digest(data)
-    assert not probe.has(digest)
-    assert probe.get_ref("pipeline/late") is None
-    assert probe.put(data, digest) == digest
-    assert probe.set_ref("pipeline/late", digest)
-    assert local.get(digest) == data
-    assert local.get_ref("pipeline/late") == digest
-    # The successful writes also cleared the remembered misses.
-    assert probe.get(digest) == data
-    assert probe.get_ref("pipeline/late") == digest
-
-
-def test_http_server_rejects_poisoned_put(served_store):
-    local, remote = served_store
-    digest = object_digest(b"honest")
-    req = urllib.request.Request(
-        f"{remote.url}/obj/{digest}", data=b"poison", method="PUT"
-    )
-    with pytest.raises(urllib.error.HTTPError) as exc_info:
-        urllib.request.urlopen(req, timeout=5)
-    assert exc_info.value.code == 400
-    assert not local.has(digest)
-
-
-def test_http_server_refuses_ref_before_object(served_store):
-    local, remote = served_store
-    digest = object_digest(b"never uploaded")
-    req = urllib.request.Request(
-        f"{remote.url}/ref/pipeline/dangling",
-        data=digest.encode(), method="PUT",
-    )
-    with pytest.raises(urllib.error.HTTPError) as exc_info:
-        urllib.request.urlopen(req, timeout=5)
-    assert exc_info.value.code == 409
-    assert local.get_ref("pipeline/dangling") is None
-
-
-def test_http_server_serves_stats(served_store):
-    _, remote = served_store
-    remote.put(b"counted")
-    with urllib.request.urlopen(f"{remote.url}/stats", timeout=5) as resp:
-        stats = json.loads(resp.read())
-    assert stats["objects"] == 1
-
-
-def test_dead_tier_trips_breaker_and_recovers_nothing(monkeypatch):
-    dead = HTTPStore("http://127.0.0.1:9", timeout=0.2, cooldown=60.0)
-    assert dead.get(object_digest(b"x")) is None
-    assert dead.tripped
-    assert dead.stats.errors == 1
-    # Within the cooldown every operation is an instant miss — no
-    # further transport errors are even attempted.
-    assert dead.get_ref("pipeline/x") is None
-    assert dead.put(b"y") is None
-    assert not dead.set_ref("pipeline/y", object_digest(b"y"))
-    assert dead.refs() == {}
-    assert dead.stats.errors == 1
-
-
-def test_honest_server_hides_corrupt_object(served_store):
-    local, remote = served_store
-    digest = remote.put(b"will be damaged")
-    # Damage the object server-side, bypassing the PUT verification.
-    local._object_path(digest).write_bytes(b"damaged")
-    # The server verifies on read: the client sees a plain 404 and the
-    # damaged file lands in the server's quarantine.
-    assert remote.get(digest) is None
-    assert list((local.root / "quarantine").iterdir())
-
-
-def test_client_rejects_corrupt_bytes_from_dumb_server():
-    """A tier that ships wrong bytes (mid-rsync directory, buggy proxy)
-    is caught by the client-side re-hash, not trusted."""
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    digest = object_digest(b"what was promised")
-
-    class DumbHandler(BaseHTTPRequestHandler):
-        def log_message(self, fmt, *args):
-            pass
-
-        def do_GET(self):
-            body = b"something else entirely"
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), DumbHandler)
-    server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        host, port = server.server_address[:2]
-        remote = HTTPStore(f"http://{host}:{port}", timeout=5.0,
-                           cooldown=60.0)
-        with pytest.raises(StoreCorruptionError, match="verification"):
-            remote.get(digest)
-        assert remote.stats.corruptions == 1
-        # Negative-cached: the tier answers miss without re-fetching.
-        assert remote.get(digest) is None
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
 # -- TieredStore ------------------------------------------------------------
 
 
@@ -317,6 +156,20 @@ def test_tiered_corrupt_remote_falls_through(tmp_path):
     assert tiered.get_object(digest) is None
 
 
+def test_tiered_missing_remote_falls_through(tmp_path):
+    """A tier directory that does not exist is a miss, and the next
+    tier answers; reading through it never creates it."""
+    missing = tmp_path / "never-mounted"
+    warm = LocalStore(tmp_path / "warm")
+    digest = warm.put(b"warm entry")
+    warm.set_ref("pipeline/entry", digest)
+    tiered = TieredStore(local=LocalStore(tmp_path / "local"),
+                         remotes=[LocalStore(missing), warm])
+    assert tiered.fetch("pipeline/entry") == b"warm entry"
+    assert tiered.list_refs("pipeline") == {"pipeline/entry": digest}
+    assert not missing.exists()
+
+
 def test_tiered_stats_shape(tmp_path):
     tiered = TieredStore(local=LocalStore(tmp_path))
     tiered.publish("pipeline/x", b"x")
@@ -328,13 +181,24 @@ def test_tiered_stats_shape(tmp_path):
 # -- configuration ----------------------------------------------------------
 
 
-def test_parse_store_url_mixes_tiers(tmp_path):
-    tiers = parse_store_url(
-        f"http://example.invalid:1, {tmp_path}, ,https://two.invalid"
-    )
-    assert [type(tier).__name__ for tier in tiers] == [
-        "HTTPStore", "LocalStore", "HTTPStore",
-    ]
+def test_parse_store_url_directories_in_order_http_rejected(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    tiers = parse_store_url(f"{first}, ,{second}")
+    assert [tier.root for tier in tiers] == [first, second]
+    assert all(isinstance(tier, LocalStore) for tier in tiers)
+    # An http(s) entry is refused, not read as a directory named "http:".
+    for url in ("http://127.0.0.1:9", "https://store.invalid"):
+        with pytest.raises(StoreError, match="HTTP store transport"):
+            parse_store_url(f"{first},{url}")
+
+
+def test_http_store_url_in_environment_raises(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+    monkeypatch.setenv("REPRO_STORE_URL", f"{tmp_path},http://127.0.0.1:9")
+    with pytest.raises(StoreError, match="HTTP store transport"):
+        remote_tiers()
+    with pytest.raises(StoreError, match="HTTP store transport"):
+        default_store()
 
 
 def test_default_store_unconfigured_is_none(monkeypatch):

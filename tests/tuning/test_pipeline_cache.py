@@ -657,13 +657,14 @@ def test_remote_read_through_promotes(tmp_path, monkeypatch):
 
 def test_dead_remote_tier_degrades_to_recompute(tmp_path, monkeypatch):
     """An unreachable remote tier must never fail a build."""
-    monkeypatch.setenv("REPRO_STORE_URL", "http://127.0.0.1:9")
+    monkeypatch.setenv("REPRO_STORE_URL", str(tmp_path / "never-mounted"))
     program, spec = make_phased_program(outer=4)
-    cache = PipelineCache(disk_dir=tmp_path)
+    cache = PipelineCache(disk_dir=tmp_path / "local")
     tuned = tune_program(program, LoopStrategy(20), spec=spec, cache=cache)
     assert tuned.mark_count >= 0
     assert cache.misses > 0
     assert cache.store_hits == 0
+    assert not (tmp_path / "never-mounted").exists()
 
 
 def test_warm_from_store_prefetches_remote_entries(tmp_path, monkeypatch):
