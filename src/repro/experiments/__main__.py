@@ -685,7 +685,14 @@ def _cmd_work(args) -> None:
 def _render_status(directory: str, events_tail: int = 0) -> str:
     """One status snapshot as text: queue states, workers, quarantines,
     sessions, drift against the golden baseline, and (for ``--watch``)
-    the tail of the broker's audit-trail ``events`` table."""
+    the tail of the broker's audit-trail ``events`` table.
+
+    Raises:
+        BrokerError: *directory* does not exist.  Opening a
+            :class:`Broker` there would create an empty queue.
+    """
+    if not Path(directory).is_dir():
+        raise BrokerError(f"no broker directory {directory}")
     broker = Broker(directory)
     db = ResultsDB.for_broker(directory)
     lines = []

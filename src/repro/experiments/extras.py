@@ -45,8 +45,8 @@ from repro.experiments.harness import run_tasks
 from repro.experiments.runner import (
     make_workload,
     run_baseline,
+    run_strategies,
     run_technique,
-    run_technique_point,
 )
 from repro.experiments.report import format_series, format_table
 
@@ -64,13 +64,7 @@ class SweepResult:
 def _strategy_sweep(config, workload, baseline, strategies, jobs, log):
     """Fan a list of strategy names out over the harness; collect the
     throughput/fairness deltas each sweep reports."""
-    tuned_runs = run_tasks(
-        run_technique_point,
-        [(config, strategy, workload, None) for strategy in strategies],
-        jobs=jobs,
-        log=log,
-        labels=list(strategies),
-    )
+    tuned_runs = run_strategies(config, workload, strategies, jobs=jobs, log=log)
     throughputs, fairness = [], []
     for tuned in tuned_runs:
         throughputs.append(

@@ -17,8 +17,12 @@ from repro.metrics.overhead import time_overhead
 from repro.sim.checkpoint import task_checkpoint_manager
 from repro.tuning.runtime import SwitchToAllRuntime
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import run_tasks
-from repro.experiments.runner import make_workload, run_baseline, run_technique
+from repro.experiments.runner import (
+    make_workload,
+    run_baseline,
+    run_strategies,
+    run_technique,
+)
 from repro.experiments.report import format_table
 
 #: The variants Figure 4 plots (a representative subset per class).
@@ -63,12 +67,14 @@ def run(
     config = config or ExperimentConfig(slots=84, interval=400.0)
     workload = make_workload(config)
     baseline = run_baseline(config, workload)
-    marked_runs = run_tasks(
-        _point,
-        [(config, workload, name) for name in variants],
+    marked_runs = run_strategies(
+        config,
+        workload,
+        variants,
+        point=_point,
+        task=lambda name: (config, workload, name),
         jobs=jobs,
         log=log,
-        labels=list(variants),
     )
     overheads = {
         name: time_overhead(baseline.result, marked.result, config.interval)

@@ -5,13 +5,14 @@ paper's methodology ("when comparing two techniques, the same queues
 were used for each experiment").  :func:`run_baseline` executes the
 stock-scheduler run, :func:`run_technique` a tuned run, and both return
 a :class:`TechniqueOutcome` carrying the simulation result plus the
-derived metrics the tables/figures consume.
+derived metrics the tables/figures consume.  :func:`run_strategies`
+runs a strategy sweep once per distinct instrumentation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from repro.metrics.fairness import FairnessReport, fairness_report
 from repro.metrics.throughput import throughput
@@ -19,6 +20,7 @@ from repro.sim.checkpoint import task_checkpoint_manager
 from repro.sim.executor import SimulationResult
 from repro.workloads.workload import Workload, WorkloadRun
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import run_tasks
 
 
 @dataclass
@@ -170,3 +172,51 @@ def run_technique_point(task: tuple) -> TechniqueOutcome:
         faults=faults,
         checkpoint=task_checkpoint_manager(),
     )
+
+
+def run_strategies(
+    config: ExperimentConfig,
+    workload: Workload,
+    names,
+    point: Callable = run_technique_point,
+    task: Optional[Callable] = None,
+    jobs=None,
+    log=None,
+) -> list:
+    """One outcome per strategy name, simulating each distinct
+    instrumentation once.
+
+    Names whose prepared ``(trace, isolated_seconds)`` agree on every
+    benchmark of *workload* (by :meth:`Trace.content_digest
+    <repro.sim.process.Trace.content_digest>`) feed the simulation
+    identical inputs, so only the first name of each such group runs
+    through :func:`run_tasks`; the others get its outcome renamed.  No
+    result outlives the call.
+
+    Args:
+        point: the harness point function.
+        task: ``name -> task tuple`` for *point*; by default
+            ``(config, name, workload, None)``, the shape
+            :func:`run_technique_point` takes.
+    """
+    if task is None:
+        task = lambda name: (config, name, workload, None)  # noqa: E731
+    machine = config.resolved_machine()
+    groups: dict = {}
+    for name in names:
+        run = WorkloadRun(workload, machine, config.strategy(name))
+        groups.setdefault(run.instrumentation(), []).append(name)
+    leaders = [group[0] for group in groups.values()]
+    outcomes = run_tasks(
+        point,
+        [task(name) for name in leaders],
+        jobs=jobs,
+        log=log,
+        labels=leaders,
+    )
+    by_name = {}
+    for group, outcome in zip(groups.values(), outcomes):
+        by_name[group[0]] = outcome
+        for name in group[1:]:
+            by_name[name] = replace(outcome, name=name)
+    return [by_name[name] for name in names]

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 from repro.metrics.fairness import FairnessComparison
 from repro.experiments.config import TABLE2_VARIANTS, ExperimentConfig
-from repro.experiments.harness import run_tasks
 from repro.experiments.runner import (
     TechniqueOutcome,
     make_workload,
     run_baseline,
-    run_technique_point,
+    run_strategies,
 )
 from repro.experiments.report import format_table, pct
 
@@ -49,13 +48,7 @@ def run(
     config = config or ExperimentConfig.fairness_paper()
     workload = make_workload(config)
     baseline = run_baseline(config, workload)
-    outcomes = run_tasks(
-        run_technique_point,
-        [(config, name, workload, None) for name in variants],
-        jobs=jobs,
-        log=log,
-        labels=list(variants),
-    )
+    outcomes = run_strategies(config, workload, variants, jobs=jobs, log=log)
     rows = [
         Table2Row(name, outcome.fairness.versus(baseline.fairness), outcome)
         for name, outcome in zip(variants, outcomes)

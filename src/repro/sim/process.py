@@ -21,6 +21,7 @@ techniques place them:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -144,6 +145,8 @@ class Trace:
     #: from equality and from pickling (workers and the disk cache ship
     #: only the tree; the flat arrays are rebuilt lazily where needed).
     _flat: object = field(default=None, repr=False, compare=False)
+    #: Memoised :meth:`content_digest`, a pure cache like ``_flat``.
+    _digest: Optional[str] = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
         return self.nodes
@@ -151,6 +154,22 @@ class Trace:
     def __setstate__(self, state) -> None:
         self.nodes = state
         self._flat = None
+        self._digest = None
+
+    def content_digest(self) -> str:
+        """sha256 over every field trace equality compares.
+
+        Equal digests mean equal traces, so two runs over them simulate
+        identically.  The converse can fail only conservatively (``0.0``
+        vs ``-0.0``, ``1`` vs ``1.0``).
+        """
+        digest = self._digest
+        if digest is None:
+            parts: list = []
+            _content_parts(self.nodes, parts)
+            blob = "".join(parts).encode("utf-8")
+            digest = self._digest = hashlib.sha256(blob).hexdigest()
+        return digest
 
     def total_instrs(self) -> float:
         return sum(_node_instrs(n) for n in self.nodes)
@@ -167,6 +186,27 @@ class Trace:
                 yield node
             else:
                 stack.extend(reversed(node.children))
+
+
+def _content_parts(nodes, parts: list) -> None:
+    """Append an exact text form of *nodes* to *parts*: the repr of
+    every field trace equality compares, nothing else (the caches are
+    ``compare=False``).  ``test_content_digest_covers_every_compared_field``
+    fails when a compared field is added and not listed here."""
+    for node in nodes:
+        if isinstance(node, Segment):
+            cost = node.cost
+            parts.append(
+                f"S{node.uid!r},{node.phase_type!r},{node.iterations!r},"
+                f"{cost.instrs!r},{sorted(cost.compute.items())!r},"
+                f"{sorted(cost.stall.items())!r},"
+                f"{sorted(cost.l2hits.items())!r},"
+                f"{node.entry_marks!r},{node.embedded!r};"
+            )
+        else:
+            parts.append(f"R{node.count!r}[")
+            _content_parts(node.children, parts)
+            parts.append("]")
 
 
 def _node_instrs(node: TraceNode) -> float:

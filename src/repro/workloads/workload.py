@@ -218,6 +218,19 @@ class WorkloadRun:
         simulation.snapshot_running()
         return result
 
+    def instrumentation(self) -> tuple:
+        """``(benchmark, trace digest, isolated seconds)`` for every
+        benchmark, sorted: equal tuples mean every job of the workload
+        runs an equal trace for an equal isolated time."""
+        return tuple(
+            (
+                name,
+                prepared.trace_template.content_digest(),
+                prepared.isolated_seconds,
+            )
+            for name, prepared in sorted(self._prepared.items())
+        )
+
     def isolated_seconds(self, name: str) -> float:
         return self._prepared[name].isolated_seconds
 

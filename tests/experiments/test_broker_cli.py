@@ -37,6 +37,15 @@ def test_status_on_empty_broker(tmp_path):
     assert "empty broker" in out.stdout
 
 
+def test_status_on_missing_directory_fails_and_creates_nothing(tmp_path):
+    missing = tmp_path / "no-such-queue"
+    out = _cli("status", str(missing))
+    assert out.returncode != 0
+    assert str(missing) in out.stderr
+    assert not missing.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_work_drains_and_status_reports_settled(tmp_path):
     broker = Broker(tmp_path)
     sweep = broker.enqueue(abs, [-3, -4, 5])

@@ -1,11 +1,16 @@
 """Unit tests for traces, the cursor, and process bookkeeping."""
 
+import pickle
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.cost_model import CostVector
 from repro.sim.machine import core2quad_amp
 from repro.sim.process import (
+    EmbeddedMark,
+    MarkRef,
     Repeat,
     Segment,
     SimProcess,
@@ -87,6 +92,70 @@ def test_cursor_skips_empty_nodes():
     tail = _segment("t", iters=1)
     cursor = TraceCursor(Trace((empty_repeat, zero_seg, tail)))
     assert cursor.current is tail
+
+
+def _marked_trace(iters=4.0):
+    marked = Segment("m", 0, 2.0, _vector(), entry_marks=(MarkRef(3, 1),))
+    return Trace((Repeat((marked, _segment(iters=iters)), 3),))
+
+
+def _compared(cls):
+    return {f.name for f in fields(cls) if f.compare}
+
+
+def test_content_digest_covers_every_compared_field():
+    # A compared field added to these classes must also enter the
+    # digest text (repro.sim.process._content_parts).
+    assert _compared(Segment) == {
+        "uid", "phase_type", "iterations", "cost", "entry_marks", "embedded"
+    }
+    assert _compared(CostVector) == {"instrs", "compute", "stall", "l2hits"}
+    assert _compared(Repeat) == {"children", "count"}
+    segment = Segment(
+        "m", 0, 2.0, _vector(),
+        entry_marks=(MarkRef(3, 1),),
+        embedded=(EmbeddedMark(4, 0, 0.5),),
+    )
+    cost = segment.cost
+    costs = [
+        replace(cost, instrs=6.0),
+        replace(cost, compute={**cost.compute, "fast": 1.0}),
+        replace(cost, stall={**cost.stall, "slow": 1.0}),
+        replace(cost, l2hits={**cost.l2hits, "slow": 1.0}),
+    ]
+    variants = [
+        replace(segment, uid="n"),
+        replace(segment, phase_type=1),
+        replace(segment, iterations=3.0),
+        replace(segment, entry_marks=(MarkRef(3, 0),)),
+        replace(segment, embedded=(EmbeddedMark(4, 0, 0.25),)),
+    ] + [replace(segment, cost=changed) for changed in costs]
+    digests = {Trace((s,)).content_digest() for s in [segment, *variants]}
+    assert len(digests) == len(variants) + 1
+    assert (
+        Trace((Repeat((segment,), 2),)).content_digest()
+        != Trace((Repeat((segment,), 3),)).content_digest()
+    )
+
+
+def test_content_digest_follows_equality():
+    trace = _marked_trace()
+    assert trace.content_digest() == _marked_trace().content_digest()
+    assert trace.content_digest() != _marked_trace(iters=5.0).content_digest()
+
+
+def test_content_digest_is_a_pure_cache():
+    trace = _marked_trace()
+    digest = trace.content_digest()
+    assert trace._digest == digest
+    assert trace == _marked_trace()  # the memo is not compared
+    for segment in trace.segments():
+        segment.cost_tuple("fast")  # neither is the segment cost cache
+    trace._digest = None
+    assert trace.content_digest() == digest
+    restored = pickle.loads(pickle.dumps(trace))
+    assert restored._digest is None
+    assert restored.content_digest() == digest
 
 
 def test_cursor_overconsumption_rejected():
