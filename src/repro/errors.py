@@ -79,16 +79,14 @@ class CheckpointError(SimulationError):
 
 class StoreError(ReproError):
     """Raised by :mod:`repro.store` for invalid usage (malformed digests
-    or ref names, an ``http(s)://`` tier in ``REPRO_STORE_URL``).  A
-    missing or unreadable tier is never an error — it degrades to a
-    miss — so a run can always fall back to local compute."""
+    or ref names).  A missing object is never an error — it is a miss —
+    so a run can always fall back to local compute."""
 
 
 class StoreCorruptionError(StoreError):
-    """An object fetched from a store tier failed its digest
-    verification.  Local tiers quarantine the damaged file before
-    raising; readers treat the tier as a miss and fall through to the
-    next tier (or recompute)."""
+    """An object read from a store directory failed its digest
+    verification.  The store quarantines the damaged file before
+    raising; readers treat it as a miss and recompute."""
 
 
 class CacheCorruptionError(ReproError):

@@ -14,18 +14,10 @@ Usage::
 completed sweep point to stderr.  ``--cache-dir`` (or the
 ``REPRO_CACHE_DIR`` environment variable) persists the static-pipeline
 cache to disk: a second invocation rebuilds nothing and reports a 100%
-pipeline-cache hit rate in the stats line printed at the end.
-
-``--store-url`` (or ``REPRO_STORE_URL``) adds shared artifact-store
-tiers — comma-separated store directories (shared mounts or rsync'd
-copies) — consulted on a local cache miss: a host that never ran the
-pipeline fetches every entry (digest-verified) instead of recomputing
-it.  ``--store-dir`` (or ``REPRO_STORE_DIR``) names the local store
-directory used by broker results and checkpoint snapshots; the
-``--cache-dir`` directory is itself a valid store, so it can be listed
-in another host's ``REPRO_STORE_URL`` directly.  A missing or damaged
-tier is a miss and the run falls back to local compute with
-byte-identical output.
+pipeline-cache hit rate in the stats line printed at the end.  To
+share a warm cache, point ``--cache-dir`` at a shared mount or copy
+the directory; a missing or damaged entry is a miss and is rebuilt
+with byte-identical output.
 
 ``--trace-out DIR`` (or the ``REPRO_TRACE_DIR`` environment variable)
 enables :mod:`repro.telemetry`: every simulation and harness task is
@@ -113,7 +105,7 @@ from repro.experiments.broker import (
     Broker,
     worker_loop,
 )
-from repro.errors import BrokerError, StoreError
+from repro.errors import BrokerError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results_db import ResultsDB, format_diff
 from repro.sim.checkpoint import CHECKPOINT_INTERVAL_ENV
@@ -129,7 +121,6 @@ from repro.telemetry import (
     write_chrome_trace,
     write_metrics,
 )
-from repro.store import STORE_DIR_ENV, STORE_URL_ENV, remote_tiers
 from repro.tuning.pipeline import CACHE_DIR_ENV, default_cache
 
 
@@ -281,23 +272,6 @@ def _parse_args(argv):
         "skip the whole static pipeline",
     )
     parser.add_argument(
-        "--store-url",
-        default=None,
-        metavar="DIR[,DIR...]",
-        help="read artifacts through shared store directories on a cache "
-        "miss, consulted in order (default: the REPRO_STORE_URL "
-        "environment variable, if set)",
-    )
-    parser.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="local artifact-store directory for broker results and "
-        "checkpoint snapshots (default: the REPRO_STORE_DIR environment "
-        "variable, if set); a --cache-dir directory is already a store "
-        "and needs no extra flag",
-    )
-    parser.add_argument(
         "--trace-out",
         default=None,
         metavar="DIR",
@@ -433,8 +407,6 @@ _MANIFEST_KEYS = (
     "jobs",
     "log",
     "cache_dir",
-    "store_url",
-    "store_dir",
     "trace_out",
     "trace_categories",
     "checkpoint_interval",
@@ -477,15 +449,6 @@ def _merge_manifest(run_dir: Path, args):
     return merged, list(manifest.get("names") or _EXPERIMENTS)
 
 
-def _check_store_tiers() -> None:
-    """Exit with the reason if ``REPRO_STORE_URL`` names a tier that
-    cannot be used, before any work starts."""
-    try:
-        remote_tiers()
-    except StoreError as exc:
-        raise SystemExit(f"error: {exc}")
-
-
 def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
     """Run *chosen* experiments under *args*; the body shared by a
     fresh invocation and ``resume``."""
@@ -494,13 +457,6 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
         # as well as forked — attach the same disk tier.
         os.environ[CACHE_DIR_ENV] = args.cache_dir
         default_cache().set_disk_dir(args.cache_dir)
-    if getattr(args, "store_url", None):
-        # Same routing as --cache-dir: workers (fork or spawn) and the
-        # process-wide default_store() read the environment.
-        os.environ[STORE_URL_ENV] = args.store_url
-    _check_store_tiers()
-    if getattr(args, "store_dir", None):
-        os.environ[STORE_DIR_ENV] = args.store_dir
     # Retry/broker knobs travel through the environment too, so sweep
     # workers and resumed invocations all see them.
     if getattr(args, "task_timeout", None) is not None:
@@ -570,9 +526,8 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
     print(
         f"pipeline cache: {stats['hits']} hits / {stats['misses']} misses "
         f"({stats['hit_rate']:.0%} hit rate, {stats['disk_hits']} from disk, "
-        f"{stats['store_hits']} from store, {stats['corruptions']} corrupt, "
-        f"{stats['evicted_entries']} evicted / {stats['evicted_bytes']} "
-        f"bytes)",
+        f"{stats['corruptions']} corrupt, {stats['evicted_entries']} "
+        f"evicted / {stats['evicted_bytes']} bytes)",
         file=sys.stderr,
     )
 
@@ -642,7 +597,6 @@ def _cmd_work(args) -> None:
     every worker host honors its own core budget.
     """
     directory = _verb_dir(args, "work")
-    _check_store_tiers()
     if getattr(args, "lease_ttl", None) is not None:
         os.environ[LEASE_TTL_ENV] = str(args.lease_ttl)
     jobs = harness.worker_count(args.jobs)
@@ -785,6 +739,9 @@ def _cmd_bless(args) -> None:
     """Record every settled sweep's result digests as the golden
     baseline future runs are diffed against."""
     directory = _verb_dir(args, "bless")
+    if not Path(directory).is_dir():
+        # Opening a Broker there would create an empty queue.
+        raise SystemExit(f"bless: no broker directory {directory}")
     broker = Broker(directory)
     db = ResultsDB.for_broker(directory)
     blessed = 0

@@ -74,7 +74,7 @@ from repro.env import env_number
 from repro.errors import BrokerError, LeaseLostError, TaskTimeoutError
 from repro.sim.checkpoint import task_checkpoint_dir
 from repro.taxonomy import failed_reason, lease_expired_reason
-from repro.store import atomic_publish, default_store
+from repro.store import atomic_publish
 from repro.telemetry.context import current_recorder
 
 __all__ = [
@@ -620,12 +620,6 @@ class Broker:
         path = self.results_dir / name
         if not path.exists():
             atomic_publish(path, payload, fsync=self.fsync)
-        # Mirror the result into the shared artifact store (if one is
-        # configured) so replays on other hosts can fetch it by digest.
-        # Best-effort: a dead store tier never fails a completion.
-        store = default_store()
-        if store is not None:
-            store.put_object(payload)
         with self._txn() as cur:
             recorded = cur.execute(
                 "INSERT OR IGNORE INTO results "
@@ -808,10 +802,7 @@ class Broker:
         A result whose file is missing, truncated, or fails its digest
         check is treated as absent (the task re-runs) rather than
         returning silently wrong bytes, and records of the other
-        traced-ness are skipped.  A missing or damaged local file falls
-        back to the shared artifact store (fetched by the row's digest,
-        verified, and republished locally), so a second host can replay
-        a sweep it never ran.
+        traced-ness are skipped.
         """
         index_keys = self._conn().execute(
             "SELECT idx, key FROM tasks WHERE sweep = ?", (sweep,)
@@ -825,29 +816,14 @@ class Broker:
             "SELECT key, file, sha256, traced FROM results WHERE sweep = ?",
             (sweep,),
         ).fetchall()
-        store = default_store()
         for key, name, digest, rec_traced in rows:
             if key not in wanted or bool(rec_traced) != bool(traced):
                 continue
             try:
                 payload = (self.results_dir / name).read_bytes()
             except OSError:
-                payload = None
-            if payload is not None and (
-                hashlib.sha256(payload).hexdigest() != digest
-            ):
-                payload = None
-            if payload is None and store is not None:
-                payload = store.get_object(digest)
-                if payload is not None:
-                    # Promote the fetched result next to the queue so
-                    # later replays need no remote tier.
-                    try:
-                        atomic_publish(self.results_dir / name, payload,
-                                       fsync=self.fsync)
-                    except OSError:
-                        pass
-            if payload is None:
+                continue
+            if hashlib.sha256(payload).hexdigest() != digest:
                 continue
             try:
                 by_key[key] = pickle.loads(payload)
@@ -1073,15 +1049,6 @@ def worker_loop(
         backoff_base=backoff_base,
         fsync=durable,
     )
-    # Warm the pipeline cache from the shared store (when configured)
-    # before claiming anything: a sweep point then reuses the fleet's
-    # static-pipeline products instead of recomputing them per worker.
-    from repro.tuning.pipeline import default_cache
-
-    prefetched = default_cache().warm_from_store()
-    if prefetched and log is not None:
-        log(f"worker {worker}: prefetched {prefetched} pipeline "
-            f"entries from the store")
     rec = current_recorder()
     completed = 0
     task_run = None
@@ -1108,12 +1075,7 @@ def worker_loop(
         try:
             fn, task = lease.load()
             if durable:
-                # The content key doubles as the snapshot's store ref,
-                # so a reclaimed task resumes from the fleet's last
-                # published checkpoint even on a host with an empty
-                # ckpt/ directory.
-                with task_checkpoint_dir(broker.checkpoint_dir(lease.key),
-                                         ref=lease.key):
+                with task_checkpoint_dir(broker.checkpoint_dir(lease.key)):
                     value = fn(task)
             else:
                 value = fn(task)

@@ -231,15 +231,6 @@ def run_tasks(
     if total == 0:
         return []
 
-    # Warm-fetch published pipeline entries from the shared store (when
-    # one is configured) before any worker starts: fork workers inherit
-    # them through memory, spawn workers receive them at start-up, and
-    # the sweep skips recomputing what the fleet already built.  A dead
-    # store degrades to fetching nothing.
-    from repro.tuning.pipeline import default_cache
-
-    default_cache().warm_from_store()
-
     rec = current_recorder()
     rec = rec if rec.enabled else None
     sweep = functools.partial(
@@ -493,7 +484,7 @@ def _run_broker(
                 )
             key = task_key(run_fn, tasks[index])
             if durable:
-                with task_checkpoint_dir(broker.checkpoint_dir(key), ref=key):
+                with task_checkpoint_dir(broker.checkpoint_dir(key)):
                     value = run_fn(tasks[index])
             else:
                 value = run_fn(tasks[index])

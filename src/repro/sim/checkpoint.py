@@ -43,7 +43,7 @@ import re
 from pathlib import Path
 from typing import Optional
 
-from repro.errors import CheckpointError, StoreError
+from repro.errors import CheckpointError
 from repro.env import env_number
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "CheckpointManager",
     "DEFAULT_CHECKPOINT_INTERVAL",
     "TASK_CHECKPOINT_DIR_ENV",
-    "TASK_CHECKPOINT_REF_ENV",
     "build_checkpoint_bytes",
     "load_checkpoint",
     "parse_checkpoint",
@@ -71,21 +70,12 @@ DEFAULT_CHECKPOINT_INTERVAL = 10.0
 TASK_CHECKPOINT_DIR_ENV = "REPRO_TASK_CHECKPOINT_DIR"
 CHECKPOINT_INTERVAL_ENV = "REPRO_CHECKPOINT_INTERVAL"
 
-#: Stable content name for the running task's snapshots in the shared
-#: artifact store (the broker exports its task content key here).  When
-#: set, :func:`task_checkpoint_manager` also publishes snapshots under
-#: ``ckpt/<name>`` refs and can resume from a snapshot another host
-#: published — a reclaimed task continues mid-simulation even on a
-#: machine whose local checkpoint directory is empty.
-TASK_CHECKPOINT_REF_ENV = "REPRO_TASK_CHECKPOINT_REF"
-
 _FILE_RE = re.compile(r"^ckpt-(\d{8})\.ckpt$")
 
 
 def build_checkpoint_bytes(state: dict) -> bytes:
     """The full checkpoint envelope (magic + header + payload) for
-    *state* — what :func:`save_checkpoint` writes and the shared store
-    publishes."""
+    *state* — what :func:`save_checkpoint` writes."""
     payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     header = json.dumps(
         {
@@ -124,8 +114,7 @@ def save_checkpoint(state: dict, path) -> Path:
 def parse_checkpoint(raw: bytes, label: str = "<bytes>") -> dict:
     """Verify a checkpoint envelope and return the snapshot dict.
 
-    *label* names the source in error messages (a path for files, a
-    ref for store fetches).
+    *label* names the source in error messages.
 
     Raises:
         CheckpointError: wrong magic or format version, truncation, a
@@ -202,18 +191,10 @@ class CheckpointManager:
         keep: how many of the newest checkpoints to retain.  At least
             two, so a checkpoint corrupted on disk still leaves a valid
             predecessor to fall back to.
-        store: optional shared artifact store
-            (:class:`repro.store.TieredStore`).  With *ref* set, every
-            snapshot is also published there (newest wins) and
-            :meth:`latest_state` falls back to the store when no valid
-            local file exists — so a task reclaimed onto another host
-            resumes mid-simulation.  Always best-effort: a dead store
-            never fails a save or a resume.
-        ref: the store ref name snapshots publish under.
     """
 
     def __init__(self, directory, interval: float = DEFAULT_CHECKPOINT_INTERVAL,
-                 keep: int = 2, store=None, ref: Optional[str] = None):
+                 keep: int = 2):
         if not (interval > 0 and math.isfinite(interval)):
             raise CheckpointError(
                 f"checkpoint interval must be positive and finite, got {interval}"
@@ -223,15 +204,10 @@ class CheckpointManager:
         self.directory = Path(directory)
         self.interval = float(interval)
         self.keep = int(keep)
-        self.store = store if ref else None
-        self.ref = ref
         self.saves = 0
         #: Corrupt files skipped while looking for the latest valid
         #: snapshot (surfaced so callers can log the fallback).
         self.corrupt_skipped = 0
-        #: Whether the last :meth:`latest_state` came from the shared
-        #: store rather than a local file.
-        self.resumed_from_store = False
         self.next_due = self.interval
         existing = self.checkpoint_files()
         self._seq = (
@@ -261,13 +237,7 @@ class CheckpointManager:
         """
         state = sim.snapshot_state()
         path = self.directory / f"ckpt-{self._seq:08d}.ckpt"
-        envelope = build_checkpoint_bytes(state)
-        _write_envelope(envelope, path)
-        if self.store is not None:
-            try:
-                self.store.publish(self.ref, envelope)
-            except (OSError, StoreError):
-                pass
+        _write_envelope(build_checkpoint_bytes(state), path)
         self._seq += 1
         self.saves += 1
         base = state.get("now", 0.0) if at is None else at
@@ -281,38 +251,13 @@ class CheckpointManager:
         Corrupt files are skipped (counted in ``corrupt_skipped``), so
         a damaged newest checkpoint falls back to its predecessor and a
         fully corrupt directory falls back to a clean start — never to
-        silently wrong state.  With a store ref configured, an empty or
-        fully corrupt directory additionally falls back to the snapshot
-        the fleet last published (digest-verified by the store, then
-        re-verified here), promoting it into the directory on success.
+        silently wrong state.
         """
-        self.resumed_from_store = False
         for path in reversed(self.checkpoint_files()):
             try:
                 return load_checkpoint(path)
             except CheckpointError:
                 self.corrupt_skipped += 1
-        if self.store is not None:
-            try:
-                envelope = self.store.fetch(self.ref)
-            except StoreError:
-                envelope = None
-            if envelope is not None:
-                try:
-                    state = parse_checkpoint(envelope, label=f"ref {self.ref}")
-                except CheckpointError:
-                    self.corrupt_skipped += 1
-                    return None
-                try:
-                    _write_envelope(
-                        envelope,
-                        self.directory / f"ckpt-{self._seq:08d}.ckpt",
-                    )
-                    self._seq += 1
-                except OSError:
-                    pass
-                self.resumed_from_store = True
-                return state
         return None
 
     def _prune(self) -> None:
@@ -324,27 +269,19 @@ class CheckpointManager:
 
 
 @contextlib.contextmanager
-def task_checkpoint_dir(directory, ref: Optional[str] = None):
+def task_checkpoint_dir(directory):
     """Export *directory* as the running task's checkpoint directory.
 
     While the context is active :data:`TASK_CHECKPOINT_DIR_ENV` points
     at *directory*, so checkpoint-aware point functions (which call
     :func:`task_checkpoint_manager`) save there — and resume from there
-    when it already holds a valid snapshot.  *ref* additionally exports
-    :data:`TASK_CHECKPOINT_REF_ENV` — a stable content name (the
-    broker's task key) under which snapshots are shared through the
-    artifact store.  The previous values are restored on exit, so
-    nested scopes unwind cleanly.  The broker worker loop wraps each
-    task of a durable sweep in this scope, and the harness wraps the
-    in-parent rescue of a quarantined one.
+    when it already holds a valid snapshot.  The previous value is
+    restored on exit, so nested scopes unwind cleanly.  The broker
+    worker loop wraps each task of a durable sweep in this scope, and
+    the harness wraps the in-parent rescue of a quarantined one.
     """
     previous = os.environ.get(TASK_CHECKPOINT_DIR_ENV)
-    previous_ref = os.environ.get(TASK_CHECKPOINT_REF_ENV)
     os.environ[TASK_CHECKPOINT_DIR_ENV] = str(directory)
-    if ref is not None:
-        os.environ[TASK_CHECKPOINT_REF_ENV] = str(ref)
-    else:
-        os.environ.pop(TASK_CHECKPOINT_REF_ENV, None)
     try:
         yield
     finally:
@@ -352,10 +289,6 @@ def task_checkpoint_dir(directory, ref: Optional[str] = None):
             os.environ.pop(TASK_CHECKPOINT_DIR_ENV, None)
         else:
             os.environ[TASK_CHECKPOINT_DIR_ENV] = previous
-        if previous_ref is None:
-            os.environ.pop(TASK_CHECKPOINT_REF_ENV, None)
-        else:
-            os.environ[TASK_CHECKPOINT_REF_ENV] = previous_ref
 
 
 def task_checkpoint_manager(
@@ -384,14 +317,4 @@ def task_checkpoint_manager(
         CHECKPOINT_INTERVAL_ENV, float, DEFAULT_CHECKPOINT_INTERVAL,
         CheckpointError,
     )
-    store = None
-    ref = None
-    name = os.environ.get(TASK_CHECKPOINT_REF_ENV, "").strip()
-    if name:
-        from repro.store import default_store
-
-        store = default_store()
-        if store is not None:
-            ref = f"ckpt/{name}" + (f"/{subdir}" if subdir else "")
-    return CheckpointManager(directory, interval=interval, store=store,
-                             ref=ref)
+    return CheckpointManager(directory, interval=interval)

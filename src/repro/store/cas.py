@@ -1,12 +1,11 @@
-"""Content-addressed artifact store with tiered read-through caching.
+"""Content-addressed artifact store: one directory, verified on read.
 
-Every cache tier the repo grew so far was an island: the pipeline
-cache's disk tier, per-run checkpoint directories, digest-named broker
-result files.  This module gives them one shared substrate — a
+The pipeline cache's persistent tier (``--cache-dir``) is a
 **content-addressed store** (CAS) keyed by the sha256 fingerprints the
-repo already computes everywhere — so CI matrix jobs, developer
-machines, and broker workers on other hosts can share one warm store
-instead of each paying the full cold-start recompute.
+repo already computes everywhere.  Sharing a warm store between hosts
+is pointing ``--cache-dir`` at a shared mount, or copying the
+directory (``cp -a``/``rsync``): objects are immutable and every read
+is verified, so a copy is as good as the original.
 
 Layout of one store directory (a :class:`LocalStore`)::
 
@@ -14,7 +13,7 @@ Layout of one store directory (a :class:`LocalStore`)::
     refs/<namespace>/<name>   mutable pointers: one hex digest per file
     quarantine/               objects that failed verification on read
 
-The invariants every tier honors:
+The invariants the store honors:
 
 object immutability
     An object file's name *is* the sha256 of its bytes.  Two writers
@@ -23,29 +22,17 @@ object immutability
     any interleaving yields one canonical object.
 
 verification on read
-    Every object read from any tier is re-hashed and compared against
-    its name **before** it is used or promoted into a faster tier.  A
-    mismatch quarantines the file (where the tier is writable) and
-    raises :class:`~repro.errors.StoreCorruptionError`; callers treat
-    that as a miss and fall through — to the next tier, or to
-    recompute.
+    Every object read is re-hashed and compared against its name
+    **before** it is used.  A mismatch quarantines the file (where the
+    directory is writable) and raises
+    :class:`~repro.errors.StoreCorruptionError`; callers treat that as
+    a miss and recompute.
 
 file before index
     A ref is only ever written after the object it points to has been
     published (the broker's file-before-row rule).  A crash between the
     two leaves at worst an orphaned object for ``gc``, never a ref
     pointing at missing bytes.
-
-graceful degradation
-    Remote tiers are :class:`LocalStore` directories too — a shared
-    mount or an rsync'd copy.  One that is missing or unreadable answers
-    every lookup with a miss, and the run falls back to local compute,
-    byte-identically.
-
-:class:`TieredStore` chains tiers fastest-first (in-process dict →
-local CAS directory → remotes) with read-through promotion: a remote
-hit is verified, then written into the local directory and the memory
-tier so the next lookup never leaves the process.
 """
 
 from __future__ import annotations
@@ -59,15 +46,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import StoreCorruptionError, StoreError
-from repro.telemetry.context import current_recorder
 
-__all__ = [
-    "LocalStore",
-    "TieredStore",
-    "atomic_publish",
-    "object_digest",
-    "parse_store_url",
-]
+__all__ = ["LocalStore", "atomic_publish", "object_digest"]
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 _REF_PART_RE = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -121,12 +101,6 @@ def atomic_publish(path, data: bytes, fsync: bool = False) -> None:
         raise
 
 
-def _incr(name: str, delta: float = 1.0) -> None:
-    rec = current_recorder()
-    if rec.enabled and rec.wants("store"):
-        rec.incr(name, delta)
-
-
 class _TierStats:
     """Hit/miss/byte counters one tier keeps for the stats surfaces."""
 
@@ -148,11 +122,7 @@ class _TierStats:
 
 
 class LocalStore:
-    """One CAS directory: the local tier, and the rsync-able remote tier.
-
-    The same class serves both roles — a directory published over NFS
-    or synced with rsync *is* a remote tier, read through the identical
-    verification path.
+    """One CAS directory.
 
     Args:
         root: the store directory (created lazily on first write, so a
@@ -199,8 +169,8 @@ class LocalStore:
         Raises:
             StoreCorruptionError: the stored bytes do not hash to their
                 name.  The damaged file is moved into ``quarantine/``
-                first (best-effort), so the next fetch re-resolves from
-                a slower tier or recomputes instead of re-tripping.
+                first (best-effort), so the next fetch misses and the
+                caller recomputes instead of re-tripping.
         """
         path = self._object_path(_check_digest(digest))
         try:
@@ -235,7 +205,7 @@ class LocalStore:
             target.parent.mkdir(parents=True, exist_ok=True)
             os.replace(path, target)
         except OSError:
-            # A read-only remote directory cannot be cleaned from here;
+            # A read-only directory cannot be cleaned from here;
             # the corruption error alone keeps the object unused.
             pass
 
@@ -385,9 +355,7 @@ class LocalStore:
 
         Only *refs* are evicted directly; objects leave through the
         ordinary ref-reachability :meth:`gc`, so a digest still named
-        by any surviving ref keeps its bytes.  A pruned object is not
-        special afterwards — re-fetching it from another tier runs the
-        same digest verification as any cold read.
+        by any surviving ref keeps its bytes.
 
         The age policy needs no ref bodies; the byte policy reads the
         digest of every ref that survives it (dropping torn ones, as
@@ -458,193 +426,3 @@ class LocalStore:
             bytes=self.size_bytes(),
         )
         return counts
-
-
-def parse_store_url(text: str) -> list:
-    """Tier objects for a ``REPRO_STORE_URL`` value.
-
-    Comma-separated store directories; listed order is consulted order.
-
-    Raises:
-        StoreError: an entry is an ``http(s)://`` URL.  The HTTP store
-            tier was removed, and such an entry would otherwise be read
-            as a relative directory named ``http:``.
-    """
-    tiers: list = []
-    for part in (text or "").split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part.startswith(("http://", "https://")):
-            raise StoreError(
-                f"store tier {part!r}: the HTTP store transport was "
-                f"removed; list store directories instead"
-            )
-        tiers.append(LocalStore(part))
-    return tiers
-
-
-class TieredStore:
-    """A read-through chain of store tiers, fastest first.
-
-    ``memory → local CAS directory → remotes``, with digest-verified
-    promotion: a hit in a slow tier is written into every faster tier
-    before it is returned, so repeat lookups never leave the process.
-
-    Args:
-        local: optional :class:`LocalStore` persistent tier.
-        remotes: remote :class:`LocalStore` tiers in consulted order.
-        push_remotes: also publish writes to the remote tiers
-            (best-effort; a dead remote never fails a publish).
-    """
-
-    def __init__(
-        self, local: Optional[LocalStore] = None, remotes=(),
-        push_remotes: bool = False,
-    ) -> None:
-        self.local = local
-        self.remotes = list(remotes)
-        self.push_remotes = bool(push_remotes)
-        self._mem_objects: Dict[str, bytes] = {}
-        self._mem_refs: Dict[str, str] = {}
-        self.memory_hits = 0
-
-    # -- objects ------------------------------------------------------------
-
-    def get_object(self, digest: str) -> Optional[bytes]:
-        """Verified bytes of *digest* from the fastest tier holding it."""
-        _check_digest(digest)
-        data = self._mem_objects.get(digest)
-        if data is not None:
-            self.memory_hits += 1
-            _incr("store.memory.hit")
-            return data
-        for tier in self._tiers():
-            try:
-                data = tier.get(digest)
-            except StoreCorruptionError:
-                _incr("store.corrupt")
-                continue
-            if data is None:
-                _incr(f"store.{self._label(tier)}.miss")
-                continue
-            _incr(f"store.{self._label(tier)}.hit")
-            _incr(f"store.{self._label(tier)}.fetched_bytes", len(data))
-            self._promote(digest, data, tier)
-            return data
-        return None
-
-    def put_object(self, data: bytes) -> str:
-        """Publish *data* to every writable tier; returns its digest."""
-        digest = object_digest(data)
-        self._mem_objects[digest] = data
-        if self.local is not None:
-            try:
-                self.local.put(data, digest)
-            except OSError:
-                pass
-        if self.push_remotes:
-            for tier in self.remotes:
-                try:
-                    tier.put(data, digest)
-                except (OSError, StoreError):
-                    pass
-        return digest
-
-    # -- refs ---------------------------------------------------------------
-
-    def fetch(self, name: str) -> Optional[bytes]:
-        """Resolve ref *name* and return its object's verified bytes."""
-        _check_ref(name)
-        digest = self._mem_refs.get(name)
-        if digest is not None:
-            data = self._mem_objects.get(digest)
-            if data is not None:
-                self.memory_hits += 1
-                _incr("store.memory.hit")
-                return data
-        for tier in self._tiers():
-            digest = tier.get_ref(name)
-            if digest is None:
-                _incr(f"store.{self._label(tier)}.miss")
-                continue
-            data = self.get_object(digest)
-            if data is None:
-                continue
-            self._mem_refs[name] = digest
-            if self.local is not None and self.local.get_ref(name) != digest:
-                try:
-                    # Object was promoted by get_object already:
-                    # file before index.
-                    self.local.set_ref(name, digest)
-                except OSError:
-                    pass
-            return data
-        return None
-
-    def publish(self, name: str, data: bytes) -> str:
-        """Publish *data* and point ref *name* at it, object first."""
-        _check_ref(name)
-        digest = self.put_object(data)
-        self._mem_refs[name] = digest
-        if self.local is not None:
-            try:
-                self.local.set_ref(name, digest)
-            except OSError:
-                pass
-        if self.push_remotes:
-            for tier in self.remotes:
-                try:
-                    tier.set_ref(name, digest)
-                except (OSError, StoreError):
-                    pass
-        return digest
-
-    def list_refs(self, prefix: str = "") -> Dict[str, str]:
-        """Merged ``{name: digest}`` across tiers; faster tiers win."""
-        out: Dict[str, str] = {}
-        for tier in reversed(self.remotes):
-            try:
-                out.update(tier.refs(prefix))
-            except StoreError:
-                continue
-        if self.local is not None:
-            out.update(self.local.refs(prefix))
-        for name, digest in self._mem_refs.items():
-            if not prefix or name.startswith(prefix.rstrip("/") + "/"):
-                out[name] = digest
-        return out
-
-    # -- plumbing -----------------------------------------------------------
-
-    def _tiers(self) -> list:
-        tiers: list = []
-        if self.local is not None:
-            tiers.append(self.local)
-        tiers.extend(self.remotes)
-        return tiers
-
-    def _label(self, tier) -> str:
-        return "local" if tier is self.local else "remote"
-
-    def _promote(self, digest: str, data: bytes, source) -> None:
-        self._mem_objects[digest] = data
-        if self.local is not None and source is not self.local:
-            try:
-                self.local.put(data, digest)
-            except OSError:
-                pass
-
-    def configured(self) -> bool:
-        """Whether any persistent/remote tier exists (the memory tier
-        alone is not worth routing through)."""
-        return self.local is not None or bool(self.remotes)
-
-    def stats(self) -> dict:
-        tiers = {"memory": {"hits": self.memory_hits,
-                            "objects": len(self._mem_objects)}}
-        if self.local is not None:
-            tiers[self.local.name] = self.local.stats_dict()
-        for tier in self.remotes:
-            tiers[tier.name] = tier.stats_dict()
-        return {"tiers": tiers}

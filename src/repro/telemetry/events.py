@@ -66,8 +66,7 @@ PROC_TID_BASE = 1000
 #: Categories recorded by default: the decision-level timeline, cheap
 #: enough that full-scale runs stay within the tracing overhead budget.
 DEFAULT_CATEGORIES = frozenset(
-    {"exec", "sched", "tuning", "phase", "fault", "cache", "task", "broker",
-     "store"}
+    {"exec", "sched", "tuning", "phase", "fault", "cache", "task", "broker"}
 )
 
 #: Every category, including the high-volume per-quantum/per-step ones

@@ -19,12 +19,17 @@ bank's rejection statistics quantify how rarely it happens).
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.sim.core import CoreType
 from repro.sim.counters import CounterBank, CounterSession
 from repro.sim.process import SimProcess
+
+#: Sentinel: Algorithm 2 found no significant gap, so the phase type is
+#: deliberately left unconstrained (see the runtime's ``pin_ties``).
+FREE = "free"
 
 
 @dataclass
@@ -55,6 +60,15 @@ class PhaseState:
     firings: int = 0
     open_failures: int = 0
     epoch: int = 0
+
+    def __setstate__(self, state: dict) -> None:
+        # A live ``decided`` string is always the shared FREE object; an
+        # unpickled one (a checkpoint resume) is a new "free", which
+        # changes the pickle of a result holding both.  Restore the
+        # sentinel, and intern the keys as pickle's default restore does.
+        vars(self).update((sys.intern(key), value) for key, value in state.items())
+        if self.decided == FREE:
+            self.decided = FREE
 
     def reset(self) -> None:
         """Forget everything (feedback adaptation / re-exploration)."""

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.errors import CacheCorruptionError, StoreCorruptionError
-from repro.store import LocalStore, remote_tiers
+from repro.store import LocalStore
 from repro.program.module import Program
 from repro.analysis.annotate import annotate_program
 from repro.analysis.block_typing import BlockTyping, StaticBlockTyper
@@ -207,22 +207,14 @@ class PipelineCache:
     ``tuned``) stay in memory.  A rerun then hits the outermost key on
     disk and never looks the nested ones up.  A top-level lookup that
     hits memory for an entry built nested publishes it then, and a
-    process publishes each key at most once: a disk hit, a promoted
-    remote entry or an existing ref counts as published.  Every memory
-    miss, nested or not, falls back to the store copy before
-    rebuilding.  Loads re-hash the object bytes *and* compare
-    the full stored key against the lookup key, so a damaged or
-    foreign entry is quarantined/evicted (or raised under ``strict``)
-    exactly like a corrupt in-memory entry.  A pre-store directory of
-    flat ``{level}-{digest}.pkl`` files is migrated into the CAS
-    layout on attach.
-
-    When ``REPRO_STORE_URL`` names remote tiers, a local miss reads
-    through them: the entry is digest-verified, promoted into the
-    local store and memory, and counted in ``store_hits``.  Remote
-    tiers are read-only from here (publish with ``python -m
-    repro.store push``) and degrade to misses when unreachable, so a
-    dead store never fails a build.
+    process publishes each key at most once: a disk hit or an existing
+    ref counts as published.  Every memory miss, nested or not, falls
+    back to the store copy before rebuilding.  Loads re-hash the object
+    bytes *and* compare the full stored key against the lookup key, so
+    a damaged or foreign entry is quarantined/evicted (or raised under
+    ``strict``) exactly like a corrupt in-memory entry.  A pre-store
+    directory of flat ``{level}-{digest}.pkl`` files is migrated into
+    the CAS layout on attach.
 
     The persistent tier is bounded by ``max_disk_entries`` refs *and*
     ``max_disk_bytes`` object bytes; once a publish exceeds either,
@@ -262,7 +254,6 @@ class PipelineCache:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.store_hits = 0
         self.corruptions = 0
         self.evicted_entries = 0
         self.evicted_bytes = 0
@@ -364,42 +355,6 @@ class PipelineCache:
                 f"disk cache entry {name} failed its integrity check"
             )
         return None
-
-    def _remote_load(self, key: tuple):
-        """Read-through to the ``REPRO_STORE_URL`` tiers, promoting a
-        verified hit into the local store.  Missing tiers and corrupt
-        remote objects degrade to a miss (the entry is then recomputed
-        locally), never an error."""
-        name = self._ref_name(key)
-        for tier in remote_tiers():
-            digest = tier.get_ref(name)
-            if digest is None:
-                continue
-            try:
-                blob = tier.get(digest)
-            except StoreCorruptionError:
-                self.corruptions += 1
-                continue
-            if blob is None:
-                continue
-            entry = self._decode_entry(blob, key)
-            if entry is None:
-                self.corruptions += 1
-                continue
-            self._promote(name, digest, blob)
-            return entry
-        return None
-
-    def _promote(self, name: str, digest: str, blob: bytes) -> None:
-        """Install a verified remote entry into the local store
-        (object before ref); best-effort."""
-        if self._store is None:
-            return
-        try:
-            self._store.put(blob, digest)
-            self._store.set_ref(name, digest)
-        except OSError:
-            pass
 
     def _disk_store(self, key: tuple, value) -> None:
         """Publish one entry into the local store, then enforce the
@@ -504,14 +459,6 @@ class PipelineCache:
                 _telemetry_incr("cache.disk_hit")
                 self._entries[key] = (value, _key_digest(key))
                 return value
-        loaded = self._remote_load(key) if remote_tiers() else None
-        if loaded is not None:
-            value = loaded[0]
-            self.hits += 1
-            self.store_hits += 1
-            _telemetry_incr("cache.store_hit")
-            self._entries[key] = (value, _key_digest(key))
-            return value
         self.misses += 1
         _telemetry_incr("cache.miss")
         self._depth += 1
@@ -535,45 +482,6 @@ class PipelineCache:
         self._published.add(key)
         if self._store.get_ref(self._ref_name(key)) is None:
             self._disk_store(key, value)
-
-    def warm_from_store(self) -> int:
-        """Prefetch every remotely-published pipeline entry not held
-        locally; returns how many were installed.
-
-        Broker workers call this once before executing claims so a
-        sweep point reuses the fleet's static-pipeline products instead
-        of recomputing them.  Invalid or corrupt remote entries are
-        skipped (counted in ``corruptions``); a dead tier contributes
-        nothing.  Prefetched entries are not counted as hits — they
-        only spare the misses that would have followed.
-        """
-        fetched = 0
-        for tier in remote_tiers():
-            for name, digest in sorted(tier.refs("pipeline").items()):
-                if self._store is not None and (
-                    self._store.get_ref(name) == digest
-                ):
-                    continue
-                try:
-                    blob = tier.get(digest)
-                except StoreCorruptionError:
-                    self.corruptions += 1
-                    continue
-                if blob is None:
-                    continue
-                try:
-                    stored_key, value, key_digest = _loads(blob)
-                    ok = key_digest == _key_digest(stored_key)
-                except Exception:
-                    ok = False
-                if not ok:
-                    self.corruptions += 1
-                    continue
-                self._entries[stored_key] = (value, key_digest)
-                self._promote(name, digest, blob)
-                fetched += 1
-                _telemetry_incr("cache.prefetch")
-        return fetched
 
     # -- shipping (spawn-started workers) -----------------------------------
 
@@ -639,7 +547,6 @@ class PipelineCache:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.store_hits = 0
         self.corruptions = 0
         self.evicted_entries = 0
         self.evicted_bytes = 0
@@ -652,7 +559,6 @@ class PipelineCache:
             "misses": self.misses,
             "hit_rate": self.hits / total if total else 0.0,
             "disk_hits": self.disk_hits,
-            "store_hits": self.store_hits,
             "corruptions": self.corruptions,
             "evicted_entries": self.evicted_entries,
             "evicted_bytes": self.evicted_bytes,

@@ -61,15 +61,11 @@ from repro.sim.machine import MachineConfig
 from repro.sim.process import SimProcess
 from repro.telemetry.events import PROC_TID_BASE
 from repro.tuning.assignment import select_core_checked
-from repro.tuning.monitor import PhaseState, SectionMonitor
+from repro.tuning.monitor import FREE, PhaseState, SectionMonitor
 
 #: Cycles one sched_setaffinity-style call costs (kernel entry + mask
 #: update), charged whenever a mark actually issues the call.
 AFFINITY_SYSCALL_CYCLES = 150.0
-
-#: Sentinel: Algorithm 2 found no significant gap, so the phase type is
-#: deliberately left unconstrained (see ``pin_ties``).
-FREE = "free"
 
 
 @dataclass(frozen=True)
@@ -388,8 +384,6 @@ class PhaseTuningRuntime:
         decisions.
         """
         state = proc.tuner_state.get(phase_type)
-        # == not `is`: a checkpointed process's restored FREE marker is
-        # an equal-but-distinct string object.
         if state is None or state.decided == FREE:
             return None
         return state.decided

@@ -46,6 +46,15 @@ def test_status_on_missing_directory_fails_and_creates_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bless_on_missing_directory_fails_and_creates_nothing(tmp_path):
+    missing = tmp_path / "no-such-queue"
+    out = _cli("bless", str(missing))
+    assert out.returncode == 1
+    assert f"bless: no broker directory {missing}" in out.stderr
+    assert not missing.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_work_drains_and_status_reports_settled(tmp_path):
     broker = Broker(tmp_path)
     sweep = broker.enqueue(abs, [-3, -4, 5])

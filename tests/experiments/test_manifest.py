@@ -5,8 +5,10 @@ Manifests written before the ``--no-coalesce`` flag was removed carry a
 and ``--backoff-base`` were removed carry ``"task_retries"`` and
 ``"backoff_base"``.  Every manifest written before the HTTP broker
 transport was removed carries ``"broker_url"`` (``--broker-url`` is no
-longer a flag).  ``resume`` reads only the keys it knows, so such run
-directories still resume, with the same stdout as a fresh invocation.
+longer a flag), and every manifest written before the store tier chain
+was removed carries ``"store_url"`` and ``"store_dir"``.  ``resume``
+reads only the keys it knows, so such run directories still resume,
+with the same stdout as a fresh invocation.
 """
 
 import json
@@ -48,6 +50,13 @@ RETRIES_MANIFEST = {
 }
 RETRIES_MANIFEST.update(task_retries=5, backoff_base=2.0)
 
+#: The keys the writer with the store-tier flags produced.
+STORE_MANIFEST_KEYS = (
+    "names", "jobs", "log", "cache_dir", "store_url", "store_dir",
+    "trace_out", "trace_categories", "checkpoint_interval", "task_timeout",
+    "lease_ttl", "broker_dir", "priority",
+)
+
 
 def _cli(*argv, cwd):
     env = dict(os.environ)
@@ -78,3 +87,24 @@ def test_legacy_manifest_with_no_coalesce_resumes(tmp_path):
         )
         resumed = _cli("resume", str(run_dir), cwd=tmp_path)
         assert resumed == fresh, name
+
+
+def test_manifest_with_store_keys_resumes(tmp_path):
+    """A run directory written with the store-tier flags (its manifest
+    holds ``store_url``/``store_dir``) resumes with fresh stdout; the
+    named store directories are ignored, so nothing is created there."""
+    fresh = _cli("--jobs", "1", "open_system", cwd=tmp_path)
+    manifest = {key: None for key in STORE_MANIFEST_KEYS}
+    manifest.update(
+        names=["open_system"], jobs=1, log=False,
+        store_url=str(tmp_path / "shared-store"),
+        store_dir=str(tmp_path / "local-store"),
+    )
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True)
+    )
+    assert _cli("resume", str(run_dir), cwd=tmp_path) == fresh
+    assert not (tmp_path / "shared-store").exists()
+    assert not (tmp_path / "local-store").exists()

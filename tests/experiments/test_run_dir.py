@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.experiments import harness
-from repro.experiments.broker import Broker, Lease, task_key
+from repro.experiments.broker import Broker, Lease, task_key, worker_loop
 from repro.experiments.harness import run_tasks
 from repro.sim.checkpoint import TASK_CHECKPOINT_DIR_ENV
 from repro.taxonomy import LEASE_EXPIRED, state_of
@@ -339,3 +339,56 @@ def test_run_root_off_by_default(tmp_path, monkeypatch):
     assert run_tasks(_square, [1, 2], jobs=2) == [1, 4]
     assert run_tasks(_square, [1], jobs=1) == [1]
     assert list(tmp_path.iterdir()) == []
+
+
+# -- a resumed task records the uninterrupted digest ---------------------------
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_resumed_task_records_the_uninterrupted_digest(tmp_path, monkeypatch):
+    """A sweep task interrupted after its first checkpoint and resumed
+    from it records the same result sha256 as an uninterrupted run, so
+    ``status`` reports no DRIFT against a golden of either."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import run_technique_point
+    from repro.sim.checkpoint import CHECKPOINT_INTERVAL_ENV, CheckpointManager
+    from repro.workloads.workload import Workload
+
+    monkeypatch.setenv(CHECKPOINT_INTERVAL_ENV, "10")
+    config = ExperimentConfig.quick()
+    task = (config, "Loop[45]", Workload.random(config.slots, seed=1), None)
+
+    def recorded(name):
+        directory = tmp_path / name
+        sweep = Broker(directory).enqueue(run_technique_point, [task])
+        worker_loop(directory, backoff_base=0.0, poll_interval=0.01)
+        broker = Broker(directory)
+        assert broker.counts(sweep)["done"] == 1
+        return broker.result_rows(sweep)
+
+    uninterrupted = recorded("uninterrupted")
+
+    save, latest_state = CheckpointManager.save, CheckpointManager.latest_state
+    saves, resumed = [], []
+
+    def save_once_then_stop(self, sim, at=None):
+        path = save(self, sim, at)
+        if not saves:
+            saves.append(path)
+            raise _Interrupted()
+        return path
+
+    def recording_latest_state(self):
+        state = latest_state(self)
+        resumed.append(state is not None)
+        return state
+
+    monkeypatch.setattr(CheckpointManager, "save", save_once_then_stop)
+    monkeypatch.setattr(CheckpointManager, "latest_state", recording_latest_state)
+    interrupted = recorded("interrupted")
+
+    assert resumed == [False, True]  # the second attempt resumed
+    assert interrupted == uninterrupted

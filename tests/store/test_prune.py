@@ -1,12 +1,14 @@
 """Age/LRU pruning of a store directory (``LocalStore.prune``) and the
-re-verify guarantee for pruned-then-refetched objects."""
+re-verify guarantee for pruned objects copied back in."""
 
 import os
+import shutil
 import time
 
 import pytest
 
-from repro.store import LocalStore, TieredStore
+from repro.errors import StoreCorruptionError
+from repro.store import LocalStore
 
 
 def _backdate(store, name, age):
@@ -103,34 +105,30 @@ def test_prune_noop_within_budget(tmp_path):
 
 
 def test_pruned_object_is_reverified_on_refetch(tmp_path):
-    """A pruned object is not special afterwards: re-fetching it from a
-    remote tier runs the same digest check as any cold read, so a
-    remote that has since rotted cannot slip bad bytes into the cache
-    the prune emptied."""
+    """A pruned object is not special afterwards: copying it back into
+    the store (as ``cp -a``/``rsync`` from another host would) runs the
+    same digest check on the next read as any cold read, so a copy that
+    has since rotted cannot slip bad bytes into the store the prune
+    emptied."""
     shared = LocalStore(tmp_path / "shared")
     local = LocalStore(tmp_path / "local")
-    tiered = TieredStore(local=local, remotes=[shared])
     digest = shared.put(b"durable artifact")
-    shared.set_ref("exp/art", digest)
-
-    assert tiered.fetch("exp/art") == b"durable artifact"
-    assert local.has(digest)  # promoted into the pruned-to-be tier
+    local.set_ref("exp/art", local.put(b"durable artifact"))
 
     local.prune(max_age=0.0, now=time.time() + 100.0)
     assert not local.has(digest)
 
-    # Rot the remote copy; the read-through refetch must verify and
-    # refuse it rather than repopulate the cache with junk.
-    path = shared._object_path(digest)
-    path.write_bytes(b"rotten artifact!")
-    fresh = TieredStore(local=local, remotes=[shared])
-    assert fresh.get_object(digest) is None
+    # Rot the other host's copy, then copy it back in; the read must
+    # verify and refuse it rather than serve junk.
+    shared._object_path(digest).write_bytes(b"rotten artifact!")
+    local._object_path(digest).parent.mkdir(parents=True, exist_ok=True)
+    shutil.copy2(shared._object_path(digest), local._object_path(digest))
+    with pytest.raises(StoreCorruptionError):
+        local.get(digest)
     assert not local.has(digest)
 
-    # Heal the remote; the next cold read verifies and lands.  (The
-    # rotten copy went to the remote's quarantine/, so the healed
-    # object is published again.)
-    shared.put(b"durable artifact")
-    healed = TieredStore(local=local, remotes=[shared])
-    assert healed.get_object(digest) == b"durable artifact"
+    # A healthy copy verifies and is served.
+    healthy = LocalStore(tmp_path / "healthy")
+    healthy.put(b"durable artifact")
+    shutil.copy2(healthy._object_path(digest), local._object_path(digest))
     assert local.get(digest) == b"durable artifact"

@@ -2,39 +2,26 @@
 
 Same playbook as the broker race tests: hypothesis drives the
 interleavings, real threads/processes race on one store directory, and
-the invariants under test are the CAS ones — any interleaving of
-same-digest publishers yields exactly one canonical object, and a
-corrupted object is rejected, quarantined, and recomputed rather than
-served.
+the invariant under test is the CAS one — any interleaving of
+same-digest publishers yields exactly one canonical object.  The broker
+result/checkpoint housekeeping and the store CLI are covered here too.
 """
 
 import json
 import multiprocessing
-import os
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CheckpointError
 from repro.experiments.broker import Broker, task_key
-from repro.sim.checkpoint import CheckpointManager
-from repro.store import LocalStore, TieredStore, object_digest
+from repro.store import LocalStore, object_digest
 from repro.store.__main__ import main as store_main
-from repro.tuning.pipeline import PipelineCache
 
 
 def _square(x):
     return x * x
-
-
-class _StubSim:
-    def __init__(self, state):
-        self._state = dict(state)
-
-    def snapshot_state(self):
-        return dict(self._state)
 
 
 def _put_worker(root, payload, barrier):
@@ -144,99 +131,18 @@ def test_gc_sweeps_crashed_writer_temp_files(tmp_path):
     assert store.get(digest) == b"survivor"
 
 
-# -- corrupted remote entry: rejected, quarantined, recomputed --------------
+# -- broker results and checkpoints ----------------------------------------
 
 
-def test_corrupt_remote_pipeline_entry_recomputed(tmp_path, monkeypatch):
-    shared = tmp_path / "shared"
-    warm = PipelineCache(disk_dir=shared)
-    calls = []
-    warm.get_or_build(("typing", "prog"), lambda: calls.append(1) or 41)
-
-    # Flip bits in the shared object behind the published ref.
-    shared_store = LocalStore(shared)
-    (name, digest), = shared_store.refs("pipeline").items()
-    shared_store._object_path(digest).write_bytes(b"flipped bits")
-
-    monkeypatch.setenv("REPRO_STORE_URL", str(shared))
-    cold = PipelineCache(disk_dir=tmp_path / "local")
-    value = cold.get_or_build(
-        ("typing", "prog"), lambda: calls.append(2) or 41
-    )
-    # The damaged entry was rejected and recomputed, not served.
-    assert value == 41
-    assert calls == [1, 2]
-    assert cold.misses == 1 and cold.store_hits == 0
-    assert cold.corruptions == 1
-    # ...and quarantined on the remote, so the evidence survives.
-    assert list((shared / "quarantine").iterdir())
-
-
-def test_forged_remote_entry_rejected_without_quarantine(
-    tmp_path, monkeypatch
-):
-    """An object that verifies (bytes match digest) but decodes to the
-    wrong key is a forgery, not corruption: dropped, recomputed."""
-    import pickle
-
-    from repro.tuning.pipeline import _key_digest
-
-    shared = tmp_path / "shared"
-    shared_store = LocalStore(shared)
-    key = ("typing", "prog")
-    blob = pickle.dumps(
-        (("forged",), 99, _key_digest(key)),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    digest = shared_store.put(blob)
-    shared_store.set_ref(f"pipeline/{key[0]}-{_key_digest(key)}", digest)
-
-    monkeypatch.setenv("REPRO_STORE_URL", str(shared))
-    cold = PipelineCache(disk_dir=tmp_path / "local")
-    assert cold.get_or_build(key, lambda: 41) == 41
-    assert cold.misses == 1
-    assert cold.corruptions == 1
-
-
-# -- broker results through the store ---------------------------------------
-
-
-def test_broker_results_replay_from_store_on_second_host(
-    tmp_path, monkeypatch
-):
-    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-    broker = Broker(tmp_path / "broker", fsync=False)
-    sweep = broker.enqueue(_square, [2, 3], labels=["two", "three"])
-    while True:
-        lease = broker.claim(worker="host-a")
-        if lease is None:
-            break
-        fn, task = lease.load()
-        broker.complete(lease, fn(task))
-
-    # "Second host": the queue database travels (rsync/shared fs) but
-    # the digest-named result files do not.
-    for entry in broker.results_dir.iterdir():
-        entry.unlink()
-    assert broker.replay(sweep) == {0: 4, 1: 9}
-    # The fetched payloads were promoted back next to the queue, so a
-    # third replay needs no store at all.
-    monkeypatch.delenv("REPRO_STORE_DIR")
-    assert broker.replay(sweep) == {0: 4, 1: 9}
-    broker.close()
-
-
-def test_broker_replay_without_store_still_misses(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_STORE_URL", raising=False)
+def test_broker_replay_without_store_still_misses(tmp_path):
     broker = Broker(tmp_path / "broker", fsync=False)
     sweep = broker.enqueue(_square, [5])
     lease = broker.claim(worker="host-a")
     broker.complete(lease, 25)
     for entry in broker.results_dir.iterdir():
         entry.unlink()
-    # No store configured: the missing file is simply absent (the task
-    # re-runs), exactly the pre-store behavior.
+    # results/ next to the queue is the one copy: a missing file is
+    # simply absent, and the task re-runs.
     assert broker.replay(sweep) == {}
     broker.close()
 
@@ -269,86 +175,16 @@ def test_gc_checkpoints_removes_only_done_keys(tmp_path):
     broker.close()
 
 
-# -- checkpoints through the store ------------------------------------------
-
-
-def test_checkpoint_resumes_from_store_on_fresh_host(tmp_path):
-    shared = tmp_path / "shared"
-    state = {"now": 12.5, "phase": "tuned"}
-
-    first = CheckpointManager(
-        tmp_path / "host-a", interval=5.0,
-        store=TieredStore(local=LocalStore(shared)), ref="ckpt/task/base",
-    )
-    first.save(_StubSim(state))
-
-    # A fresh host with an empty checkpoint directory but the same
-    # shared store resumes mid-simulation.
-    second = CheckpointManager(
-        tmp_path / "host-b", interval=5.0,
-        store=TieredStore(local=LocalStore(shared)), ref="ckpt/task/base",
-    )
-    assert second.latest_state() == state
-    assert second.resumed_from_store
-    # The envelope was promoted into the local directory: the next
-    # resume is store-free.
-    assert len(second.checkpoint_files()) == 1
-    third = CheckpointManager(tmp_path / "host-b", interval=5.0)
-    assert third.latest_state() == state
-    assert not third.resumed_from_store
-
-
-def test_corrupt_store_checkpoint_falls_back_to_clean_start(tmp_path):
-    shared = LocalStore(tmp_path / "shared")
-    digest = shared.put(b"not a checkpoint envelope")
-    shared.set_ref("ckpt/task/base", digest)
-    mgr = CheckpointManager(
-        tmp_path / "host", interval=5.0,
-        store=TieredStore(local=shared), ref="ckpt/task/base",
-    )
-    assert mgr.latest_state() is None
-    assert mgr.corrupt_skipped == 1
-    assert not mgr.resumed_from_store
-
-
-def test_checkpoint_without_ref_never_touches_store(tmp_path):
-    class _Boom:
-        def publish(self, *a, **k):
-            raise AssertionError("store used without a ref")
-
-        def fetch(self, *a, **k):
-            raise AssertionError("store used without a ref")
-
-    mgr = CheckpointManager(tmp_path, interval=5.0, store=_Boom(), ref=None)
-    assert mgr.store is None
-    mgr.save(_StubSim({"now": 1.0}))
-    assert mgr.latest_state() == {"now": 1.0}
-
-
 # -- CLI --------------------------------------------------------------------
 
 
-def test_cli_push_pull_stats_gc_roundtrip(tmp_path, capsys):
+def test_cli_stats_gc_roundtrip(tmp_path, capsys):
     src = tmp_path / "src"
-    dst = tmp_path / "dst"
     store = LocalStore(src)
     digest = store.put(b"artifact body")
     store.set_ref("pipeline/entry", digest)
     store.put(b"orphan")
 
-    assert store_main(["push", "--dir", str(src), "--url", str(dst)]) == 0
-    mirrored = LocalStore(dst)
-    assert mirrored.get_ref("pipeline/entry") == digest
-    assert mirrored.get(digest) == b"artifact body"
-    # push copies referenced artifacts, not orphans.
-    assert mirrored.objects() == [digest]
-
-    pulled = tmp_path / "pulled"
-    assert store_main(["pull", "--dir", str(pulled), "--url",
-                       str(dst)]) == 0
-    assert LocalStore(pulled).get(digest) == b"artifact body"
-
-    capsys.readouterr()  # drain the push/pull progress lines
     assert store_main(["stats", "--dir", str(src)]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["tiers"][f"dir:{src}"]["objects"] == 2

@@ -631,55 +631,6 @@ def test_two_processes_share_one_tier(tmp_path):
     _assert_refs_verify(store)
 
 
-def test_remote_read_through_promotes(tmp_path, monkeypatch):
-    """A second host with an empty local cache serves everything from the
-    remote tier — and promotes it locally so the next run is offline."""
-    warm_dir = tmp_path / "shared"
-    local_dir = tmp_path / "local"
-    program, spec, _, tuned = _warm_disk(warm_dir)
-
-    monkeypatch.setenv("REPRO_STORE_URL", str(warm_dir))
-    cold = PipelineCache(disk_dir=local_dir)
-    again = tune_program(program, LoopStrategy(20), spec=spec, cache=cold)
-    assert cold.misses == 0
-    assert cold.store_hits > 0
-    assert cold.disk_hits == 0
-    assert again.mark_count == tuned.mark_count
-    assert again.isolated_seconds == tuned.isolated_seconds
-
-    # Promotion: with the remote gone, the local tier now has it all.
-    monkeypatch.delenv("REPRO_STORE_URL")
-    offline = PipelineCache(disk_dir=local_dir)
-    tune_program(program, LoopStrategy(20), spec=spec, cache=offline)
-    assert offline.misses == 0
-    assert offline.disk_hits > 0
-
-
-def test_dead_remote_tier_degrades_to_recompute(tmp_path, monkeypatch):
-    """An unreachable remote tier must never fail a build."""
-    monkeypatch.setenv("REPRO_STORE_URL", str(tmp_path / "never-mounted"))
-    program, spec = make_phased_program(outer=4)
-    cache = PipelineCache(disk_dir=tmp_path / "local")
-    tuned = tune_program(program, LoopStrategy(20), spec=spec, cache=cache)
-    assert tuned.mark_count >= 0
-    assert cache.misses > 0
-    assert cache.store_hits == 0
-    assert not (tmp_path / "never-mounted").exists()
-
-
-def test_warm_from_store_prefetches_remote_entries(tmp_path, monkeypatch):
-    warm_dir = tmp_path / "shared"
-    program, spec, warm, _ = _warm_disk(warm_dir)
-    monkeypatch.setenv("REPRO_STORE_URL", str(warm_dir))
-    cold = PipelineCache(disk_dir=tmp_path / "local")
-    assert cold.warm_from_store() == len(warm.store.refs("pipeline")) == 1
-    monkeypatch.delenv("REPRO_STORE_URL")
-    tune_program(program, LoopStrategy(20), spec=spec, cache=cold)
-    assert cold.misses == 0
-    # Prefetched entries landed in memory: no disk loads either.
-    assert cold.disk_hits == 0
-
-
 # -- the per-job product --------------------------------------------------------
 
 _JOB_MIX = ("164.gzip", "429.mcf")
