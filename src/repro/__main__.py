@@ -2,7 +2,7 @@
 
 The experiments CLI is the package's only entry point; this alias just
 saves the suffix (``python -m repro open_system``, ``python -m repro
-status DIR --watch``, ...).
+resume RUNDIR``, ...).
 """
 
 import sys

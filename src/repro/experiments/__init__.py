@@ -26,7 +26,6 @@ from repro.experiments.config import (
     TABLE2_VARIANTS,
     ExperimentConfig,
 )
-from repro.experiments.results_db import GoldenDiff, ResultsDB
 from repro.experiments.runner import (
     TechniqueOutcome,
     run_baseline,
@@ -37,8 +36,6 @@ __all__ = [
     "TABLE2_VARIANTS",
     "Broker",
     "ExperimentConfig",
-    "GoldenDiff",
-    "ResultsDB",
     "TechniqueOutcome",
     "run_baseline",
     "run_technique",

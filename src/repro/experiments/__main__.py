@@ -38,32 +38,6 @@ Crash-safe runs::
     # ... SIGKILL, power loss, OOM ...
     python -m repro.experiments resume run1
 
-Broker-backed sweeps (multi-worker, multi-host, fault-tolerant)::
-
-    python -m repro.experiments --broker-dir /shared/q fig6   # self-contained
-    python -m repro.experiments enqueue /shared/q fig6 &      # submit + wait
-    python -m repro.experiments work /shared/q                # on any host
-    python -m repro.experiments status /shared/q              # queue + drift
-    python -m repro.experiments bless /shared/q               # golden baseline
-
-``--broker-dir DIR`` (or ``REPRO_BROKER_DIR``) routes every sweep
-through the claim/lease task queue of :mod:`repro.experiments.broker`:
-tasks survive worker ``kill -9`` via lease reclamation, repeatedly
-crashing tasks are quarantined instead of failing the sweep, and
-results are recorded idempotently by content key.  ``enqueue`` submits
-without computing (workers elsewhere run ``work``, which sizes itself
-from *its own* host's ``REPRO_JOBS``/``--jobs``, never the submitter's);
-``status`` reports queue states, quarantines, sessions, and drift
-against the golden baseline recorded by ``bless``.  ``enqueue
---priority N`` claims higher-priority sweeps first (FIFO within a
-band).
-
-Per-task knobs (all backends): ``--task-timeout SECONDS`` (or
-``REPRO_TASK_TIMEOUT``; zero or negative means no timeout) and
-``--lease-ttl SECONDS`` (or ``REPRO_LEASE_TTL``) for broker leases.
-The attempt budget and the backoff are constants in
-:mod:`repro.experiments.broker`.
-
 ``--run-dir DIR`` makes the invocation durable: the chosen experiments
 and options are written to ``DIR/manifest.json``, every sweep runs
 through the broker queue at ``DIR/broker`` (its local workers' leases
@@ -74,6 +48,10 @@ periodically (``--checkpoint-interval`` simulated seconds), and with
 are derived from the tasks' content, so finished tasks are replayed,
 interrupted tasks continue from their latest valid checkpoint, and the
 completed output is byte-identical to an uninterrupted run.
+
+Per-task knob: ``--task-timeout SECONDS`` (or ``REPRO_TASK_TIMEOUT``;
+zero or negative means no timeout).  The attempt budget, the backoff
+and the lease TTL are constants in :mod:`repro.experiments.broker`.
 """
 
 from __future__ import annotations
@@ -98,16 +76,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.broker import (
-    BROKER_DIR_ENV,
-    LEASE_TTL_ENV,
-    PRIORITY_ENV,
-    Broker,
-    worker_loop,
-)
-from repro.errors import BrokerError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.results_db import ResultsDB, format_diff
 from repro.sim.checkpoint import CHECKPOINT_INTERVAL_ENV
 from repro.telemetry import (
     TRACE_CATEGORIES_ENV,
@@ -315,50 +284,6 @@ def _parse_args(argv):
         "attempt failed and kills itself, and the task is re-offered "
         "until its attempt budget is spent",
     )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="broker lease TTL: how long a dead worker's task stays "
-        "claimed before reclamation (default: REPRO_LEASE_TTL, else 30)",
-    )
-    parser.add_argument(
-        "--broker-dir",
-        default=None,
-        metavar="DIR",
-        help="route sweeps through the fault-tolerant broker queue at DIR "
-        "(default: the REPRO_BROKER_DIR environment variable, if set); "
-        "see also the enqueue/work/status/bless verbs",
-    )
-    parser.add_argument(
-        "--priority",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with enqueue (or any broker-backed sweep): claim this "
-        "sweep's tasks before lower-priority ones (default: "
-        "REPRO_SWEEP_PRIORITY, else 0; FIFO within a priority band)",
-    )
-    parser.add_argument(
-        "--forever",
-        action="store_true",
-        help="with the work verb: keep serving after the queue drains "
-        "(until interrupted)",
-    )
-    parser.add_argument(
-        "--watch",
-        action="store_true",
-        help="with the status verb: poll the broker and re-render the "
-        "report in place (plus the audit-event tail) until interrupted",
-    )
-    parser.add_argument(
-        "--watch-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between --watch refreshes (default: 2)",
-    )
     return parser.parse_args(argv)
 
 
@@ -401,7 +326,8 @@ def _run_telemetry(trace_dir, live: bool) -> None:
 
 
 #: Options carried through DIR/manifest.json so ``resume DIR`` replays
-#: the original invocation without re-typing it.
+#: the original invocation without re-typing it.  Keys an older writer
+#: recorded for options that no longer exist are ignored.
 _MANIFEST_KEYS = (
     "names",
     "jobs",
@@ -411,9 +337,6 @@ _MANIFEST_KEYS = (
     "trace_categories",
     "checkpoint_interval",
     "task_timeout",
-    "lease_ttl",
-    "broker_dir",
-    "priority",
 )
 
 
@@ -457,16 +380,10 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
         # as well as forked — attach the same disk tier.
         os.environ[CACHE_DIR_ENV] = args.cache_dir
         default_cache().set_disk_dir(args.cache_dir)
-    # Retry/broker knobs travel through the environment too, so sweep
-    # workers and resumed invocations all see them.
-    if getattr(args, "task_timeout", None) is not None:
+    # The task timeout travels through the environment too, so sweep
+    # workers and resumed invocations all see it.
+    if args.task_timeout is not None:
         os.environ[harness.TASK_TIMEOUT_ENV] = str(args.task_timeout)
-    if getattr(args, "lease_ttl", None) is not None:
-        os.environ[LEASE_TTL_ENV] = str(args.lease_ttl)
-    if getattr(args, "broker_dir", None):
-        os.environ[BROKER_DIR_ENV] = args.broker_dir
-    if getattr(args, "priority", None) is not None:
-        os.environ[PRIORITY_ENV] = str(args.priority)
     if args.trace_categories:
         os.environ[TRACE_CATEGORIES_ENV] = args.trace_categories
     if args.trace_out:
@@ -532,241 +449,6 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
     )
 
 
-def _flag_target(args) -> str:
-    """The broker directory from ``--broker-dir`` or
-    ``REPRO_BROKER_DIR`` (no positional)."""
-    return (
-        getattr(args, "broker_dir", None)
-        or os.environ.get(BROKER_DIR_ENV, "").strip()
-    )
-
-
-def _verb_dir(args, verb: str) -> str:
-    """The verb's broker directory: the positional argument, else
-    ``--broker-dir`` (or its environment variable)."""
-    if len(args.names) >= 2:
-        return args.names[1]
-    target = _flag_target(args)
-    if target:
-        return target
-    raise SystemExit(
-        f"usage: python -m repro.experiments {verb} DIR"
-        + (" [experiment ...]" if verb == "enqueue" else "")
-        + " (or pass --broker-dir)"
-    )
-
-
-def _cmd_enqueue(args) -> None:
-    """Submit experiments through the broker and wait for workers.
-
-    Spawns no local workers (``REPRO_BROKER_WORKERS=0``): the sweep is
-    claimable by ``work`` processes on any host sharing the directory,
-    and this invocation blocks until they finish, then prints the
-    experiment output exactly as a local run would.
-    """
-    rest = args.names[1:]
-    if rest and rest[0] not in _EXPERIMENTS:
-        target, chosen = rest[0], rest[1:]
-    else:
-        # Every positional is an experiment name: the target must come
-        # from --broker-dir or the environment.
-        target = _flag_target(args)
-        chosen = rest
-        if not target:
-            raise SystemExit(
-                "usage: python -m repro.experiments enqueue DIR "
-                "[experiment ...] (or pass --broker-dir)"
-            )
-    os.environ[BROKER_DIR_ENV] = target
-    os.environ[harness.BROKER_WORKERS_ENV] = "0"
-    chosen = list(chosen) or list(_EXPERIMENTS)
-    for name in chosen:
-        if name not in _EXPERIMENTS:
-            raise SystemExit(
-                f"unknown experiment {name!r}; choose from "
-                f"{sorted(_EXPERIMENTS)}"
-            )
-    _execute(args, chosen, None)
-
-
-def _cmd_work(args) -> None:
-    """Serve tasks from a broker directory on this host.
-
-    The worker count comes from this host's ``--jobs``/``REPRO_JOBS``
-    (never from anything the enqueuing host wrote into the queue), so
-    every worker host honors its own core budget.
-    """
-    directory = _verb_dir(args, "work")
-    if getattr(args, "lease_ttl", None) is not None:
-        os.environ[LEASE_TTL_ENV] = str(args.lease_ttl)
-    jobs = harness.worker_count(args.jobs)
-    log = lambda line: print(line, file=sys.stderr, flush=True)  # noqa: E731
-    timeout = harness.resolve_timeout(args.task_timeout)
-    if jobs == 1:
-        try:
-            completed = worker_loop(
-                directory,
-                task_timeout=timeout,
-                timeout_kills=True,
-                drain=not args.forever,
-                log=log if args.log else None,
-            )
-        except BrokerError as exc:
-            raise SystemExit(f"work: {exc}")
-        print(f"worker drained: {completed} task(s) completed")
-        return
-    import multiprocessing
-
-    procs = [
-        multiprocessing.Process(
-            target=worker_loop,
-            args=(directory,),
-            kwargs=dict(
-                task_timeout=timeout,
-                timeout_kills=True,
-                drain=not args.forever,
-            ),
-        )
-        for _ in range(jobs)
-    ]
-    for proc in procs:
-        proc.start()
-    for proc in procs:
-        proc.join()
-    print(f"{jobs} worker(s) drained")
-
-
-def _render_status(directory: str, events_tail: int = 0) -> str:
-    """One status snapshot as text: queue states, workers, quarantines,
-    sessions, drift against the golden baseline, and (for ``--watch``)
-    the tail of the broker's audit-trail ``events`` table.
-
-    Raises:
-        BrokerError: *directory* does not exist.  Opening a
-            :class:`Broker` there would create an empty queue.
-    """
-    if not Path(directory).is_dir():
-        raise BrokerError(f"no broker directory {directory}")
-    broker = Broker(directory)
-    db = ResultsDB.for_broker(directory)
-    lines = []
-    sweeps = broker.sweeps()
-    if not sweeps:
-        lines.append(f"{directory}: empty broker (no sweeps enqueued)")
-    for sweep, fn, total, traced, _created in sweeps:
-        counts = broker.counts(sweep)
-        state = "settled" if broker.settled(sweep) else "running"
-        lines.append(
-            f"{sweep} [{state}] {fn}: "
-            f"{counts['done']}/{total} done, {counts['pending']} pending, "
-            f"{counts['leased']} leased, {counts['quarantined']} quarantined"
-            + (" (traced)" if traced else "")
-        )
-        rows = broker.result_rows(sweep)
-        if rows or db.golden_for(fn):
-            text = format_diff(db.diff(fn, rows))
-            lines.append("  " + text.replace("\n", "\n  "))
-    workers = broker.active_workers()
-    if workers:
-        lines.append(f"active workers: {', '.join(workers)}")
-    for sweep, idx, label, attempts, reason in broker.quarantined():
-        lines.append(f"QUARANTINED {sweep}[{idx}] {label}: {reason}")
-    sessions = db.sessions(limit=5)
-    if sessions:
-        lines.append("recent sessions:")
-        for session, sweep, fn, total, host, _note, _created in sessions:
-            lines.append(
-                f"  #{session} {sweep} {fn} ({total} task(s)) from {host}"
-            )
-    if events_tail > 0:
-        lines.append("")
-        lines.append(f"last {events_tail} event(s):")
-        events = broker.events(limit=events_tail)
-        if not events:
-            lines.append("  (none)")
-        for ts, kind, sweep, idx, worker, detail in events:
-            where = f"{sweep}[{idx}]" if idx is not None else (sweep or "-")
-            lines.append(
-                f"  {ts:.2f} {kind:<12} {where}"
-                + (f" worker={worker}" if worker else "")
-                + (f" {detail}" if detail else "")
-            )
-    return "\n".join(lines)
-
-
-def _cmd_status(args) -> None:
-    """Report queue states, workers, quarantines, sessions, and drift
-    against the golden baseline; with ``--watch``, poll the broker
-    and re-render in place until interrupted.
-
-    A broker directory that cannot be opened exits with the reason;
-    under ``--watch`` the snapshot shows it and polling continues.
-    """
-    directory = _verb_dir(args, "status")
-    if not args.watch:
-        try:
-            print(_render_status(directory))
-        except BrokerError as exc:
-            raise SystemExit(f"status: {exc}")
-        return
-    import time as _time
-
-    interval = args.watch_interval
-    try:
-        while True:
-            try:
-                snapshot = _render_status(directory, events_tail=10)
-            except BrokerError as exc:
-                snapshot = (
-                    f"{directory}: broker unavailable ({exc}); "
-                    f"still polling"
-                )
-            # Clear screen + home, then the snapshot: a cheap in-place
-            # re-render with no terminal library dependencies.
-            sys.stdout.write("\x1b[2J\x1b[H")
-            sys.stdout.write(
-                f"watching {directory} every {interval:g}s "
-                f"(ctrl-c to stop)\n\n"
-            )
-            sys.stdout.write(snapshot + "\n")
-            sys.stdout.flush()
-            _time.sleep(interval)
-    except KeyboardInterrupt:
-        print()
-
-
-def _cmd_bless(args) -> None:
-    """Record every settled sweep's result digests as the golden
-    baseline future runs are diffed against."""
-    directory = _verb_dir(args, "bless")
-    if not Path(directory).is_dir():
-        # Opening a Broker there would create an empty queue.
-        raise SystemExit(f"bless: no broker directory {directory}")
-    broker = Broker(directory)
-    db = ResultsDB.for_broker(directory)
-    blessed = 0
-    for sweep, fn, _total, _traced, _created in broker.sweeps():
-        if not broker.settled(sweep):
-            print(f"skipping {sweep} ({fn}): still running")
-            continue
-        rows = broker.result_rows(sweep)
-        if not rows:
-            continue
-        count = db.bless(fn, rows, sweep=sweep)
-        blessed += count
-        print(f"blessed {count} result(s) of {sweep} ({fn})")
-    if not blessed:
-        print("nothing to bless (no settled sweeps with results)")
-
-
-_VERBS = {
-    "enqueue": _cmd_enqueue,
-    "work": _cmd_work,
-    "status": _cmd_status,
-    "bless": _cmd_bless,
-}
-
-
 def main(argv) -> None:
     args = _parse_args(argv)
     if args.names and args.names[0] == "resume":
@@ -776,15 +458,12 @@ def main(argv) -> None:
         merged, chosen = _merge_manifest(run_dir, args)
         _execute(merged, chosen, run_dir)
         return
-    if args.names and args.names[0] in _VERBS:
-        _VERBS[args.names[0]](args)
-        return
     chosen = args.names or list(_EXPERIMENTS)
     for name in chosen:
         if name not in _EXPERIMENTS and name != "telemetry":
             raise SystemExit(
                 f"unknown experiment {name!r}; choose from "
-                f"{sorted(_EXPERIMENTS) + sorted(_VERBS) + ['resume', 'telemetry']}"
+                f"{sorted(_EXPERIMENTS) + ['resume', 'telemetry']}"
             )
     run_dir = Path(args.run_dir) if args.run_dir else None
     if run_dir is not None:

@@ -1,13 +1,13 @@
 """Fault-tolerant sweep broker: a claim/lease task queue on SQLite.
 
 Every multi-worker sweep of the harness's
-:func:`~repro.experiments.harness.run_tasks` runs through this queue,
-which makes a sweep a *job anyone can submit*.  An **enqueue** step
-shreds the sweep into content-keyed claimable tasks in a broker
-directory (shared filesystem, one ``queue.db`` SQLite file — stdlib
-only, no new dependencies); **workers** on any host claim tasks one at
-a time and record results; the submitter (or anyone) replays the completed sweep
-in task order.  Robustness is the headline — every failure mode has a
+:func:`~repro.experiments.harness.run_tasks` runs through this queue.
+The sweep is shredded into content-keyed claimable tasks in a broker
+directory (one ``queue.db`` SQLite file — stdlib only); local worker
+processes claim tasks one at a time and record results; the submitter
+replays the completed sweep in task order.  The queue is a single-host
+mechanism: SQLite's locking is not reliable over network filesystems,
+so the directory lives on local disk.  Every failure mode has a
 deterministic recovery path:
 
 worker death
@@ -15,17 +15,16 @@ worker death
     heartbeat thread; a ``kill -9``'d worker stops heartbeating, its
     lease expires, and the task is re-offered to the next claimer
     (:meth:`Broker.reclaim_expired`, run automatically inside every
-    claim) — at once, when the dead worker was a local process of the
-    submitting sweep, which sees it exit.  Nothing is lost and nothing
-    needs manual intervention.
+    claim) — at once when the supervising sweep sees the worker exit.
+    Nothing is lost and nothing needs manual intervention.
 
 poison tasks
     Every claim consumes one attempt from a bounded budget.  Re-offers
     back off exponentially (``backoff_base * 2**(attempt-1)``, see
     :data:`BACKOFF_BASE`), and a task that exhausts its budget
     is **quarantined**: parked in a terminal state with its blamed
-    error, visible in ``status``, while the rest of the sweep completes.  One crashing task cannot take a
-    whole figure down.
+    error while the rest of the sweep completes.  One crashing task
+    cannot take a whole figure down.
 
 lease races
     Near TTL expiry two workers can hold the "same" task — the lease
@@ -44,16 +43,11 @@ tasks themselves crash-safe
     their task is reclaimed by another worker.
 
 Content keys hash the point function's reference plus the pickled task
-payload, so identical work enqueued twice — a resubmitted sweep, or
-the same parameter point appearing in two places — maps to the same
-key and is computed once.  Sweep ids are derived from the content keys
+payload, so identical work enqueued twice — a resumed sweep, or the
+same parameter point appearing in two places — maps to the same key
+and is computed once.  Sweep ids are derived from the content keys
 too, making :meth:`Broker.enqueue` idempotent end to end: re-running
-an interrupted submission re-offers only what never finished.
-
-Worker hosts honor *their own* core budgets: nothing about worker
-counts is ever written into the queue, and :func:`worker_loop` /
-the ``work`` CLI verb resolve ``REPRO_JOBS`` from the worker host's
-environment at claim time, not the enqueuing host's.
+an interrupted sweep re-offers only what never finished.
 """
 
 from __future__ import annotations
@@ -70,7 +64,6 @@ import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.env import env_number
 from repro.errors import BrokerError, LeaseLostError, TaskTimeoutError
 from repro.sim.checkpoint import task_checkpoint_dir
 from repro.taxonomy import failed_reason, lease_expired_reason
@@ -79,20 +72,17 @@ from repro.telemetry.context import current_recorder
 
 __all__ = [
     "BACKOFF_BASE",
-    "BROKER_DIR_ENV",
     "Broker",
     "LEASE_TTL",
-    "LEASE_TTL_ENV",
     "Lease",
     "MAX_ATTEMPTS",
-    "PRIORITY_ENV",
     "task_key",
     "task_label",
     "worker_loop",
 ]
 
-#: Seconds a lease lives between heartbeats (``REPRO_LEASE_TTL``
-#: overrides it).  Workers renew at a third of this, so a healthy
+#: Seconds a lease lives between heartbeats.  Workers renew at a third
+#: of this, so a healthy
 #: worker never comes near expiry while a dead one is reclaimed within
 #: one TTL.
 LEASE_TTL = 30.0
@@ -103,21 +93,6 @@ MAX_ATTEMPTS = 3
 #: Base (seconds) of the exponential backoff between re-offers of a
 #: failed task: attempt *n* waits ``BACKOFF_BASE * 2**(n-1)``.
 BACKOFF_BASE = 0.5
-
-#: Environment variable naming the broker directory; ``run_tasks``
-#: routes sweeps through it when set.
-BROKER_DIR_ENV = "REPRO_BROKER_DIR"
-
-#: Environment variable giving enqueued sweeps a default priority
-#: (``--priority``); higher claims first, 0 when unset.
-PRIORITY_ENV = "REPRO_SWEEP_PRIORITY"
-
-#: Environment variable overriding the lease TTL (seconds,
-#: :data:`LEASE_TTL` when unset).  Read on each host
-#: independently; enqueuers and workers sharing a broker directory
-#: should agree on it (a worker renews at a third of its own TTL, so a
-#: modestly shorter enqueuer TTL only reclaims faster).
-LEASE_TTL_ENV = "REPRO_LEASE_TTL"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS sweeps (
@@ -165,12 +140,6 @@ CREATE TABLE IF NOT EXISTS events (
 """
 
 
-def _resolve_priority(priority: Optional[int]) -> int:
-    if priority is not None:
-        return int(priority)
-    return env_number(PRIORITY_ENV, int, 0, BrokerError)
-
-
 #: Longest default task label, in characters.
 LABEL_LIMIT = 120
 
@@ -194,8 +163,8 @@ def task_key(fn: Callable, task) -> str:
     """Content key of one task: the point function's reference hashed
     with the pickled task payload.
 
-    Identical work maps to the same key whatever sweep, index, or host
-    it is enqueued from — the unit of idempotent result recording.
+    Identical work maps to the same key whatever sweep or index it is
+    enqueued from — the unit of idempotent result recording.
     """
     ref = f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}"
     h = hashlib.sha256()
@@ -250,16 +219,14 @@ class Broker:
 
     Every instance opens its own SQLite connections (one per thread —
     heartbeat threads renew through their own handle), so any number of
-    worker processes on any number of hosts can share the directory.
+    worker processes on this host can share the directory.
     All state transitions run inside ``BEGIN IMMEDIATE`` transactions:
     claims are atomic, and two workers can never claim the same live
     lease.
 
     Args:
-        directory: the broker root (created unless ``create=False``).
-        lease_ttl: seconds a claim stays valid without a heartbeat;
-            ``REPRO_LEASE_TTL`` (else :data:`LEASE_TTL`) when
-            ``None``.
+        directory: the broker root (created if missing).
+        lease_ttl: seconds a claim stays valid without a heartbeat.
         max_attempts: claims allowed per task before quarantine.
         backoff_base: exponential-backoff base (seconds) between
             re-offers.
@@ -275,15 +242,11 @@ class Broker:
     def __init__(
         self,
         directory,
-        lease_ttl: Optional[float] = None,
+        lease_ttl: float = LEASE_TTL,
         max_attempts: int = MAX_ATTEMPTS,
         backoff_base: float = BACKOFF_BASE,
         fsync: bool = True,
     ):
-        if lease_ttl is None:
-            lease_ttl = env_number(
-                LEASE_TTL_ENV, float, LEASE_TTL, BrokerError
-            )
         if lease_ttl <= 0:
             raise BrokerError(f"lease_ttl must be positive, got {lease_ttl}")
         if max_attempts < 1:
@@ -307,15 +270,6 @@ class Broker:
             self.results_dir.mkdir(exist_ok=True)
             # executescript commits on its own; keep it out of _txn.
             self._conn().executescript(_SCHEMA)
-            try:
-                # Migration for queues created before sweep priorities:
-                # CREATE TABLE IF NOT EXISTS never adds columns.
-                self._conn().execute(
-                    "ALTER TABLE tasks "
-                    "ADD COLUMN priority INTEGER NOT NULL DEFAULT 0"
-                )
-            except sqlite3.OperationalError:
-                pass  # column already present
         except (OSError, sqlite3.Error) as exc:
             raise BrokerError(
                 f"cannot open broker directory {directory}: {exc}"
@@ -389,15 +343,12 @@ class Broker:
         labels: Optional[Sequence[str]] = None,
         sweep: Optional[str] = None,
         traced: bool = False,
-        priority: Optional[int] = None,
     ) -> str:
         """Shred a sweep into claimable tasks; returns the sweep id.
 
         Idempotent: the sweep id is derived from the content keys, so
         re-enqueueing the same work is a no-op that leaves existing
-        progress (done/quarantined states, recorded results) intact —
-        except the *priority* (``REPRO_SWEEP_PRIORITY`` when ``None``),
-        which re-ranks the sweep's still-pending tasks.
+        progress (done/quarantined states, recorded results) intact.
         """
         tasks = list(tasks)
         if labels is None:
@@ -421,9 +372,6 @@ class Broker:
         if sweep is None:
             # Traced sweeps record (value, telemetry blob) wrappers — a
             # different result shape, so a different sweep identity.
-            # The priority is deliberately NOT part of the identity:
-            # re-submitting the same work at a new priority re-ranks
-            # it, never forks it.
             h = hashlib.sha256(ref.encode("utf-8"))
             if traced:
                 h.update(b"\x01traced")
@@ -431,7 +379,6 @@ class Broker:
                 h.update(b"\x00")
                 h.update(key.encode("ascii"))
             sweep = f"sweep-{h.hexdigest()[:12]}"
-        priority = _resolve_priority(priority)
         now = time.time()
         with self._txn() as cur:
             fresh = cur.execute(
@@ -442,24 +389,14 @@ class Broker:
             for idx, (key, label, payload) in enumerate(items):
                 cur.execute(
                     "INSERT OR IGNORE INTO tasks "
-                    "(sweep, idx, key, label, payload, priority) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    (sweep, idx, key, str(label), payload, priority),
-                )
-            if not fresh:
-                # Re-submission at a new priority re-ranks whatever has
-                # not been claimed yet; settled rows keep their state.
-                cur.execute(
-                    "UPDATE tasks SET priority = ? "
-                    "WHERE sweep = ? AND priority != ?",
-                    (priority, sweep, priority),
+                    "(sweep, idx, key, label, payload) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (sweep, idx, key, str(label), payload),
                 )
             if fresh:
                 self._event(
                     cur, "enqueue", sweep=sweep,
-                    detail=f"{len(items)} task(s) fn={ref}"
-                    + (f" priority={priority}" if priority else ""),
-                    now=now,
+                    detail=f"{len(items)} task(s) fn={ref}", now=now,
                 )
         return sweep
 
@@ -480,13 +417,12 @@ class Broker:
         now = time.time() if now is None else now
         with self._txn() as cur:
             self._reclaim_locked(cur, now)
-            # Highest priority band first; FIFO within a band (rowid is
-            # insertion order, which re-offers keep — a retried task
-            # never loses its place in line).
+            # FIFO: rowid is insertion order, which re-offers keep — a
+            # retried task never loses its place in line.
             row = cur.execute(
                 "SELECT sweep, idx, key, label, payload, attempts "
                 "FROM tasks WHERE state = 'pending' AND not_before <= ? "
-                "ORDER BY priority DESC, rowid LIMIT 1",
+                "ORDER BY rowid LIMIT 1",
                 (now,),
             ).fetchone()
             if row is None:
@@ -749,49 +685,11 @@ class Broker:
             args = (sweep,)
         return self._conn().execute(query + " ORDER BY sweep, idx", args).fetchall()
 
-    def requeue_quarantined(self, sweep: Optional[str] = None) -> int:
-        """Give every quarantined task a fresh attempt budget; returns
-        how many were re-offered (operator escape hatch)."""
-        with self._txn() as cur:
-            query = (
-                "UPDATE tasks SET state = 'pending', attempts = 0, "
-                "not_before = 0, quarantine_reason = NULL "
-                "WHERE state = 'quarantined'"
-            )
-            args: tuple = ()
-            if sweep is not None:
-                query += " AND sweep = ?"
-                args = (sweep,)
-            count = cur.execute(query, args).rowcount
-            if count:
-                self._event(
-                    cur, "requeue", sweep=sweep, detail=f"{count} task(s)"
-                )
-        return count
-
     def settled(self, sweep: str) -> bool:
         """True when no task of *sweep* is runnable or running (every
         task is done or quarantined)."""
         c = self.counts(sweep)
         return c["pending"] == 0 and c["leased"] == 0
-
-    def result_digests(self, sweep: str) -> dict:
-        """``{label: result sha256}`` for the sweep's recorded results
-        (the golden-baseline unit of comparison)."""
-        rows = self._conn().execute(
-            "SELECT label, sha256 FROM results WHERE sweep = ?", (sweep,)
-        ).fetchall()
-        return dict(rows)
-
-    def result_rows(self, sweep: str) -> list:
-        """``(label, key, sha256)`` per recorded result — what the
-        results DB blesses into (and diffs against) the golden
-        baseline."""
-        return self._conn().execute(
-            "SELECT label, key, sha256 FROM results WHERE sweep = ? "
-            "ORDER BY label",
-            (sweep,),
-        ).fetchall()
 
     def replay(
         self, sweep: str, traced: bool = False, indices=None
@@ -830,28 +728,6 @@ class Broker:
             except Exception:
                 continue
         return {idx: by_key[key] for idx, key in index_keys if key in by_key}
-
-    def drop_results(self, sweep: str, traced: Optional[bool] = None) -> int:
-        """Forget recorded results (and re-offer their tasks) so the
-        sweep recomputes; returns how many records were dropped."""
-        with self._txn() as cur:
-            query = "SELECT key FROM results WHERE sweep = ?"
-            args: list = [sweep]
-            if traced is not None:
-                query += " AND traced = ?"
-                args.append(int(bool(traced)))
-            keys = [row[0] for row in cur.execute(query, args).fetchall()]
-            for key in keys:
-                cur.execute(
-                    "DELETE FROM results WHERE sweep = ? AND key = ?",
-                    (sweep, key),
-                )
-                cur.execute(
-                    "UPDATE tasks SET state = 'pending', attempts = 0, "
-                    "not_before = 0 WHERE sweep = ? AND key = ?",
-                    (sweep, key),
-                )
-        return len(keys)
 
     def events(self, sweep: Optional[str] = None, limit: int = 200) -> list:
         """The newest audit-trail rows, oldest first."""
@@ -1004,21 +880,21 @@ class _Heartbeat(threading.Thread):
 def worker_loop(
     directory,
     worker: Optional[str] = None,
-    lease_ttl: Optional[float] = None,
+    lease_ttl: float = LEASE_TTL,
     max_attempts: int = MAX_ATTEMPTS,
     backoff_base: float = BACKOFF_BASE,
     task_timeout: Optional[float] = None,
     timeout_kills: bool = False,
     poll_interval: float = 0.2,
-    drain: bool = True,
     max_tasks: Optional[int] = None,
     log: Optional[Callable] = None,
     durable: bool = True,
 ) -> int:
-    """Claim and run tasks from the broker at *directory*.
+    """Claim and run tasks from the broker at *directory* until no task
+    is runnable or running anywhere in the queue.
 
-    The core of the ``work`` CLI verb and of the local workers the
-    harness runs for every multi-worker sweep.  Each claimed task runs
+    The core of the local workers the harness runs for every
+    multi-worker sweep.  Each claimed task runs
     under a heartbeat thread renewing the lease at a third of its TTL
     and with its checkpoint directory exported; an exception inside the
     point function reports :meth:`Broker.fail` (backed-off re-offer, then
@@ -1031,8 +907,6 @@ def worker_loop(
             it is exceeded (subprocess workers only!), otherwise it
             just stops heartbeating so the task is reclaimed while the
             local attempt burns out.
-        drain: return once no task is runnable or running anywhere in
-            the queue; ``False`` keeps serving until interrupted.
         max_tasks: stop after this many completed claims (tests).
         durable: ``False`` for a throwaway queue that nothing resumes
             from: tasks run without a checkpoint directory and results
@@ -1060,8 +934,7 @@ def worker_loop(
         if lease is None:
             counts = broker.counts()
             if counts["pending"] == 0 and counts["leased"] == 0:
-                if drain:
-                    return completed
+                return completed
             time.sleep(poll_interval)
             continue
         if log is not None:

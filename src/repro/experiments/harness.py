@@ -25,10 +25,10 @@ also the debugging fallback and the reference the tests compare
 against.
 
 One mechanism runs every multi-worker sweep: the claim/lease queue of
-:mod:`repro.experiments.broker`.  The queue lives
+:mod:`repro.experiments.broker`, served by worker processes on this
+host.  The queue lives
 
-* in the broker directory named by ``broker_dir=`` or
-  ``REPRO_BROKER_DIR`` (workers on any host sharing it may serve it);
+* in the broker directory named by ``broker_dir=``;
 * else, under :func:`set_run_root` (the CLI's ``--run-dir``), at
   ``<run dir>/broker``;
 * else in a throwaway temporary directory, deleted when the sweep
@@ -70,6 +70,7 @@ import hashlib
 import multiprocessing
 import multiprocessing.connection
 import os
+import signal
 import socket
 import tempfile
 import threading
@@ -79,7 +80,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.env import env_number
 from repro.errors import BrokerError, ExperimentError, TaskTimeoutError
-from repro.experiments.broker import BROKER_DIR_ENV, task_label
+from repro.experiments.broker import task_label
 from repro.sim.checkpoint import task_checkpoint_dir
 from repro.telemetry.context import current_recorder, set_recorder
 from repro.telemetry.recorder import TraceRecorder
@@ -91,14 +92,6 @@ JOBS_ENV = "REPRO_JOBS"
 #: ``--task-timeout`` writes it through, so workers and resumed runs
 #: see the same budget).
 TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-
-#: Local worker count for a durable queue (a broker directory or a run
-#: dir).  Resolved on the host that runs the workers (``REPRO_JOBS``/
-#: ``--jobs`` otherwise), never recorded in the queue — a worker host
-#: honors its own core budget, not the enqueuing host's.
-#: ``0`` means "submit and wait": enqueue the sweep and block until
-#: workers elsewhere complete it.
-BROKER_WORKERS_ENV = "REPRO_BROKER_WORKERS"
 
 #: Run root installed by :func:`set_run_root`; when set, every sweep
 #: without an explicit broker goes through ``<root>/broker``.
@@ -201,9 +194,9 @@ def run_tasks(
             are shipped to each worker at start-up instead.
         backend: ``None`` or ``"broker"``, the only backend; accepted
             so callers that name it keep working.
-        broker_dir: a broker directory; defaults to
-            ``REPRO_BROKER_DIR``.  If it cannot be opened the sweep
-            degrades gracefully to workers on this host.
+        broker_dir: a durable broker directory to run the sweep
+            through.  If it cannot be opened the sweep degrades
+            gracefully to the queue it would have used without one.
 
     Raises:
         TaskTimeoutError: a task exceeded *timeout* on its last allowed
@@ -237,17 +230,16 @@ def run_tasks(
         _run_broker, fn, tasks, labels, jobs, log, timeout, rec,
         start_method=start_method,
     )
-    target = broker_dir or os.environ.get(BROKER_DIR_ENV, "").strip()
-    if target:
+    if broker_dir:
         try:
-            return sweep(target)
+            return sweep(broker_dir)
         except BrokerError as exc:
-            # Graceful degradation: an unusable broker (read-only
-            # filesystem, missing mount) must not take the sweep down —
-            # fall through to a queue on this host, which needs nothing
-            # but this machine.
+            # Graceful degradation: an unusable broker directory
+            # (read-only filesystem, missing mount) must not take the
+            # sweep down — fall through to the run-dir or throwaway
+            # queue.
             if log is not None:
-                log(f"broker unavailable ({exc}); using single-host pool")
+                log(f"broker unavailable ({exc}); using a local queue")
     if _run_root is not None:
         return sweep(_run_root / "broker")
     if min(worker_count(jobs), total) == 1:
@@ -348,7 +340,6 @@ def _broker_worker_entry(
         max_attempts=max_attempts,
         task_timeout=task_timeout,
         timeout_kills=True,
-        drain=True,
         durable=durable,
     )
 
@@ -370,19 +361,6 @@ def _expire_dead_local_leases(broker) -> None:
             pass  # alive, but not ours to signal
 
 
-def _broker_local_workers(jobs: Optional[int], total: int) -> int:
-    """How many local broker workers this host should run.
-
-    ``REPRO_BROKER_WORKERS`` wins (0 = submit-and-wait for workers on
-    other hosts); otherwise the usual :func:`worker_count` resolution —
-    of *this* host's environment, never anything recorded in the queue.
-    """
-    override = env_number(BROKER_WORKERS_ENV, int, None, ExperimentError)
-    if override is not None:
-        return max(0, min(override, total))
-    return min(worker_count(jobs), total)
-
-
 def _run_broker(
     fn: Callable,
     tasks: list,
@@ -398,16 +376,14 @@ def _run_broker(
     """Queue path of :func:`run_tasks`: enqueue, drive workers, replay
     in task order.
 
-    A non-*durable* (throwaway) queue is served by this host's workers
-    alone, runs tasks without checkpoints and skips fsyncs.  Tasks that
-    time out on their last attempt raise
+    A non-*durable* (throwaway) queue runs tasks without checkpoints
+    and skips fsyncs.  Tasks that time out on their last attempt raise
     :class:`TaskTimeoutError`; other quarantined tasks — or tasks whose
     results cannot be verified — are rescued serially in-parent as the
     last resort, so a genuine poison task raises its real traceback in
     the caller.
     """
     from repro.experiments.broker import Broker, Lease, task_key
-    from repro.experiments.results_db import ResultsDB
 
     traced = rec is not None
     run_fn = fn
@@ -421,26 +397,13 @@ def _run_broker(
     broker = Broker(target, fsync=durable)
     total = len(tasks)
     sweep = broker.enqueue(run_fn, tasks, labels=labels, traced=traced)
-    if durable:
-        fn_name = (
-            f"{getattr(fn, '__module__', '?')}."
-            f"{getattr(fn, '__qualname__', repr(fn))}"
-        )
-        try:
-            ResultsDB.for_broker(broker.directory).record_session(
-                sweep, fn_name, total
-            )
-        except BrokerError:
-            pass  # session log is advisory; the queue itself is intact
     done = broker.replay(sweep, traced=traced)
     if log is not None and done:
         log(f"broker: {len(done)} of {total} task(s) already complete")
     remaining = total - len(done)
     if remaining:
         _expire_dead_local_leases(broker)
-        local = _broker_local_workers(jobs, remaining)
-        if not durable:
-            local = max(local, 1)  # nobody else can reach this queue
+        local = min(worker_count(jobs), remaining)
         seen = set(done)
 
         def collect() -> None:
@@ -519,16 +482,17 @@ def _drive_broker_sweep(
     durable: bool = True,
     poll_interval: float = 0.2,
 ) -> None:
-    """Run *local* workers (and/or wait for remote ones) until *sweep*
-    settles — every task done or quarantined — calling *collect* as
-    tasks complete.
+    """Run *local* workers until *sweep* settles — every task done or
+    quarantined — calling *collect* as tasks complete.
 
-    A local worker that exits abnormally is blamed exactly: its leases
-    are expired on the spot (the attempt still counts) instead of
-    lapsing a full lease TTL later.  Dead workers are respawned while
-    runnable work remains, up to a budget bounded by the per-task
-    attempt limits (so a worker-killing task ends in quarantine, not an
-    infinite respawn loop).
+    A worker that exits abnormally is blamed exactly: its leases are
+    expired on the spot (the attempt still counts) instead of lapsing a
+    full lease TTL later, and its death is logged.  Dead workers are
+    respawned while runnable work remains, up to a budget bounded by
+    the per-task attempt limits (so a worker-killing task ends in
+    quarantine, not an infinite respawn loop).  Once the sweep settles
+    the remaining workers are stopped and reaped, so a worker that died
+    after the last poll is still blamed and logged.
     """
     from repro.experiments.broker import worker_loop
 
@@ -545,7 +509,6 @@ def _drive_broker_sweep(
             task_timeout=timeout,
             timeout_kills=False,
             poll_interval=poll_interval,
-            drain=True,
             log=lambda _line: collect(),
             durable=durable,
         )
@@ -569,26 +532,29 @@ def _drive_broker_sweep(
         proc.start()
         return proc
 
-    if local == 0 and log is not None:
-        log(f"broker: waiting for remote workers to finish {sweep}")
-    workers = [spawn() for _ in range(local)]
-    respawns = 0
-    respawn_budget = remaining * broker.max_attempts + local
-    try:
-        while True:
-            dead = [proc for proc in workers if not proc.is_alive()]
-            workers = [proc for proc in workers if proc.is_alive()]
-            for proc in dead:
-                if proc.exitcode == 0:
-                    continue  # drained the queue and left
-                # The worker's id is its host:pid, so exactly its
-                # leases are expired — no waiting out the TTL.
+    def reap(procs: list) -> list:
+        """The still-running workers of *procs*.  Each one that exited
+        with a non-zero code loses its leases at once — its id is its
+        host:pid, so exactly its leases — and its death is logged."""
+        running = []
+        for proc in procs:
+            if proc.is_alive():
+                running.append(proc)
+            elif proc.exitcode != 0:
                 broker.reclaim_expired(worker=f"{host}:{proc.pid}")
                 if log is not None:
                     log(
                         f"broker: local worker {proc.pid} died "
                         f"(exit code {proc.exitcode})"
                     )
+        return running
+
+    workers = [spawn() for _ in range(local)]
+    respawns = 0
+    respawn_budget = remaining * broker.max_attempts + local
+    try:
+        while True:
+            workers = reap(workers)
             counts = broker.counts(sweep)
             collect()
             if counts["pending"] == 0 and counts["leased"] == 0:
@@ -600,9 +566,6 @@ def _drive_broker_sweep(
                 if log is not None:
                     log("broker: respawned a local worker")
             if not workers:
-                if local == 0:
-                    time.sleep(poll_interval)
-                    continue
                 # Workers keep dying faster than the attempt budget
                 # burns down; stop supervising and let the parent
                 # rescue whatever is left.
@@ -614,10 +577,21 @@ def _drive_broker_sweep(
                 [proc.sentinel for proc in workers], timeout=poll_interval
             )
     finally:
+        # A worker that exited on its own between the last poll and
+        # the sweep settling is not reaped yet.  Stop the rest, then
+        # reap them all: those stopped here exit with -SIGTERM (or are
+        # killed after the grace period) and are not blamed.
         deadline = time.monotonic() + 5.0
+        stopped = set()
         for proc in workers:
             proc.terminate()
         for proc in workers:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
             if proc.is_alive():
                 proc.kill()
+                proc.join()
+                stopped.add(proc.pid)
+        reap([
+            proc for proc in workers
+            if proc.exitcode != -signal.SIGTERM and proc.pid not in stopped
+        ])

@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import BrokerError, ReproError
 from repro.store import LocalStore
 
 
@@ -53,6 +54,9 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
 def _cmd_gc(args) -> int:
     if not args.dir and not args.broker_dir:
         raise SystemExit("gc needs --dir and/or --broker-dir")
+    if args.broker_dir and not Path(args.broker_dir).is_dir():
+        # Opening a Broker there would create an empty queue.
+        raise BrokerError(f"no broker directory {args.broker_dir}")
     pruning = args.max_age is not None or args.max_bytes is not None
     if args.dir:
         local = LocalStore(args.dir)

@@ -1,11 +1,10 @@
-"""Sweep-broker tests: the claim/lease protocol and results DB.
+"""Sweep-broker tests: the claim/lease protocol.
 
 Covers the :class:`~repro.experiments.broker.Broker` state machine
-(idempotent enqueue, atomic claims, lease expiry and reclamation,
+(idempotent enqueue, FIFO atomic claims, lease expiry and reclamation,
 exponential backoff, poison-task quarantine, idempotent completion),
-the :func:`~repro.experiments.broker.worker_loop` drain semantics, the
-golden-baseline :class:`~repro.experiments.results_db.ResultsDB`, and
-the harness knobs that route ``run_tasks`` through the broker backend.
+the :func:`~repro.experiments.broker.worker_loop` drain semantics, and
+``run_tasks`` over an explicit broker directory.
 
 Every protocol test injects ``now=`` timestamps instead of sleeping,
 so lease expiry and backoff windows are exercised deterministically.
@@ -13,8 +12,6 @@ The genuinely concurrent scenarios (real worker processes, SIGKILL)
 live in ``test_broker_races.py``.
 """
 
-import hashlib
-import pickle
 import sqlite3
 import time
 
@@ -22,16 +19,8 @@ import pytest
 
 from repro.errors import BrokerError, ExperimentError, LeaseLostError
 from repro.experiments import harness
-from repro.experiments.broker import (
-    BROKER_DIR_ENV,
-    Broker,
-    LEASE_TTL_ENV,
-    _Heartbeat,
-    task_key,
-    worker_loop,
-)
+from repro.experiments.broker import Broker, _Heartbeat, task_key, worker_loop
 from repro.experiments.harness import run_tasks
-from repro.experiments.results_db import ResultsDB, format_diff
 
 
 # Module level so broker payloads can pickle them by reference.
@@ -105,9 +94,9 @@ def test_unusable_directory_raises_broker_error():
         Broker("/proc/definitely/not/writable")
 
 
-#: The queue schema as written before the HTTP transport was removed:
-#: every existing broker directory still carries its ``idempotency``
-#: table (and the ``priority`` column added by migration).
+#: The queue schema as written before the HTTP transport and sweep
+#: priorities were removed: every existing broker directory still
+#: carries its ``idempotency`` table and the ``priority`` column.
 _LEGACY_SCHEMA = """
 CREATE TABLE sweeps (
     sweep   TEXT PRIMARY KEY,
@@ -161,9 +150,11 @@ ALTER TABLE tasks ADD COLUMN priority INTEGER NOT NULL DEFAULT 0;
 
 
 def test_queue_with_legacy_idempotency_table_still_works(tmp_path):
-    """A broker directory written before the idempotency table left the
-    schema opens, claims, completes and replays exactly as before; the
-    stale table is left alone."""
+    """A broker directory written before the idempotency table and the
+    ``priority`` column left the schema opens, claims, completes and
+    replays exactly as before; the stale table and column are left
+    alone, and a legacy task ranked at a high priority claims in plain
+    FIFO order."""
     tmp_path.joinpath("results").mkdir()
     conn = sqlite3.connect(tmp_path / "queue.db")
     conn.executescript(_LEGACY_SCHEMA)
@@ -176,9 +167,17 @@ def test_queue_with_legacy_idempotency_table_still_works(tmp_path):
 
     broker = Broker(tmp_path)
     sweep = broker.enqueue(_square, [2, 3])
+    urgent = broker.enqueue(str, ["x"])
+    broker._conn().execute(
+        "UPDATE tasks SET priority = 9 WHERE sweep = ?", (urgent,)
+    )
+    order = []
     while (lease := broker.claim("w1")) is not None:
-        assert broker.complete(lease, _square(lease.load()[1])) is True
-    assert broker.settled(sweep)
+        fn, task = lease.load()
+        order.append(lease.sweep)
+        assert broker.complete(lease, fn(task)) is True
+    assert order == [sweep, sweep, urgent]
+    assert broker.settled(sweep) and broker.settled(urgent)
     broker.close()
     reopened = Broker(tmp_path)
     assert reopened.replay(sweep) == {0: 4, 1: 9}
@@ -191,15 +190,14 @@ def test_queue_with_legacy_idempotency_table_still_works(tmp_path):
     assert rows == [("k1", '{"ok": true}')]
 
 
-# -- priority ----------------------------------------------------------------
+# -- claim / lease / reclaim ------------------------------------------------
 
 
-def test_priority_bands_claim_order_and_fifo_within_band(tmp_path):
-    """Higher priority claims first; within a band, enqueue (FIFO)
-    order is preserved."""
+def test_claims_are_fifo_across_sweeps(tmp_path):
+    """Claims follow enqueue order, across sweeps as within one."""
     broker = Broker(tmp_path / "q")
-    broker.enqueue(_square, [1, 2], labels=["lo-1", "lo-2"], priority=0)
-    broker.enqueue(str, ["x", "y"], labels=["hi-1", "hi-2"], priority=5)
+    broker.enqueue(_square, [1, 2], labels=["first-1", "first-2"])
+    broker.enqueue(str, ["x", "y"], labels=["second-1", "second-2"])
     order = []
     while True:
         lease = broker.claim("w")
@@ -208,33 +206,7 @@ def test_priority_bands_claim_order_and_fifo_within_band(tmp_path):
         order.append(lease.label)
         fn, task = lease.load()
         broker.complete(lease, fn(task))
-    assert order == ["hi-1", "hi-2", "lo-1", "lo-2"]
-
-
-def test_resubmission_at_new_priority_reranks(tmp_path):
-    broker = Broker(tmp_path / "q")
-    low = broker.enqueue(_square, [1], priority=0)
-    high = broker.enqueue(str, ["a"], priority=3)
-    assert broker.claim("w").sweep == high
-    # Resubmitting an existing sweep with a new priority re-ranks it
-    # without forking it.
-    broker.enqueue(_square, [2], priority=1)
-    assert broker.enqueue(_square, [1], priority=9) == low
-    assert broker.claim("w2").sweep == low
-
-
-def test_priority_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_SWEEP_PRIORITY", "4")
-    broker = Broker(tmp_path / "q")
-    broker.enqueue(_square, [1])
-    monkeypatch.delenv("REPRO_SWEEP_PRIORITY")
-    broker.enqueue(str, ["x"])
-    lease = broker.claim("w")
-    fn, _task = lease.load()
-    assert fn is _square  # priority-4 sweep claims before priority-0
-
-
-# -- claim / lease / reclaim ------------------------------------------------
+    assert order == ["first-1", "first-2", "second-1", "second-2"]
 
 
 def test_claim_runs_in_index_order_and_drains(tmp_path):
@@ -316,17 +288,6 @@ def test_fail_never_touches_a_reassigned_lease(tmp_path):
     assert broker.complete(new, 49) is True
 
 
-def test_requeue_quarantined_resets_budget(tmp_path):
-    broker = Broker(tmp_path, max_attempts=1)
-    sweep = broker.enqueue(_square, [7])
-    lease = broker.claim("w1", now=0.0)
-    broker.fail(lease, ValueError("once"), now=1.0)
-    assert broker.counts(sweep)["quarantined"] == 1
-    assert broker.requeue_quarantined(sweep) == 1
-    lease = broker.claim("w1", now=2.0)
-    assert lease is not None and lease.attempt == 1  # fresh budget
-
-
 def test_active_workers_tracks_live_leases(tmp_path):
     broker = Broker(tmp_path, lease_ttl=10.0)
     broker.enqueue(_square, [1, 2])
@@ -361,15 +322,6 @@ def test_replay_verifies_digests(tmp_path):
     victim.write_bytes(bytes(payload))
     # The rotted result is absent from replay, never returned wrong.
     assert len(broker.replay(sweep)) == 1
-
-
-def test_drop_results_forces_recompute(tmp_path):
-    broker = Broker(tmp_path)
-    sweep = broker.enqueue(_square, [3])
-    broker.complete(broker.claim("w1"), 9)
-    assert broker.drop_results(sweep) == 1
-    assert broker.replay(sweep) == {}
-    assert broker.counts(sweep)["pending"] == 1
 
 
 def test_events_audit_trail(tmp_path):
@@ -425,11 +377,10 @@ def test_worker_loop_max_tasks(tmp_path):
     assert broker.counts()["pending"] == 1
 
 
-def test_task_timeout_fires_promptly_at_default_lease_ttl(tmp_path, monkeypatch):
+def test_task_timeout_fires_promptly_at_default_lease_ttl(tmp_path):
     """The heartbeat wakes for the task deadline, not just on renewals
     every lease_ttl/3 (10 s at the default TTL), so a 0.5 s budget
     fires within about a second."""
-    monkeypatch.delenv(LEASE_TTL_ENV, raising=False)
     broker = Broker(tmp_path)
     assert broker.lease_ttl == 30.0
     broker.enqueue(_square, [1])
@@ -445,14 +396,6 @@ def test_task_timeout_fires_promptly_at_default_lease_ttl(tmp_path, monkeypatch)
 # -- environment knobs ------------------------------------------------------
 
 
-def test_lease_ttl_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(LEASE_TTL_ENV, "7.5")
-    assert Broker(tmp_path).lease_ttl == 7.5
-    monkeypatch.setenv(LEASE_TTL_ENV, "junk")
-    with pytest.raises(BrokerError, match=LEASE_TTL_ENV):
-        Broker(tmp_path)
-
-
 def test_harness_timeout_and_retry_envs(monkeypatch):
     monkeypatch.setenv(harness.TASK_TIMEOUT_ENV, "12.5")
     assert harness.resolve_timeout(None) == 12.5
@@ -465,16 +408,6 @@ def test_harness_timeout_and_retry_envs(monkeypatch):
     monkeypatch.setenv(harness.TASK_TIMEOUT_ENV, "junk")
     with pytest.raises(ExperimentError):
         harness.resolve_timeout(None)
-
-
-def test_broker_workers_env(monkeypatch):
-    monkeypatch.setenv(harness.BROKER_WORKERS_ENV, "0")
-    assert harness._broker_local_workers(None, total=8) == 0
-    monkeypatch.setenv(harness.BROKER_WORKERS_ENV, "3")
-    assert harness._broker_local_workers(None, total=8) == 3
-    monkeypatch.delenv(harness.BROKER_WORKERS_ENV)
-    # Without the override, local workers never exceed the task count.
-    assert harness._broker_local_workers(4, total=2) == 2
 
 
 # -- run_tasks broker backend ------------------------------------------------
@@ -502,12 +435,6 @@ def test_run_tasks_broker_replays_instantly(tmp_path):
     assert any("already complete" in line for line in logs)
 
 
-def test_run_tasks_broker_env_routing(tmp_path, monkeypatch):
-    monkeypatch.setenv(BROKER_DIR_ENV, str(tmp_path / "q"))
-    assert run_tasks(_square, [2], jobs=1) == [4]
-    assert (tmp_path / "q" / "queue.db").exists()
-
-
 def test_run_tasks_broker_degrades_to_pool(tmp_path, monkeypatch):
     logs = []
     out = run_tasks(
@@ -530,71 +457,3 @@ def test_run_tasks_broker_rescues_quarantined_serially(tmp_path):
 def test_run_tasks_rejects_unknown_backend(tmp_path):
     with pytest.raises(ExperimentError, match="backend"):
         run_tasks(_square, [1], jobs=1, backend="carrier-pigeon")
-
-
-# -- results DB / golden baseline -------------------------------------------
-
-
-def test_record_session_idempotent(tmp_path):
-    db = ResultsDB.for_broker(tmp_path)
-    first = db.record_session("sweep-abc", "m.fn", 4)
-    again = db.record_session("sweep-abc", "m.fn", 4)
-    assert first == again
-    assert len(db.sessions()) == 1
-
-
-def _sha(value) -> str:
-    return hashlib.sha256(
-        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    ).hexdigest()
-
-
-def test_bless_and_diff_taxonomy(tmp_path):
-    db = ResultsDB.for_broker(tmp_path)
-    rows = [
-        ("a", "key-a", _sha(1)),
-        ("b", "key-b", _sha(2)),
-        ("c", "key-c", _sha(3)),
-    ]
-    assert db.bless("m.fn", rows, sweep="sweep-1") == 3
-    current = [
-        ("a", "key-a", _sha(1)),      # matched
-        ("b", "key-b", _sha(99)),     # result drift: same task, new sha
-        ("c", "key-c2", _sha(3)),     # task drift: the point changed
-        ("d", "key-d", _sha(4)),      # novel
-    ]
-    diff = db.diff("m.fn", current)
-    assert diff.matched == ["a"]
-    assert diff.drifted == [("b", _sha(2), _sha(99))]
-    assert diff.task_changed == [("c", "key-c", "key-c2")]
-    assert diff.novel == ["d"]
-    assert diff.missing == []
-    assert not diff.clean and diff.baselined
-    text = format_diff(diff)
-    assert "DRIFTED" in text and "task definition changed" in text
-
-
-def test_diff_reports_missing_labels(tmp_path):
-    db = ResultsDB.for_broker(tmp_path)
-    db.bless("m.fn", [("a", "k", _sha(1)), ("b", "k2", _sha(2))])
-    diff = db.diff("m.fn", [("a", "k", _sha(1))])
-    assert diff.missing == ["b"] and diff.clean
-
-
-def test_diff_without_baseline_is_novel_only(tmp_path):
-    db = ResultsDB.for_broker(tmp_path)
-    diff = db.diff("m.fn", [("a", "k", _sha(1))])
-    assert not diff.baselined and diff.novel == ["a"]
-    assert "no golden baseline" in format_diff(diff)
-
-
-def test_broker_rows_feed_golden_diff(tmp_path):
-    """End to end: a drained sweep blesses cleanly and re-diffs clean."""
-    broker = Broker(tmp_path)
-    sweep = broker.enqueue(_square, [2, 3], labels=["p2", "p3"])
-    worker_loop(tmp_path, worker="w1")
-    db = ResultsDB.for_broker(tmp_path)
-    rows = broker.result_rows(sweep)
-    db.bless("tests._square", rows, sweep=sweep)
-    diff = db.diff("tests._square", rows)
-    assert diff.clean and len(diff.matched) == 2

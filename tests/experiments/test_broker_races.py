@@ -172,7 +172,9 @@ def test_chaos_kill_one_of_two_workers_mid_sweep(tmp_path):
     assert broker.replay(sweep) == expected
     # Byte-identical, not just equal: recorded digests match the
     # serial pickles exactly.
-    digests = broker.result_digests(sweep)
+    digests = dict(broker._conn().execute(
+        "SELECT label, sha256 FROM results WHERE sweep = ?", (sweep,)
+    ).fetchall())
     for i, (value, nap) in enumerate(tasks):
         want = hashlib.sha256(
             pickle.dumps(value * value, protocol=pickle.HIGHEST_PROTOCOL)

@@ -170,6 +170,22 @@ def test_worker_exception_propagates(jobs):
         run_tasks(_fail_on_three, [1, 2, 3, 4], jobs=jobs)
 
 
+def test_local_workers_capped_at_task_count(monkeypatch):
+    """A sweep starts no more worker processes than it has tasks."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", counting_start
+    )
+    assert run_tasks(_square, [1, 2], jobs=8) == [1, 4]
+    assert len(started) == 2
+
+
 def test_env_drives_run_tasks(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "2")
     assert run_tasks(_square, [5, 6], log=None) == [25, 36]
@@ -234,11 +250,10 @@ def test_dead_worker_falls_back_to_serial():
     assert any("serially" in line for line in lines)
 
 
-def test_sigkilled_worker_does_not_wait_out_the_lease(tmp_path, monkeypatch):
+def test_sigkilled_worker_does_not_wait_out_the_lease(tmp_path):
     """A local worker killed mid-task is blamed the moment the parent
     sees it die: its lease is expired at once instead of after the
     default 30 s TTL, so the sweep finishes promptly."""
-    monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
     flag = str(tmp_path / "victim.flag")
     steady = str(tmp_path / "steady.flag")
     open(steady, "w").close()  # pre-flagged: returns immediately
@@ -254,6 +269,40 @@ def test_sigkilled_worker_does_not_wait_out_the_lease(tmp_path, monkeypatch):
     assert time.monotonic() - start < 10.0
     assert any("died" in line for line in lines)
     assert not any("rescue" in line for line in lines)
+
+
+def test_worker_dying_during_liveness_check_is_still_blamed(
+    tmp_path, monkeypatch
+):
+    """A worker whose death lands while the supervisor is checking
+    which workers are alive is still blamed at once, not dropped from
+    supervision to wait out the 30 s lease TTL unlogged.  Slowing each
+    liveness check widens that window: the sweep wakes on the worker's
+    exit, usually just before the kernel lets it be reaped."""
+    is_alive = multiprocessing.process.BaseProcess.is_alive
+
+    def slow_is_alive(self):
+        alive = is_alive(self)
+        time.sleep(0.05)
+        return alive
+
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "is_alive", slow_is_alive
+    )
+    flag = str(tmp_path / "victim.flag")
+    steady = str(tmp_path / "steady.flag")
+    open(steady, "w").close()  # pre-flagged: returns immediately
+    lines = []
+    start = time.monotonic()
+    results = run_tasks(
+        _die_once,
+        [(1, flag), (2, steady), (3, steady)],
+        jobs=2,
+        log=lines.append,
+    )
+    assert results == [1, 2, 3]
+    assert time.monotonic() - start < 10.0
+    assert any("died" in line for line in lines)
 
 
 # -- straggler reclamation --------------------------------------------------

@@ -5,10 +5,12 @@ Manifests written before the ``--no-coalesce`` flag was removed carry a
 and ``--backoff-base`` were removed carry ``"task_retries"`` and
 ``"backoff_base"``.  Every manifest written before the HTTP broker
 transport was removed carries ``"broker_url"`` (``--broker-url`` is no
-longer a flag), and every manifest written before the store tier chain
-was removed carries ``"store_url"`` and ``"store_dir"``.  ``resume``
-reads only the keys it knows, so such run directories still resume,
-with the same stdout as a fresh invocation.
+longer a flag), every manifest written before the store tier chain
+was removed carries ``"store_url"`` and ``"store_dir"``, and every
+manifest written before the multi-host broker options were removed
+carries ``"broker_dir"``, ``"priority"`` and ``"lease_ttl"``.
+``resume`` reads only the keys it knows, so such run directories still
+resume, with the same stdout as a fresh invocation.
 """
 
 import json
@@ -90,15 +92,20 @@ def test_legacy_manifest_with_no_coalesce_resumes(tmp_path):
 
 
 def test_manifest_with_store_keys_resumes(tmp_path):
-    """A run directory written with the store-tier flags (its manifest
-    holds ``store_url``/``store_dir``) resumes with fresh stdout; the
-    named store directories are ignored, so nothing is created there."""
+    """A run directory written with the store-tier and multi-host broker
+    flags (its manifest holds ``store_url``/``store_dir`` and
+    ``broker_dir``/``priority``/``lease_ttl``) resumes with fresh
+    stdout; the named directories are ignored, so nothing is created
+    there, and the sweeps run through the run dir's own queue."""
     fresh = _cli("--jobs", "1", "open_system", cwd=tmp_path)
     manifest = {key: None for key in STORE_MANIFEST_KEYS}
     manifest.update(
         names=["open_system"], jobs=1, log=False,
         store_url=str(tmp_path / "shared-store"),
         store_dir=str(tmp_path / "local-store"),
+        broker_dir=str(tmp_path / "shared-queue"),
+        priority=5,
+        lease_ttl=5.0,
     )
     run_dir = tmp_path / "run"
     run_dir.mkdir()
@@ -108,3 +115,5 @@ def test_manifest_with_store_keys_resumes(tmp_path):
     assert _cli("resume", str(run_dir), cwd=tmp_path) == fresh
     assert not (tmp_path / "shared-store").exists()
     assert not (tmp_path / "local-store").exists()
+    assert not (tmp_path / "shared-queue").exists()
+    assert (run_dir / "broker" / "queue.db").exists()

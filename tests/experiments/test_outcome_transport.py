@@ -151,10 +151,11 @@ def test_default_labels_are_bounded_in_broker_rows(tmp_path):
     assert len(progress) == 3
     assert all(len(line) <= LABEL_LIMIT + 20 for line in progress)
     broker = Broker(tmp_path)
-    ((sweep, *_rest),) = broker.sweeps()
-    labels = [label for label, _key, _sha in broker.result_rows(sweep)]
-    labels += [
-        row[0] for row in broker._conn().execute("SELECT label FROM tasks")
+    assert len(broker.sweeps()) == 1
+    labels = [
+        row[0]
+        for table in ("results", "tasks")
+        for row in broker._conn().execute(f"SELECT label FROM {table}")
     ]
     broker.close()
     assert len(labels) == 6

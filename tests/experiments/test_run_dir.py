@@ -287,11 +287,10 @@ def test_worker_killing_task_quarantined_then_rescued(run_root, tmp_path):
     assert broker.replay(sweep) == dict(enumerate(out))
 
 
-def test_resume_expires_leases_of_dead_local_workers(run_root, monkeypatch):
+def test_resume_expires_leases_of_dead_local_workers(run_root):
     """An interrupted invocation leaves its workers' leases behind; the
     next sweep on this host expires those whose processes are gone
     instead of waiting out the default 30 s TTL."""
-    monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
     broker = Broker(run_root / "broker")
     broker.enqueue(_square, [1, 2])
     gone = multiprocessing.Process(target=_square, args=(0,))
@@ -326,7 +325,9 @@ def test_run_root_numbers_sweeps(run_root, tmp_path):
     assert len(sweeps) == 2
     # Forget the first sweep only: its rerun recomputes, the second
     # replays, whichever runs first.
-    broker.drop_results(sweeps[0])
+    key = task_key(_counted_square, first[0])
+    for path in (run_root / "broker" / "results").glob(f"{key}-*.pkl"):
+        path.unlink()
     assert run_tasks(_counted_square, second, jobs=1) == [4, 9]
     assert run_tasks(_counted_square, first, jobs=1) == [1]
     assert _calls(calls) == 4
@@ -350,8 +351,7 @@ class _Interrupted(Exception):
 
 def test_resumed_task_records_the_uninterrupted_digest(tmp_path, monkeypatch):
     """A sweep task interrupted after its first checkpoint and resumed
-    from it records the same result sha256 as an uninterrupted run, so
-    ``status`` reports no DRIFT against a golden of either."""
+    from it records the same result sha256 as an uninterrupted run."""
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_technique_point
     from repro.sim.checkpoint import CHECKPOINT_INTERVAL_ENV, CheckpointManager
@@ -367,7 +367,10 @@ def test_resumed_task_records_the_uninterrupted_digest(tmp_path, monkeypatch):
         worker_loop(directory, backoff_base=0.0, poll_interval=0.01)
         broker = Broker(directory)
         assert broker.counts(sweep)["done"] == 1
-        return broker.result_rows(sweep)
+        return broker._conn().execute(
+            "SELECT label, key, sha256 FROM results WHERE sweep = ?",
+            (sweep,),
+        ).fetchall()
 
     uninterrupted = recorded("uninterrupted")
 

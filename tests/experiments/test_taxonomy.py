@@ -1,8 +1,6 @@
-"""The shared terminal-state taxonomy and the status --watch surface."""
+"""The shared terminal-state taxonomy."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.taxonomy import (
     TERMINAL_STATES,
@@ -65,27 +63,3 @@ def test_lease_reclamation_reason_carries_taxonomy_state(tmp_path):
     reason = broker.quarantined()[0][4]
     assert state_of(reason) == "lease-expired"
     assert "w1" in reason
-
-
-def test_render_status_includes_event_tail(tmp_path):
-    from repro.experiments.__main__ import _render_status
-    from repro.experiments.broker import Broker
-
-    rendered = _render_status(str(tmp_path))
-    assert "empty broker" in rendered
-
-    broker = Broker(tmp_path)
-    sweep = broker.enqueue(_square, [1, 2], labels=["a", "b"])
-    rendered = _render_status(str(tmp_path), events_tail=10)
-    assert sweep in rendered
-    assert "0/2 done" in rendered
-    assert "last 10 event(s):" in rendered
-    assert "enqueue" in rendered
-
-
-def test_watch_flag_parses():
-    from repro.experiments.__main__ import _parse_args
-
-    args = _parse_args(["status", "somewhere", "--watch", "--watch-interval", "0.5"])
-    assert args.watch and args.watch_interval == 0.5
-    assert _parse_args(["status", "somewhere"]).watch is False

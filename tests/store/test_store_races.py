@@ -209,6 +209,13 @@ def test_cli_gc_broker_dir(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+def test_cli_gc_missing_broker_dir_fails_and_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "no-such-queue"
+    assert store_main(["gc", "--broker-dir", str(missing)]) == 1
+    assert f"no broker directory {missing}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_gc_requires_a_target(capsys):
     with pytest.raises(SystemExit):
         store_main(["gc"])
