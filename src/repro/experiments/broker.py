@@ -658,13 +658,6 @@ class Broker:
             ).fetchall()
         ]
 
-    def sweeps(self) -> list:
-        """``(sweep, fn, total, traced, created)`` rows, oldest first."""
-        return self._conn().execute(
-            "SELECT sweep, fn, total, traced, created FROM sweeps "
-            "ORDER BY created"
-        ).fetchall()
-
     def sweep_traced(self, sweep: str) -> bool:
         """Whether *sweep* records traced ``(value, blob)`` results."""
         row = self._conn().execute(
@@ -684,12 +677,6 @@ class Broker:
             query += " AND sweep = ?"
             args = (sweep,)
         return self._conn().execute(query + " ORDER BY sweep, idx", args).fetchall()
-
-    def settled(self, sweep: str) -> bool:
-        """True when no task of *sweep* is runnable or running (every
-        task is done or quarantined)."""
-        c = self.counts(sweep)
-        return c["pending"] == 0 and c["leased"] == 0
 
     def replay(
         self, sweep: str, traced: bool = False, indices=None

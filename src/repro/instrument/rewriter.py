@@ -101,6 +101,26 @@ class InstrumentedProgram:
         """The mark fired on entering *proc*, if any."""
         return self._entry_index.get(proc)
 
+    def placement(self) -> tuple:
+        """Where the marks sit, as trace generation reads them: every
+        trigger edge and procedure entry with its mark's id and phase
+        type.  Techniques that place the same marks yield equal
+        placements and therefore equal traces."""
+        return (
+            tuple(
+                sorted(
+                    (edge, mark.mark_id, mark.phase_type)
+                    for edge, mark in self._edge_index.items()
+                )
+            ),
+            tuple(
+                sorted(
+                    (proc, mark.mark_id, mark.phase_type)
+                    for proc, mark in self._entry_index.items()
+                )
+            ),
+        )
+
     # -- overhead accounting (Figure 3) ------------------------------------
 
     @property

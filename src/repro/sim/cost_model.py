@@ -200,13 +200,15 @@ class _ProcCostTable:
 
 class _ProgramCosts:
     """One program's memoized costs under one cost model: procedure cost
-    tables by procedure name, block costs by ``(block uid, core type)``."""
+    tables by procedure name, block costs by ``(block uid, core type)``
+    and block cost vectors by block uid."""
 
-    __slots__ = ("tables", "blocks")
+    __slots__ = ("tables", "blocks", "vectors")
 
     def __init__(self) -> None:
         self.tables: dict = {}
         self.blocks: dict = {}
+        self.vectors: dict = {}
 
 
 class CostModel:
@@ -317,8 +319,15 @@ class CostModel:
         return self.block_cost(block, ctype, program).ipc
 
     def block_vector(self, block: BasicBlock, program: Program) -> CostVector:
-        """The block's cost on every core type of the machine."""
+        """The block's cost on every core type of the machine.
+
+        Memoized like the block costs: callers treat the vector as
+        read-only and only ever ``add`` it into their own totals.
+        """
         memo = self._costs_of(program)
+        vector = memo.vectors.get(block.uid)
+        if vector is not None:
+            return vector
         core_types = self.machine.core_types()
         vector = CostVector.zero(core_types)
         vector.instrs = float(len(block.instrs))
@@ -327,4 +336,5 @@ class CostModel:
             vector.compute[ctype.name] = cost.compute_cycles
             vector.stall[ctype.name] = cost.stall_cycles
             vector.l2hits[ctype.name] = cost.l2_hits
+        memo.vectors[block.uid] = vector
         return vector

@@ -91,6 +91,17 @@ class BehaviorSpec:
             self.segment_budget,
         )
 
+    def key(self) -> tuple:
+        """Hashable identity of the spec: equal keys, equal traces."""
+        trips = sorted((repr(k), float(v)) for k, v in self.trip_counts.items())
+        return (
+            tuple(trips),
+            self.default_trip,
+            self.recursion_depth,
+            self.max_inline_depth,
+            self.segment_budget,
+        )
+
 
 class _ScopeItem:
     """A node of a collapsed scope DAG: a plain block or a loop supernode."""
@@ -114,15 +125,34 @@ class AnalysisMemo:
     A procedure's loops and its collapsed scope DAGs (with their
     frequencies and topological order) depend on its CFG alone, and a
     block's costs on the program, machine and memory model alone: none
-    depends on the marks a technique places or on a spec's trip counts.
-    So one memo can serve every generator that builds traces of the same
-    programs.  :class:`~repro.tuning.pipeline.PipelineCache` owns one and
-    hands it to each generator it makes, so the stock trace and every
-    Table 2 variant of a program analyse the program once.  A generator
-    made without one gets a private memo that dies with it.
+    depends on the marks a technique places.  So one memo can serve
+    every generator that builds traces of the same programs.
+    :class:`~repro.tuning.pipeline.PipelineCache` owns one and hands it
+    to each generator it makes, so the stock trace and every Table 2
+    variant of a program analyse the program once.  A generator made
+    without one gets a private memo that dies with it.
+
+    Three products are built once per benchmark and shared by all its
+    variants:
+
+    * **block cost vectors**, in the :meth:`cost_model` of each
+      ``(machine, memory)``, per ``(program, block uid)``;
+    * **scope cost totals**: the cost of one procedure call or one loop
+      iteration, per ``(program, cost model, resolved trip counts,
+      default trip, recursion depth)`` and then per ``(procedure, loop
+      uid)``.  Costs never depend on marks, so generators compute only
+      mark rates on top of them; for a recursive call cycle only the
+      final unrolling round's totals are kept;
+    * **tuned traces**, one per ``(program, machine, spec, placement)``,
+      where the placement (:meth:`InstrumentedProgram.placement
+      <repro.instrument.rewriter.InstrumentedProgram.placement>`) is all
+      a generator reads of a marked program besides the program and its
+      CFGs.  Variants whose techniques place the same marks share one
+      :class:`~repro.sim.process.Trace`.
 
     Products are keyed weakly on the CFG or program object, so they go
-    with the program and are never served to a new one.
+    with the program and are never served to a new one.  Callers treat
+    them as read-only.
     """
 
     def __init__(self) -> None:
@@ -133,12 +163,18 @@ class AnalysisMemo:
         self._scopes: "weakref.WeakKeyDictionary[CFG, dict]" = (
             weakref.WeakKeyDictionary()
         )
+        self._scope_costs: "weakref.WeakKeyDictionary[Program, dict]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._traces: "weakref.WeakKeyDictionary[Program, dict]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     def cost_model(
         self, machine: MachineConfig, memory: Optional[MemoryModel] = None
     ) -> CostModel:
         """The cost model of *machine* under *memory*; it memoizes block
-        costs per program."""
+        costs and cost vectors per program."""
         key = (machine, memory)
         model = self._cost_models.get(key)
         if model is None:
@@ -159,6 +195,40 @@ class AnalysisMemo:
         if scopes is None:
             scopes = self._scopes[cfg] = {}
         return scopes
+
+    def scope_costs(self, program: Program, key: tuple) -> dict:
+        """Cost totals of *program*'s scopes under *key* (cost model,
+        resolved trips, default trip, recursion depth) by ``(procedure,
+        loop uid or None)``, filled in by
+        :meth:`TraceGenerator._aggregate_scope`."""
+        by_key = self._scope_costs.get(program)
+        if by_key is None:
+            by_key = self._scope_costs[program] = {}
+        costs = by_key.get(key)
+        if costs is None:
+            costs = by_key[key] = {}
+        return costs
+
+    def tuned_trace(
+        self, instrumented, machine: MachineConfig, spec: Optional[BehaviorSpec]
+    ) -> Trace:
+        """The trace of *instrumented* under *spec* on *machine*, built
+        once per mark placement.
+
+        A marked program's CFGs are its program's (annotation builds
+        them from the procedures whatever the typing), so the program,
+        the spec and the placement determine the trace.
+        """
+        spec = spec or BehaviorSpec()
+        key = (machine, spec.key(), instrumented.placement())
+        traces = self._traces.get(instrumented.program)
+        if traces is None:
+            traces = self._traces[instrumented.program] = {}
+        trace = traces.get(key)
+        if trace is None:
+            generator = TraceGenerator(machine, analysis=self)
+            trace = traces[key] = generator.generate(instrumented, spec)
+        return trace
 
 
 class TraceGenerator:
@@ -191,7 +261,7 @@ class TraceGenerator:
         self._trips: dict = {}
         self._agg_memo: dict = {}
         self._loop_memo: dict = {}
-        self._in_progress: set = set()
+        self._scope_costs: Optional[dict] = None
 
     # -- public API ---------------------------------------------------------
 
@@ -435,7 +505,21 @@ class TraceGenerator:
     # -- aggregation (collapse) ----------------------------------------------
 
     def _precompute_aggregates(self) -> None:
-        """Aggregate procedure costs bottom-up; iterate recursive SCCs."""
+        """Aggregate procedure costs bottom-up; iterate recursive SCCs.
+
+        Scope cost totals come from, and go to, the shared
+        :meth:`AnalysisMemo.scope_costs` except in the non-final rounds
+        of a recursive SCC, whose totals are provisional.
+        """
+        shared = self.analysis.scope_costs(
+            self._program,
+            (
+                self.cost_model,
+                tuple(sorted(self._trips.items())),
+                self._spec.default_trip,
+                self._spec.recursion_depth,
+            ),
+        )
         callgraph = build_callgraph(self._program, self._cfgs)
         for scc in callgraph.bottom_up_sccs():
             rounds = (
@@ -446,7 +530,8 @@ class TraceGenerator:
                     CostVector.zero(self.machine.core_types()),
                     {},
                 )
-            for _ in range(rounds):
+            for round_ in range(rounds):
+                self._scope_costs = shared if round_ == rounds - 1 else None
                 for name in scc:
                     self._loop_memo = {
                         k: v
@@ -454,6 +539,7 @@ class TraceGenerator:
                         if not k.startswith(f"{name}@")
                     }
                     self._agg_memo[name] = self._aggregate_scope(name, None)
+        self._scope_costs = shared
 
     def _aggregate_proc(self, proc_name: str):
         """(cost, mark rates) of one call to *proc_name*."""
@@ -478,10 +564,20 @@ class TraceGenerator:
         return result
 
     def _aggregate_scope(self, proc_name: str, within: Optional[Loop]):
+        """(cost, mark rates) of one execution of a scope.
+
+        The cost is taken from the shared scope totals when they hold
+        it; otherwise it is summed here (and stored there).  Rates are
+        always summed: they are all that depends on the marks.
+        """
         items, freq, _ = self._scope_info(proc_name, within)
         member_blocks = self._scope_members(proc_name, within)
-        core_types = self.machine.core_types()
-        total = CostVector.zero(core_types)
+        shared = self._scope_costs
+        cost_key = (proc_name, within.uid if within is not None else None)
+        total = shared.get(cost_key) if shared is not None else None
+        summing = total is None
+        if summing:
+            total = CostVector.zero(self.machine.core_types())
         rates: dict = {}
 
         def add_rate(mark, rate: float) -> None:
@@ -498,19 +594,22 @@ class TraceGenerator:
                 loop = item.loop
                 trips = self._trip(loop)
                 inner_cost, inner_rates = self._aggregate_loop(proc_name, loop)
-                total.add(inner_cost, f * trips)
+                if summing:
+                    total.add(inner_cost, f * trips)
                 for mark_id, rate in inner_rates.items():
                     rates[mark_id] = rates.get(mark_id, 0.0) + f * trips * rate
                 for mark in self._section_entry_marks(proc_name, loop):
                     add_rate(mark, f)
             else:
                 block = cfg.blocks[item.block]
-                total.add(self.cost_model.block_vector(block, program), f)
+                if summing:
+                    total.add(self.cost_model.block_vector(block, program), f)
                 if block.kind is NodeKind.CALL:
                     callee = block.call_target
                     if callee is not None and callee in program:
                         callee_cost, callee_rates = self._aggregate_proc(callee)
-                        total.add(callee_cost, f)
+                        if summing:
+                            total.add(callee_cost, f)
                         for mark_id, rate in callee_rates.items():
                             rates[mark_id] = rates.get(mark_id, 0.0) + f * rate
                         entry = self._proc_entry_mark(callee)
@@ -526,6 +625,8 @@ class TraceGenerator:
                     mark = self._mark_on_edge(proc_name, src, item.block)
                     if mark is not None:
                         add_rate(mark, f / max(1, len(cfg.preds(item.block))))
+        if summing and shared is not None:
+            shared[cost_key] = total
         return total, rates
 
     # -- emission (expand) -----------------------------------------------------

@@ -30,6 +30,16 @@ Cache levels (each usable on its own):
                       seconds per (program, strategy, machine, spec,
                       typing)
 ====================  =========================================================
+
+Beneath the levels, builds share what does not depend on the technique
+(the cache's :class:`~repro.sim.tracegen.AnalysisMemo`, never an entry):
+costs are computed once per program and traces once per mark placement.
+
+* block cost vectors per (program, machine, memory model, block);
+* scope cost totals per (program, cost model, resolved trip counts,
+  default trip, recursion depth, scope);
+* tuned traces per (program, machine, spec, mark placement), so
+  techniques that place the same marks share one trace.
 """
 
 from __future__ import annotations
@@ -107,7 +117,11 @@ def strategy_fingerprint(strategy: MarkingStrategy) -> str:
     return _digest(strategy.name, repr(strategy))
 
 
+@lru_cache(maxsize=64)
 def machine_fingerprint(machine: MachineConfig) -> str:
+    """Structural hash of a machine's cores.  Memoized like
+    :func:`program_fingerprint`: machines are frozen, so equal machines
+    share one digest."""
     cores = ";".join(
         f"{c.cid}:{c.ctype.name}:{c.ctype.freq_ghz}:{c.ctype.l1_kb}:"
         f"{c.ctype.l2_kb}:{c.l2_group}"
@@ -180,14 +194,16 @@ class PipelineCache:
     harness.
 
     Beside its entries the cache owns the *variant-invariant* analyses
-    its builds share: block costs per (program, machine), liveness per
-    procedure CFG, and loops and scope DAGs per CFG (an
+    its builds share: block costs and cost vectors per (program,
+    machine), scope cost totals per (program, machine, trip counts),
+    liveness per procedure CFG, loops and scope DAGs per CFG, and one
+    tuned trace per mark placement (an
     :class:`~repro.sim.tracegen.AnalysisMemo` plus a live-register
-    memo).  They depend on the program alone, not on the technique, so
-    the stock trace and every Table 2 variant of a program compute them
-    once.  They are not entries: never persisted, shipped or counted as
-    hits or misses, keyed weakly on the CFG or program object, and
-    dropped by :meth:`clear`.
+    memo).  They do not depend on the technique, so the stock trace and
+    every Table 2 variant of a program compute them once.  They are not
+    entries: never persisted, shipped or counted as hits or misses,
+    keyed weakly on the CFG or program object, and dropped by
+    :meth:`clear`.
 
     Every entry stores a sha256 digest of its key alongside the value;
     each hit re-hashes the lookup key and compares (detecting a cache
@@ -736,8 +752,7 @@ def tune_program(
 
     def build() -> TunedBinary:
         instrumented = instrument_cached(program, strategy, typing, cache=cache)
-        generator = TraceGenerator(machine, analysis=cache.analysis)
-        tuned_trace = generator.generate(instrumented, spec)
+        tuned_trace = cache.analysis.tuned_trace(instrumented, machine, spec)
         baseline_trace, isolated = baseline_binary(
             program, machine, spec, cache=cache
         )

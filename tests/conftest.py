@@ -172,3 +172,57 @@ def make_phased_program(
 @pytest.fixture()
 def phased_program():
     return make_phased_program()
+
+
+def make_recursive_program(name: str = "recursive", iters: int = 400):
+    """A benchmark whose phases sit in a recursive call cycle.
+
+    Returns (program, behavior_spec): ``main`` loops over ``walk``, and
+    ``walk`` (a compute-bound loop) and ``visit`` (a memory-bound loop)
+    call each other, so trace generation unrolls their call graph SCC
+    for ``recursion_depth`` rounds.
+    """
+    pb = ProgramBuilder(name)
+    pb.region("BIG", 32 << 20)
+    with pb.proc("main") as b:
+        b.movi("r1", 0)
+        b.label("outer")
+        b.call("walk")
+        b.add("r1", "r1", 1)
+        b.cmp("r1", 6)
+        b.br("lt", "outer")
+        b.ret()
+    with pb.proc("walk") as b:
+        b.movi("r3", 0)
+        b.label("cloop")
+        for _ in range(15):
+            b.fmul("f1", "f1", "f2")
+            b.fadd("f2", "f2", "f1")
+        b.add("r3", "r3", 1)
+        b.cmp("r3", iters)
+        b.br("lt", "cloop")
+        b.cmp("r1", 0)
+        b.br("le", "done")
+        b.call("visit")
+        b.label("done")
+        b.ret()
+    with pb.proc("visit") as b:
+        b.movi("r5", 0)
+        b.label("mloop")
+        for _ in range(12):
+            b.load("r6", "BIG", index="r5", stride=64)
+            b.store("BIG", "r6", index="r5", stride=64)
+        b.add("r5", "r5", 1)
+        b.cmp("r5", iters)
+        b.br("lt", "mloop")
+        b.call("walk")
+        b.ret()
+    spec = BehaviorSpec(
+        trip_counts={
+            ("main", "outer"): 6,
+            ("walk", "cloop"): iters,
+            ("visit", "mloop"): iters,
+        },
+        recursion_depth=3,
+    )
+    return pb.build(), spec

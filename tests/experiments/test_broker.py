@@ -56,7 +56,7 @@ def test_enqueue_is_idempotent(tmp_path):
     assert broker.counts(first) == {
         "pending": 3, "leased": 0, "done": 0, "quarantined": 0,
     }
-    assert len(broker.sweeps()) == 1
+    assert broker._conn().execute("SELECT COUNT(*) FROM sweeps").fetchone() == (1,)
 
 
 def test_enqueue_preserves_progress(tmp_path):
@@ -177,7 +177,12 @@ def test_queue_with_legacy_idempotency_table_still_works(tmp_path):
         order.append(lease.sweep)
         assert broker.complete(lease, fn(task)) is True
     assert order == [sweep, sweep, urgent]
-    assert broker.settled(sweep) and broker.settled(urgent)
+    assert broker.counts(sweep) == {
+        "pending": 0, "leased": 0, "done": 2, "quarantined": 0,
+    }
+    assert broker.counts(urgent) == {
+        "pending": 0, "leased": 0, "done": 1, "quarantined": 0,
+    }
     broker.close()
     reopened = Broker(tmp_path)
     assert reopened.replay(sweep) == {0: 4, 1: 9}
@@ -242,7 +247,9 @@ def test_lease_expiry_race_is_safe(tmp_path):
     assert broker.complete(fast, 49) is True
     assert broker.complete(slow, 49) is False  # late completion dedupes
     assert broker.replay(sweep) == {0: 49}
-    assert broker.settled(sweep)
+    assert broker.counts(sweep) == {
+        "pending": 0, "leased": 0, "done": 1, "quarantined": 0,
+    }
 
 
 def test_reclaim_expired_backs_off_then_quarantines(tmp_path):
@@ -260,7 +267,10 @@ def test_reclaim_expired_backs_off_then_quarantines(tmp_path):
     assert broker.reclaim_expired(now=40.0) == [(sweep, 0, "t", "quarantined")]
     (entry,) = broker.quarantined(sweep)
     assert entry[2] == "t" and "w2" in entry[4]
-    assert broker.settled(sweep)  # quarantine is terminal: sweep settles
+    # Quarantine is terminal: the sweep settles.
+    assert broker.counts(sweep) == {
+        "pending": 0, "leased": 0, "done": 0, "quarantined": 1,
+    }
 
 
 def test_fail_backs_off_then_quarantines(tmp_path):
@@ -358,7 +368,12 @@ def test_worker_loop_quarantines_poison_and_finishes_sweep(tmp_path):
     assert broker.replay(good) == {0: 25, 1: 36}
     (entry,) = broker.quarantined(poison)
     assert entry[2] == "poison" and "exploded" in entry[4]
-    assert broker.settled(good) and broker.settled(poison)
+    assert broker.counts(good) == {
+        "pending": 0, "leased": 0, "done": 2, "quarantined": 0,
+    }
+    assert broker.counts(poison) == {
+        "pending": 0, "leased": 0, "done": 0, "quarantined": 1,
+    }
     assert any("failed" in line for line in logs)
 
 

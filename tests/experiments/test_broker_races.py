@@ -166,8 +166,9 @@ def test_chaos_kill_one_of_two_workers_mid_sweep(tmp_path):
             if proc.is_alive():
                 proc.kill()
             proc.join(timeout=10.0)
-    assert broker.settled(sweep)
-    assert broker.quarantined(sweep) == []
+    assert broker.counts(sweep) == {
+        "pending": 0, "leased": 0, "done": 8, "quarantined": 0,
+    }
     expected = {i: value * value for i, (value, _nap) in enumerate(tasks)}
     assert broker.replay(sweep) == expected
     # Byte-identical, not just equal: recorded digests match the
@@ -220,5 +221,7 @@ def test_any_completion_interleaving_is_canonical(tmp_path_factory, data):
         recorded += broker.complete(dup, task * task)
     assert recorded == len(tasks)  # one canonical recording per key
     assert broker.replay(sweep) == {i: t * t for i, t in enumerate(tasks)}
-    assert broker.settled(sweep)
+    assert broker.counts(sweep) == {
+        "pending": 0, "leased": 0, "done": 3, "quarantined": 0,
+    }
     broker.close()

@@ -151,7 +151,7 @@ def test_default_labels_are_bounded_in_broker_rows(tmp_path):
     assert len(progress) == 3
     assert all(len(line) <= LABEL_LIMIT + 20 for line in progress)
     broker = Broker(tmp_path)
-    assert len(broker.sweeps()) == 1
+    assert broker._conn().execute("SELECT COUNT(*) FROM sweeps").fetchone() == (1,)
     labels = [
         row[0]
         for table in ("results", "tasks")

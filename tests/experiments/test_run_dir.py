@@ -97,8 +97,8 @@ def run_root(tmp_path):
 
 def _only_sweep(root) -> tuple:
     broker = Broker(root / "broker")
-    (row,) = broker.sweeps()
-    return broker, row[0]
+    ((sweep,),) = broker._conn().execute("SELECT sweep FROM sweeps").fetchall()
+    return broker, sweep
 
 
 def _markers(tmp_path):
@@ -321,7 +321,10 @@ def test_run_root_numbers_sweeps(run_root, tmp_path):
     assert run_tasks(_counted_square, first, jobs=1) == [1]
     assert run_tasks(_counted_square, second, jobs=1) == [4, 9]
     broker = Broker(run_root / "broker")
-    sweeps = [row[0] for row in broker.sweeps()]
+    sweeps = [
+        row[0]
+        for row in broker._conn().execute("SELECT sweep FROM sweeps ORDER BY created")
+    ]
     assert len(sweeps) == 2
     # Forget the first sweep only: its rerun recomputes, the second
     # replays, whichever runs first.
