@@ -26,8 +26,6 @@ from repro.errors import AnalysisError
 from repro.program.basic_block import BasicBlock, NodeKind
 from repro.program.cfg import CFG, cached_cfg
 from repro.program.module import Program
-import numpy as np
-
 from repro.analysis.features import block_features
 from repro.analysis.kmeans import kmeans
 from repro.analysis.reuse_distance import DEFAULT_NOMINAL_CACHE, NominalCache
@@ -94,10 +92,7 @@ class StaticBlockTyper:
         if not blocks:
             raise AnalysisError(f"program {program.name!r} has no typable blocks")
 
-        points = np.asarray(
-            [block_features(b, program, self.cache).as_tuple() for b in blocks],
-            dtype=float,
-        )
+        points = [block_features(b, program, self.cache).as_tuple() for b in blocks]
         k = min(self.num_types, len(points))
         result = kmeans(points, k, seed=self.seed)
 
@@ -105,13 +100,9 @@ class StaticBlockTyper:
         # cluster (highest centroid along the stall axis).  This gives
         # the ids a stable meaning across programs, which the
         # error-injection and reporting code relies on.
-        order = sorted(
-            range(k), key=lambda c: -float(result.centroids[c][1])
-        )
+        order = sorted(range(k), key=lambda c: -result.centroids[c][1])
         remap = {old: new for new, old in enumerate(order)}
-        types = {
-            b.uid: remap[int(label)] for b, label in zip(blocks, result.labels)
-        }
+        types = {b.uid: remap[label] for b, label in zip(blocks, result.labels)}
         return BlockTyping(types, self.num_types)
 
 

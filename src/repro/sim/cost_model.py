@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from repro.isa.instructions import InstrClass
 from repro.program.basic_block import BasicBlock
 from repro.program.module import Program
@@ -138,37 +136,30 @@ class CostVector:
 
 
 class _ProcCostTable:
-    """Vectorized per-instruction cost arrays for one procedure.
+    """Per-instruction cost columns for one procedure.
 
     Built once per (cost model, program, procedure); per-core-type stall
-    and L2-hit columns are derived with one numpy pipeline over the
-    procedure's strided memory accesses.  Block costs then reduce to
-    slice sums over these columns.  Every element is computed with the
-    same floating-point expression (and per-block accumulation order) as
-    the scalar per-instruction loop, so the results are bit-identical.
+    and L2-hit columns are filled in once over the procedure's strided
+    memory accesses.  Block costs then reduce to slice sums over these
+    columns.  Every element is computed with the same floating-point
+    expression (and per-block accumulation order) as the scalar
+    per-instruction loop, so the results are bit-identical.
     """
 
-    __slots__ = ("code", "base", "mem_idx", "stride", "ws", "_per_ctype")
+    __slots__ = ("code", "base", "strided", "_per_ctype")
 
     def __init__(self, proc, program: Program):
         code = proc.code
         self.code = code
         self.base = [BASE_CYCLES[instr.iclass] for instr in code]
-        idx: list = []
-        stride: list = []
-        ws: list = []
-        for i, instr in enumerate(code):
-            mem = instr.mem
-            # stride-0 accesses contribute exactly 0.0 stall/L2 on every
-            # core type (scalar stays resident), so only strided streams
-            # enter the vector pipeline.
-            if mem is not None and mem.stride != 0:
-                idx.append(i)
-                stride.append(mem.stride)
-                ws.append(program.region(mem.region).working_set)
-        self.mem_idx = idx
-        self.stride = np.asarray(stride, dtype=np.float64)
-        self.ws = np.asarray(ws, dtype=np.int64)
+        # stride-0 accesses contribute exactly 0.0 stall/L2 on every
+        # core type (scalar stays resident), so only strided streams
+        # get column entries: (instruction index, stride, working set).
+        self.strided = [
+            (i, instr.mem.stride, program.region(instr.mem.region).working_set)
+            for i, instr in enumerate(code)
+            if instr.mem is not None and instr.mem.stride != 0
+        ]
         self._per_ctype: dict = {}
 
     def columns(self, ctype: CoreType, memory: MemoryModel):
@@ -179,20 +170,18 @@ class _ProcCostTable:
         n = len(self.base)
         stall = [0.0] * n
         l2h = [0.0] * n
-        if self.mem_idx:
-            # Same expressions as MemoryModel.miss_profile/stall_cycles,
-            # applied elementwise (identical IEEE-754 rounding per lane).
-            lines_per_exec = np.minimum(1.0, self.stride / ctype.line_size)
-            l1 = np.where(self.ws > ctype.l1_bytes, lines_per_exec, 0.0)
-            l2_misses = np.where(self.ws > ctype.l2_bytes, lines_per_exec, 0.0)
+        # Same expressions as MemoryModel.miss_profile/stall_cycles.
+        line_size = ctype.line_size
+        l1_bytes, l2_bytes = ctype.l1_bytes, ctype.l2_bytes
+        l2_hit_cycles = memory.l2_hit_cycles
+        dram_cycles = memory.dram_latency_ns * ctype.freq_ghz
+        for i, stride, ws in self.strided:
+            lines_per_exec = min(1.0, stride / line_size)
+            l1 = lines_per_exec if ws > l1_bytes else 0.0
+            l2_misses = lines_per_exec if ws > l2_bytes else 0.0
             l2_hits = l1 - l2_misses
-            dram_cycles = memory.dram_latency_ns * ctype.freq_ghz
-            stalls = l2_hits * memory.l2_hit_cycles + l2_misses * dram_cycles
-            stall_list = stalls.tolist()
-            l2_list = l2_hits.tolist()
-            for k, i in enumerate(self.mem_idx):
-                stall[i] = stall_list[k]
-                l2h[i] = l2_list[k]
+            stall[i] = l2_hits * l2_hit_cycles + l2_misses * dram_cycles
+            l2h[i] = l2_hits
         pair = (stall, l2h)
         self._per_ctype[ctype.name] = pair
         return pair

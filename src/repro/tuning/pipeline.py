@@ -86,15 +86,29 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()
 
 
-@lru_cache(maxsize=1024)
+#: Fingerprints memoized per program object, weakly: a memo that held
+#: programs would keep them, and every product keyed weakly on them,
+#: alive after their last user dropped them.
+_PROGRAM_FINGERPRINTS: "weakref.WeakKeyDictionary[Program, str]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def program_fingerprint(program: Program) -> str:
     """Structural hash of a program: procedures, labels, regions, entry.
 
-    Keyed on object identity via ``lru_cache`` (programs are treated as
-    immutable once built, and the benchmark factory interns them), with
-    the digest itself computed from content so distinct objects with
-    identical structure share cache entries.
+    Memoized per program object (programs hash by identity, are treated
+    as immutable once built, and the benchmark factory interns them),
+    with the digest itself computed from content so distinct objects
+    with identical structure share cache entries.
     """
+    digest = _PROGRAM_FINGERPRINTS.get(program)
+    if digest is None:
+        digest = _PROGRAM_FINGERPRINTS[program] = _program_digest(program)
+    return digest
+
+
+def _program_digest(program: Program) -> str:
     h = hashlib.sha256()
     h.update(program.name.encode("utf-8"))
     h.update(program.entry.encode("utf-8"))
@@ -119,9 +133,8 @@ def strategy_fingerprint(strategy: MarkingStrategy) -> str:
 
 @lru_cache(maxsize=64)
 def machine_fingerprint(machine: MachineConfig) -> str:
-    """Structural hash of a machine's cores.  Memoized like
-    :func:`program_fingerprint`: machines are frozen, so equal machines
-    share one digest."""
+    """Structural hash of a machine's cores.  Memoized by value:
+    machines are frozen, so equal machines share one digest."""
     cores = ";".join(
         f"{c.cid}:{c.ctype.name}:{c.ctype.freq_ghz}:{c.ctype.l1_kb}:"
         f"{c.ctype.l2_kb}:{c.l2_group}"

@@ -7,8 +7,6 @@ that for a throughput sweep (Figure 6) and a per-benchmark fan-out
 (Table 1) at quick scale.
 """
 
-import numpy as np
-
 from repro.experiments import ExperimentConfig, fig6, table1
 
 QUICK = ExperimentConfig(slots=6, interval=40.0, seed=101)
@@ -22,9 +20,6 @@ def test_fig6_parallel_bit_identical(monkeypatch):
     parallel = fig6.run(QUICK, deltas=deltas)
     assert serial.deltas == parallel.deltas
     assert serial.improvements == parallel.improvements  # exact equality
-    assert np.array_equal(
-        np.asarray(serial.improvements), np.asarray(parallel.improvements)
-    )
 
 
 def test_table1_parallel_bit_identical(monkeypatch):

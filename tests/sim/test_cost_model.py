@@ -1,13 +1,16 @@
 """Unit tests for the block cost model."""
 
+import numpy as np
 import pytest
 
 from repro.isa import ProgramBuilder
 from repro.program import build_cfg
 from repro.sim import core2quad_amp
-from repro.sim.cost_model import CostModel, CostVector
+from repro.sim.core import CoreType
+from repro.sim.cost_model import CostModel, CostVector, _ProcCostTable
+from repro.sim.machine import FAST, SLOW
 from repro.sim.memory import MemoryModel
-from repro.workloads.spec import spec_benchmark
+from repro.workloads.spec import SPEC_BENCHMARKS, spec_benchmark
 
 
 @pytest.fixture()
@@ -84,7 +87,7 @@ def test_block_vector_covers_all_types(model, machine):
     assert vector.instrs == len(block.instrs)
 
 
-# -- vectorized vs scalar golden equality ---------------------------------------
+# -- cost table vs scalar golden equality ---------------------------------------
 
 
 class _ScalarMemory(MemoryModel):
@@ -99,7 +102,7 @@ def _all_blocks(program):
 
 @pytest.mark.parametrize("bench", ["181.mcf", "164.gzip", "179.art"])
 def test_vectorized_costs_match_scalar_reference(machine, bench):
-    """The numpy per-procedure cost table must reproduce the scalar
+    """The per-procedure cost table must reproduce the scalar
     per-instruction loop bit for bit, on every block of real programs."""
     program = spec_benchmark(bench).program
     vectorized = CostModel(machine)
@@ -115,6 +118,59 @@ def test_vectorized_costs_match_scalar_reference(machine, bench):
             assert got.l2_hits == ref.l2_hits
             blocks += 1
     assert blocks > 0
+
+
+def _array_columns(proc, program, ctype, memory):
+    """(stall, l2_hits) columns as the array pipeline computed them
+    before the cost table went scalar: the bit-identity oracle."""
+    idx, stride, ws = [], [], []
+    for i, instr in enumerate(proc.code):
+        mem = instr.mem
+        if mem is not None and mem.stride != 0:
+            idx.append(i)
+            stride.append(mem.stride)
+            ws.append(program.region(mem.region).working_set)
+    stride = np.asarray(stride, dtype=np.float64)
+    ws = np.asarray(ws, dtype=np.int64)
+    n = len(proc.code)
+    stall = [0.0] * n
+    l2h = [0.0] * n
+    if idx:
+        lines_per_exec = np.minimum(1.0, stride / ctype.line_size)
+        l1 = np.where(ws > ctype.l1_bytes, lines_per_exec, 0.0)
+        l2_misses = np.where(ws > ctype.l2_bytes, lines_per_exec, 0.0)
+        l2_hits = l1 - l2_misses
+        dram_cycles = memory.dram_latency_ns * ctype.freq_ghz
+        stalls = l2_hits * memory.l2_hit_cycles + l2_misses * dram_cycles
+        for i, st, l2 in zip(idx, stalls.tolist(), l2_hits.tolist()):
+            stall[i] = st
+            l2h[i] = l2
+    return stall, l2h
+
+
+#: The paper machine's core types plus odd ones (small caches, short
+#: lines, a non-round clock) so every branch of the miss model is taken.
+_COLUMN_CORE_TYPES = (
+    FAST,
+    SLOW,
+    CoreType("small", freq_ghz=1.7, l1_kb=8, l2_kb=256, line_size=32),
+    CoreType("wide", freq_ghz=3.3, l1_kb=64, l2_kb=1024, line_size=128),
+)
+
+
+@pytest.mark.parametrize("bench", SPEC_BENCHMARKS)
+def test_cost_columns_match_array_reference(bench):
+    program = spec_benchmark(bench).program
+    memory = MemoryModel()
+    strided = 0
+    for proc in program:
+        table = _ProcCostTable(proc, program)
+        strided += len(table.strided)
+        for ctype in _COLUMN_CORE_TYPES:
+            assert table.columns(ctype, memory) == _array_columns(
+                proc, program, ctype, memory
+            ), (proc.name, ctype.name)
+    assert strided > 0
 
 
 def test_custom_memory_subclass_skips_table(machine):

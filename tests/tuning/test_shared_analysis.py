@@ -8,6 +8,7 @@ never change a result.
 """
 
 import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -394,8 +395,12 @@ def test_dropped_program_costs_never_reach_a_new_program():
 
 def test_dropped_program_leaves_the_memo():
     """Products are keyed weakly on the program and CFG objects, so a
-    dropped program leaves nothing a later one could be served."""
-    memo = AnalysisMemo()
+    dropped program leaves nothing a later one could be served.  That
+    holds for a program that went through the cached pipeline too: its
+    fingerprint is memoized weakly, so the fingerprint memo does not
+    keep it alive."""
+    cache = PipelineCache()
+    memo, scratch = cache.analysis, cache.live_scratch
     machine = core2quad_amp()
     model = memo.cost_model(machine)
     assert memo.cost_model(machine) is model
@@ -404,13 +409,18 @@ def test_dropped_program_leaves_the_memo():
     memo.loops(cfg)
     memo.scopes(cfg)
     model.block_vector(cfg.blocks[0], program)
-    marked = rewriter.instrument(program, parse_strategy("Loop[45]"))
+    marked = instrument_cached(program, parse_strategy("Loop[45]"), cache=cache)
     memo.tuned_trace(marked, machine, spec)
     assert len(model._programs) == 1
     assert len(memo._loops) == 1 and len(memo._scopes) == 1
     assert len(memo._scope_costs) == 1 and len(memo._traces) == 1
-    del program, cfg, marked
+    assert len(scratch) == 1
+    alive = weakref.ref(program)
+    # The cache's own entries hold the instrumented program strongly.
+    del program, cfg, marked, cache
     gc.collect()
+    assert alive() is None
     assert len(model._programs) == 0
     assert len(memo._loops) == 0 and len(memo._scopes) == 0
     assert len(memo._scope_costs) == 0 and len(memo._traces) == 0
+    assert len(scratch) == 0
