@@ -19,6 +19,7 @@ rounding of an array library's vector ``sum``.
 
 from __future__ import annotations
 
+import math
 import numbers
 import random
 from dataclasses import dataclass
@@ -137,14 +138,16 @@ def _mean(rows: list) -> tuple:
 
 
 def _as_points(points) -> list:
-    """*points* as a list of equal-length float tuples; bare numbers are
-    1-D points."""
+    """*points* as a list of equal-length tuples of finite floats; bare
+    numbers are 1-D points."""
     data = [
         (float(p),) if isinstance(p, numbers.Real) else tuple(map(float, p))
         for p in points
     ]
     if data and any(len(p) != len(data[0]) for p in data):
         raise AnalysisError("kmeans: points differ in dimension")
+    if not all(math.isfinite(x) for p in data for x in p):
+        raise AnalysisError("kmeans: points must have finite coordinates")
     return data
 
 
@@ -164,7 +167,8 @@ def kmeans(
         max_iterations: Lloyd iteration cap.
 
     Raises:
-        AnalysisError: if *k* is out of range or *points* is empty.
+        AnalysisError: if *k* is out of range, *points* is empty or
+            ragged, or a coordinate is NaN or infinite.
     """
     data = _as_points(points)
     n = len(data)
@@ -212,13 +216,11 @@ def kmeans(
             _mean(rows) if rows else centroids[cluster]
             for cluster, rows in enumerate(members)
         ]
-        converged = not moved and all(
-            abs(a - b) <= 1e-8 + 1e-5 * abs(b)
-            for new, old in zip(new_centroids, centroids)
-            for a, b in zip(new, old)
-        )
         centroids = new_centroids
-        if converged:
+        # When no label moved, every centroid is the mean of the same
+        # group as last iteration (or kept, if its group is empty), so
+        # the centroids are exactly the previous ones.
+        if not moved:
             break
 
     squares = []

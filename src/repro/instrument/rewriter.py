@@ -69,9 +69,9 @@ def live_scratch_registers(cfg: CFG) -> list[tuple]:
 class InstrumentedProgram:
     """A program plus its phase marks.
 
-    The simulator consumes the logical index (``mark_at_edge`` /
-    ``entry_mark``); tests and the overhead experiments consume the byte
-    accounting and the ``materialize()`` output.
+    Trace generation consumes the logical index (``mark_indices``);
+    tests and the overhead experiments consume the byte accounting and
+    the ``materialize()`` output.
     """
 
     program: Program
@@ -93,13 +93,12 @@ class InstrumentedProgram:
     def typing(self) -> BlockTyping:
         return self.aprog.typing
 
-    def mark_at_edge(self, proc: str, src: int, dst: int) -> Optional[PhaseMark]:
-        """The mark triggered by traversing CFG edge (src, dst), if any."""
-        return self._edge_index.get((proc, src, dst))
-
-    def entry_mark(self, proc: str) -> Optional[PhaseMark]:
-        """The mark fired on entering *proc*, if any."""
-        return self._entry_index.get(proc)
+    def mark_indices(self) -> tuple:
+        """``({(proc, src, dst): mark}, {proc: mark})``: the mark
+        triggered by traversing each marked CFG edge, and the mark fired
+        on entering each marked procedure.  Callers treat them as
+        read-only."""
+        return self._edge_index, self._entry_index
 
     def placement(self) -> tuple:
         """Where the marks sit, as trace generation reads them: every

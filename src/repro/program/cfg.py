@@ -55,6 +55,7 @@ class CFG:
                 )
             self._succs[e.src].append(e)
             self._preds[e.dst].append(e)
+        self._rpo: Optional[tuple[int, ...]] = None
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -98,8 +99,18 @@ class CFG:
         """All edges tagged backward."""
         return [e for e in self.edges if e.kind == BACKWARD]
 
-    def reverse_postorder(self) -> list[int]:
-        """Block indices in reverse postorder from the entry."""
+    def reverse_postorder(self) -> tuple[int, ...]:
+        """Block indices in reverse postorder from the entry.
+
+        Computed once per CFG: dominators, intervals, loop summaries,
+        transitions and validation all walk it, and edges never change
+        after construction.
+        """
+        if self._rpo is None:
+            self._rpo = self._compute_reverse_postorder()
+        return self._rpo
+
+    def _compute_reverse_postorder(self) -> tuple[int, ...]:
         seen = [False] * len(self.blocks)
         order: list[int] = []
 
@@ -121,7 +132,7 @@ class CFG:
                 order.append(node)
                 stack.pop()
         order.reverse()
-        return order
+        return tuple(order)
 
     def __repr__(self) -> str:
         return f"CFG({self.proc_name!r}, {len(self.blocks)} blocks, {len(self.edges)} edges)"

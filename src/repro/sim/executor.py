@@ -995,9 +995,10 @@ class Simulation:
         through the same scalar expressions, in the same order, but reads
         its costs from the :class:`FlatTrace` columns instead of walking
         the trace tree, and keeps the cursor state in locals.  Mark-free
-        entries skip the :meth:`_fire_marks` call (a no-op for them), and
-        a quantum that resumes mid-step and ends inside it returns after
-        one committed step with a minimal prologue.
+        entries skip the :meth:`_fire_marks` call (a no-op for them).
+        :meth:`_core_turn` has already committed inline any quantum that
+        resumes mid-step and ends inside that step, unless a memory
+        pressure event may apply.
         """
         (
             core_exec,
@@ -1040,84 +1041,6 @@ class Simulation:
         # Like the neighbour scan, loop-invariant: pressure events only
         # apply between quanta.
         mem_pressure = self._core_mem_pressure[core_id]
-
-        # Fast path: nearly every quantum resumes mid-step (at_entry
-        # cleared, partial iterations done) and the whole timeslice fits
-        # inside that one step.  Commit exactly one scalar step — the
-        # same float ops as the general loop below — with a minimal
-        # prologue, and return if the quantum ends there.  Any other
-        # shape falls through with nothing mutated (n <= 0) or with the
-        # step committed and budget/pos updated for the general loop.
-        if not at_entry and done > 0.0:
-            (
-                remaining_full,
-                seg_instrs,
-                per_iter_overhead,
-                emb_p,
-                compute,
-                stall,
-                l2_resident,
-                raw_stall_frac,
-            ) = flat.fastinfo[ctype_name][pos]
-            if runtime is None or not emb_p:
-                if neighbor > 0:
-                    if contention_alpha > 0 and stall > 0:
-                        stall *= 1.0 + contention_alpha * neighbor
-                    if pollution_beta > 0 and l2_resident > 0:
-                        stall += (
-                            pollution_beta
-                            * neighbor
-                            * l2_resident
-                            * pollution_penalty
-                        )
-                if mem_pressure > 0.0 and l2_resident > 0:
-                    stall += mem_pressure * l2_resident * pollution_penalty
-                total_per_iter = compute + stall + per_iter_overhead
-                per_iter_s = total_per_iter / freq
-                if per_iter_s < 1e-18:
-                    per_iter_s = 1e-18
-                remaining = remaining_full - done
-                fit = budget / per_iter_s
-                n = remaining if remaining <= fit else fit
-                if n > 0:
-                    elapsed = n * per_iter_s
-                    instrs = n * seg_instrs
-                    stats = proc.stats
-                    stats.instructions += instrs
-                    # d[k] = d.get(k, 0.0) + x spelled as try/except:
-                    # the key exists after the first commit, and
-                    # 0.0 + x == x exactly on the miss.
-                    cycles_by_type = stats.cycles_by_type
-                    try:
-                        cycles_by_type[ctype_name] += n * total_per_iter
-                    except KeyError:
-                        cycles_by_type[ctype_name] = n * total_per_iter
-                    instrs_by_type = stats.instrs_by_type
-                    try:
-                        instrs_by_type[ctype_name] += instrs
-                    except KeyError:
-                        instrs_by_type[ctype_name] = instrs
-                    stats.mark_overhead_cycles += n * per_iter_overhead
-                    stats.cpu_time += elapsed
-                    bucket = int(t)
-                    try:
-                        buckets[bucket] += instrs
-                    except KeyError:
-                        buckets[bucket] = instrs
-                    core_stall_frac[core_id] = raw_stall_frac
-                    done += n
-                    if remaining_full - done <= 1e-9:
-                        pos += 1
-                        done = 0.0
-                        at_entry = True
-                    t += elapsed
-                    budget -= elapsed
-                    if budget <= _MIN_STEP_S or pos >= n_steps:
-                        cursor.pos = pos
-                        cursor.iters_done = done
-                        cursor.at_entry = at_entry if pos < n_steps else False
-                        floor = start + _MIN_STEP_S
-                        return t if t > floor else floor
 
         stats = proc.stats
         (

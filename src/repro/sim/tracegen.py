@@ -20,9 +20,11 @@ are attached where the rewriter spliced them: on segment entries when
 the mark guards the section from outside (loop/interval techniques), or
 embedded with a per-iteration rate when the mark sits inside a collapsed
 body (the naive basic-block technique, whose thrash cost this makes
-visible).  The same generator run on the plain program yields a
-structurally identical, mark-free trace, so baseline-vs-tuned
-comparisons share the exact same dynamics.
+visible).  The analysis and emission run once per program and spec,
+into a :class:`TraceSkeleton` that records where marks could sit;
+each trace lays one mark placement onto it.  The plain program is the
+empty placement, so its trace is structurally identical and mark-free,
+and baseline-vs-tuned comparisons share the exact same dynamics.
 
 Approximations (documented, deliberate): conditional branch paths are
 weighted equally; loops entered with probability below
@@ -122,33 +124,40 @@ class _ScopeItem:
 class AnalysisMemo:
     """The variant-invariant products trace generation reads.
 
-    A procedure's loops and its collapsed scope DAGs (with their
-    frequencies and topological order) depend on its CFG alone, and a
-    block's costs on the program, machine and memory model alone: none
-    depends on the marks a technique places.  So one memo can serve
-    every generator that builds traces of the same programs.
+    None of these depends on the marks a technique places, so one memo
+    can serve every generator that builds traces of the same programs.
     :class:`~repro.tuning.pipeline.PipelineCache` owns one and hands it
-    to each generator it makes, so the stock trace and every Table 2
-    variant of a program analyse the program once.  A generator made
-    without one gets a private memo that dies with it.
+    to each generator it makes; a generator made without one gets a
+    private memo that dies with it.
 
-    Three products are built once per benchmark and shared by all its
-    variants:
-
+    * **analyses** of each CFG: its loops and its collapsed scope DAGs
+      with their frequencies and topological order;
     * **block cost vectors**, in the :meth:`cost_model` of each
       ``(machine, memory)``, per ``(program, block uid)``;
-    * **scope cost totals**: the cost of one procedure call or one loop
-      iteration, per ``(program, cost model, resolved trip counts,
-      default trip, recursion depth)`` and then per ``(procedure, loop
-      uid)``.  Costs never depend on marks, so generators compute only
-      mark rates on top of them; for a recursive call cycle only the
-      final unrolling round's totals are kept;
+    * **trace skeletons**, one per ``(program, cost model,
+      BehaviorSpec.key())`` (:meth:`skeleton`).  A skeleton is the
+      result of the one structural walk of a program: every scope's
+      cost total, the emitted node structure (segments, repeats, loop
+      collapse and expansion, flush points) with each segment's
+      ``CostVector`` and per-core-type cost tuples, and the ordered
+      *mark sites* the walk consults: edges, loop entries and folded
+      calls, each with the frequency weight a mark there gets.  The
+      stock trace and every Table 2 variant of a program are laid onto
+      it; a placement only resolves the sites against its mark
+      indices, and a segment that resolves no mark is the skeleton's
+      own object;
     * **tuned traces**, one per ``(program, machine, spec, placement)``,
       where the placement (:meth:`InstrumentedProgram.placement
       <repro.instrument.rewriter.InstrumentedProgram.placement>`) is all
       a generator reads of a marked program besides the program and its
       CFGs.  Variants whose techniques place the same marks share one
       :class:`~repro.sim.process.Trace`.
+
+    The walk is what a trace cost, not the marks: with the other
+    products warm, a mark-free trace took 1.19 ms per program and a
+    tuned one 1.30 ms per placement when every trace walked its program
+    (the 15 seed-1 ``fairness-paper`` programs and their 167 placements,
+    2-vCPU host).  Laid onto a skeleton, a placement takes 0.14 ms.
 
     Products are keyed weakly on the CFG or program object, so they go
     with the program and are never served to a new one.  Callers treat
@@ -163,7 +172,7 @@ class AnalysisMemo:
         self._scopes: "weakref.WeakKeyDictionary[CFG, dict]" = (
             weakref.WeakKeyDictionary()
         )
-        self._scope_costs: "weakref.WeakKeyDictionary[Program, dict]" = (
+        self._skeletons: "weakref.WeakKeyDictionary[Program, dict]" = (
             weakref.WeakKeyDictionary()
         )
         self._traces: "weakref.WeakKeyDictionary[Program, dict]" = (
@@ -190,24 +199,26 @@ class AnalysisMemo:
 
     def scopes(self, cfg: CFG) -> dict:
         """Scope infos of *cfg* by enclosing loop uid (``None`` for the
-        procedure scope), filled in by :meth:`TraceGenerator._scope_info`."""
+        procedure scope), filled in by :meth:`_SkeletonBuilder._scope_info`."""
         scopes = self._scopes.get(cfg)
         if scopes is None:
             scopes = self._scopes[cfg] = {}
         return scopes
 
-    def scope_costs(self, program: Program, key: tuple) -> dict:
-        """Cost totals of *program*'s scopes under *key* (cost model,
-        resolved trips, default trip, recursion depth) by ``(procedure,
-        loop uid or None)``, filled in by
-        :meth:`TraceGenerator._aggregate_scope`."""
-        by_key = self._scope_costs.get(program)
+    def skeleton(
+        self, program: Program, cost_model: CostModel, spec: BehaviorSpec
+    ) -> "TraceSkeleton":
+        """The skeleton of *program*'s traces under *cost_model* and
+        *spec*, built once."""
+        by_key = self._skeletons.get(program)
         if by_key is None:
-            by_key = self._scope_costs[program] = {}
-        costs = by_key.get(key)
-        if costs is None:
-            costs = by_key[key] = {}
-        return costs
+            by_key = self._skeletons[program] = {}
+        key = (cost_model, spec.key())
+        skeleton = by_key.get(key)
+        if skeleton is None:
+            builder = _SkeletonBuilder(program, cost_model, spec, self)
+            skeleton = by_key[key] = builder.build()
+        return skeleton
 
     def tuned_trace(
         self, instrumented, machine: MachineConfig, spec: Optional[BehaviorSpec]
@@ -250,20 +261,6 @@ class TraceGenerator:
         self.machine = machine
         self.analysis = analysis if analysis is not None else AnalysisMemo()
         self.cost_model = self.analysis.cost_model(machine, memory)
-        self._reset()
-
-    def _reset(self) -> None:
-        self._program: Optional[Program] = None
-        self._instrumented = None
-        self._spec: Optional[BehaviorSpec] = None
-        self._cfgs: dict = {}
-        self._loops: dict = {}
-        self._trips: dict = {}
-        self._agg_memo: dict = {}
-        self._loop_memo: dict = {}
-        self._scope_costs: Optional[dict] = None
-
-    # -- public API ---------------------------------------------------------
 
     def generate(self, target, spec: Optional[BehaviorSpec] = None) -> Trace:
         """Generate the trace of *target* under *spec*.
@@ -273,38 +270,16 @@ class TraceGenerator:
                 :class:`~repro.instrument.rewriter.InstrumentedProgram`.
             spec: behaviour parameters; defaults apply when omitted.
         """
-        self._reset()
-        self._spec = spec or BehaviorSpec()
-        if hasattr(target, "program") and hasattr(target, "mark_at_edge"):
-            self._instrumented = target
-            self._program = target.program
-            self._cfgs = dict(target.aprog.cfgs)
+        spec = spec or BehaviorSpec()
+        if hasattr(target, "program") and hasattr(target, "mark_indices"):
+            instrumented, program = target, target.program
         else:
-            self._instrumented = None
-            self._program = target
-            self._cfgs = {p.name: cached_cfg(p) for p in target}
-        self._loops = {
-            name: self.analysis.loops(cfg) for name, cfg in self._cfgs.items()
-        }
-        self._resolve_trips()
-        self._precompute_aggregates()
-
-        nodes = self._emit_proc(
-            self._program.entry, depth=0, budget=self._spec.segment_budget
-        )
+            instrumented, program = None, target
+        skeleton = self.analysis.skeleton(program, self.cost_model, spec)
+        nodes = skeleton.nodes(instrumented)
         if not nodes:
-            raise WorkloadError(
-                f"program {self._program.name!r} produced an empty trace"
-            )
-        trace = Trace(tuple(nodes))
-        # Precompute every segment's flat per-core-type cost tuple here,
-        # at trace-build time: traces are shared templates, so this work
-        # happens once per benchmark instead of once per quantum.
-        ctype_names = [ct.name for ct in self.machine.core_types()]
-        for segment in trace.segments():
-            for name in ctype_names:
-                segment.cost_tuple(name)
-        return trace
+            raise WorkloadError(f"program {program.name!r} produced an empty trace")
+        return Trace(tuple(nodes))
 
     def isolated_seconds(self, trace: Trace, ctype=None) -> float:
         """Wall time the trace takes alone on one core (fastest by
@@ -312,17 +287,383 @@ class TraceGenerator:
         ctype = ctype or self.machine.core_types()[0]
         return trace.total_cycles(ctype.name) / ctype.freq_hz
 
+
+# Kinds of mark sites, the places where a mark changes a trace.  Scope
+# sites give a scope's mark rates per execution, in the order the
+# aggregation adds them:
+#   (_EDGE, edge key, rate)            an edge inside the scope;
+#   (_LOOP, loop uid, f*trips)         a loop's rates, scaled;
+#   (_SECTION, edge keys, f)           the edges entering a loop;
+#   (_CALL, callee, f)                 a callee's rates and entry mark.
+# Group sites set a folded segment's marks, in the order emission folds:
+#   (_BLOCK_EDGE, edge key, rate, f >= EXPAND_FREQ_THRESHOLD)
+#                                      an edge into a folded block: an
+#                                      entry mark if frequent, else a rate;
+#   (_CALL, callee, f)                 as above, as embedded rates.
+# An edge key is ``(proc, src, dst)``, the key of the mark index.
+_EDGE, _LOOP, _SECTION, _CALL, _BLOCK_EDGE = range(5)
+
+
+class _Group:
+    """A run of folded blocks and calls, flushed into one segment."""
+
+    __slots__ = ("segment", "sites")
+
+    def __init__(self, segment: Segment, sites: tuple):
+        self.segment = segment
+        self.sites = sites
+
+    @property
+    def stock(self) -> tuple:
+        return (self.segment,)
+
+    def replay(self, placement: "_Placement", out: list) -> None:
+        segment = self.segment
+        entry_marks: list = []
+        pending: dict = {}
+        for site in self.sites:
+            if site[0] == _BLOCK_EDGE:
+                mark = placement.edges.get(site[1])
+                if mark is None:
+                    continue
+                if site[3] and mark not in entry_marks:
+                    entry_marks.append(mark)
+                else:
+                    _add_pending(pending, mark.mark_id, mark.phase_type, site[2])
+            else:
+                _, callee, f = site
+                for mark_id, rate in placement.proc_rates[callee].items():
+                    _add_pending(pending, mark_id, placement.phase(mark_id), f * rate)
+                entry = placement.entries.get(callee)
+                if entry is not None:
+                    _add_pending(pending, entry.mark_id, entry.phase_type, f)
+        if not entry_marks and not pending:
+            out.append(segment)
+            return
+        embedded = tuple(
+            EmbeddedMark(mark_id, ptype, rate)
+            for mark_id, (ptype, rate) in sorted(pending.items())
+        )
+        phase_type = entry_marks[0].phase_type if entry_marks else None
+        out.append(_marked(segment, phase_type, _refs(entry_marks), embedded))
+
+
+class _Collapsed:
+    """A loop collapsed into one segment of ``trips * f`` iterations."""
+
+    __slots__ = ("segment", "proc", "loop_uid", "entry_edges")
+
+    def __init__(self, segment: Segment, proc: str, loop_uid: str, entry_edges):
+        self.segment = segment
+        self.proc = proc
+        self.loop_uid = loop_uid
+        self.entry_edges = entry_edges
+
+    @property
+    def stock(self) -> tuple:
+        return (self.segment,)
+
+    def replay(self, placement: "_Placement", out: list) -> None:
+        segment = self.segment
+        rates = placement.loop_rates(self.proc, self.loop_uid)
+        marks = placement.section_marks(self.entry_edges)
+        if not rates and not marks:
+            out.append(segment)
+            return
+        embedded = tuple(
+            EmbeddedMark(mark_id, placement.phase(mark_id), rate)
+            for mark_id, rate in sorted(rates.items())
+        )
+        phase_type = marks[0].phase_type if marks else None
+        out.append(_marked(segment, phase_type, _refs(marks), embedded))
+
+
+class _Expanded:
+    """A loop expanded into a :class:`Repeat` of its scope's nodes."""
+
+    __slots__ = ("ops", "repeat", "entry_edges", "marker_uid")
+
+    def __init__(self, ops: tuple, count: int, entry_edges, marker_uid: str):
+        self.ops = ops
+        self.repeat = Repeat(tuple(_stock(ops)), count)
+        self.entry_edges = entry_edges
+        self.marker_uid = marker_uid
+
+    @property
+    def stock(self) -> tuple:
+        return (self.repeat,)
+
+    def replay(self, placement: "_Placement", out: list) -> None:
+        children: list = []
+        for op in self.ops:
+            op.replay(placement, children)
+        repeat = self.repeat
+        if len(children) != len(repeat.children) or any(
+            new is not old for new, old in zip(children, repeat.children)
+        ):
+            repeat = Repeat(tuple(children), repeat.count)
+        marks = placement.section_marks(self.entry_edges)
+        if marks:
+            out.append(placement.marker(marks, self.marker_uid))
+        out.append(repeat)
+
+
+class _Call:
+    """A procedure's scope emitted in place: the program entry or an
+    inlined call."""
+
+    __slots__ = ("proc", "ops", "marker_uid")
+
+    def __init__(self, proc: str, ops: tuple):
+        self.proc = proc
+        self.ops = ops
+        self.marker_uid = f"{proc}:entry"
+
+    @property
+    def stock(self) -> tuple:
+        return tuple(_stock(self.ops))
+
+    def replay(self, placement: "_Placement", out: list) -> None:
+        nodes: list = []
+        for op in self.ops:
+            op.replay(placement, nodes)
+        entry = placement.entries.get(self.proc)
+        if entry is not None:
+            # The entry mark fires once, before the procedure's nodes:
+            # on its first segment when that runs once, else on a
+            # marker of its own.
+            first = nodes[0] if nodes else None
+            if isinstance(first, Segment) and first.iterations == 1:
+                refs = _refs([entry]) + first.entry_marks
+                nodes[0] = _marked(first, first.phase_type, refs, first.embedded)
+            else:
+                nodes.insert(0, placement.marker([entry], self.marker_uid))
+        out.extend(nodes)
+
+
+def _stock(ops) -> list:
+    """The nodes *ops* emit under the empty placement."""
+    return [node for op in ops for node in op.stock]
+
+
+def _refs(marks) -> tuple:
+    return tuple(MarkRef(m.mark_id, m.phase_type) for m in marks)
+
+
+def _marked(
+    segment: Segment, phase_type, entry_marks: tuple, embedded: tuple
+) -> Segment:
+    """A copy of *segment* with marks, sharing its cost and cost tuples."""
+    return Segment(
+        segment.uid,
+        phase_type,
+        segment.iterations,
+        segment.cost,
+        entry_marks=entry_marks,
+        embedded=embedded,
+        _cost_tuples=segment._cost_tuples,
+    )
+
+
+def _add_pending(pending: dict, mark_id: int, phase_type: int, rate: float) -> None:
+    """Add *rate* firings of a mark to a folded segment's embedded rates."""
+    if rate <= _EPS:
+        return
+    prev = pending.get(mark_id, (phase_type, 0.0))
+    pending[mark_id] = (phase_type, prev[1] + rate)
+
+
+class TraceSkeleton:
+    """Everything of a program's traces that no mark placement changes.
+
+    Built by one structural walk of the program under one cost model
+    and spec (:class:`_SkeletonBuilder`), it holds the emitted node
+    structure as a tree of ops with their segments, costs and cost
+    tuples, plus the ordered mark sites of every aggregated scope.
+    :meth:`nodes` lays a placement onto it.
+
+    Attributes:
+        sccs: ``(procedures, rounds)`` of each call-graph SCC, callees
+            first; a recursive SCC's rates are unrolled for ``rounds``
+            rounds, as its costs were.
+        sites: scope sites by ``(procedure, loop uid or None)``.
+        root: the program entry's :class:`_Call`.
+        marker: a one-iteration, zero-cost segment whose cost and cost
+            tuples entry-mark markers share.
+    """
+
+    __slots__ = ("sccs", "sites", "root", "marker")
+
+    def __init__(self, sccs: tuple, sites: dict, root: _Call, marker: Segment):
+        self.sccs = sccs
+        self.sites = sites
+        self.root = root
+        self.marker = marker
+
+    def nodes(self, instrumented) -> list:
+        """The trace nodes under *instrumented*'s placement; with
+        ``None``, the stock trace's: the skeleton's own nodes."""
+        out: list = []
+        self.root.replay(_Placement(self, instrumented), out)
+        return out
+
+
+class _Placement:
+    """One mark placement resolved against a skeleton.
+
+    Mark rates of every scope are summed first, SCC by SCC and round by
+    round as the costs were, then the emission ops read them.  Sites
+    resolve in the order the walk passed them, so each mark's rate adds
+    its contributions in walk order.
+    """
+
+    __slots__ = ("skeleton", "edges", "entries", "marks", "proc_rates", "_loop_rates")
+
+    def __init__(self, skeleton: TraceSkeleton, instrumented) -> None:
+        self.skeleton = skeleton
+        if instrumented is None:
+            self.edges, self.entries, self.marks = {}, {}, ()
+        else:
+            self.edges, self.entries = instrumented.mark_indices()
+            self.marks = instrumented.marks
+        self.proc_rates: dict = {}
+        self._loop_rates: dict = {}
+        for scc, rounds in skeleton.sccs:
+            for name in scc:
+                self.proc_rates[name] = {}
+            for _ in range(rounds):
+                for name in scc:
+                    self._loop_rates[name] = {}
+                    self.proc_rates[name] = self._scope_rates(name, None)
+
+    def phase(self, mark_id: int) -> int:
+        """Phase type a mark announces."""
+        return self.marks[mark_id].phase_type
+
+    def loop_rates(self, proc_name: str, loop_uid: str) -> dict:
+        """Mark rates of one iteration of a loop."""
+        memo = self._loop_rates.setdefault(proc_name, {})
+        rates = memo.get(loop_uid)
+        if rates is None:
+            rates = memo[loop_uid] = self._scope_rates(proc_name, loop_uid)
+        return rates
+
+    def section_marks(self, entry_edges) -> list:
+        """Distinct marks on the edges entering a loop, in edge order."""
+        marks: list = []
+        for key in entry_edges:
+            mark = self.edges.get(key)
+            if mark is not None and mark not in marks:
+                marks.append(mark)
+        return marks
+
+    def marker(self, marks: list, uid: str) -> Segment:
+        """A zero-cost segment firing *marks* once."""
+        template = self.skeleton.marker
+        return Segment(
+            uid,
+            marks[0].phase_type,
+            1.0,
+            template.cost,
+            entry_marks=_refs(marks),
+            _cost_tuples=template._cost_tuples,
+        )
+
+    def _scope_rates(self, proc_name: str, loop_uid: Optional[str]) -> dict:
+        """Mark firings per execution of a scope, by mark id."""
+        rates: dict = {}
+        edges = self.edges
+        for site in self.skeleton.sites[proc_name, loop_uid]:
+            kind = site[0]
+            if kind == _EDGE:
+                mark = edges.get(site[1])
+                if mark is not None:
+                    rates[mark.mark_id] = rates.get(mark.mark_id, 0.0) + site[2]
+            elif kind == _LOOP:
+                _, uid, scale = site
+                for mark_id, rate in self.loop_rates(proc_name, uid).items():
+                    rates[mark_id] = rates.get(mark_id, 0.0) + scale * rate
+            elif kind == _SECTION:
+                f = site[2]
+                for mark in self.section_marks(site[1]):
+                    rates[mark.mark_id] = rates.get(mark.mark_id, 0.0) + f
+            else:
+                _, callee, f = site
+                for mark_id, rate in self.proc_rates[callee].items():
+                    rates[mark_id] = rates.get(mark_id, 0.0) + f * rate
+                entry = self.entries.get(callee)
+                if entry is not None:
+                    rates[entry.mark_id] = rates.get(entry.mark_id, 0.0) + f
+        return rates
+
+
+class _SkeletonBuilder:
+    """The one structural walk of a program under a cost model and spec.
+
+    Procedure costs are aggregated bottom-up over the call graph, with
+    recursive SCCs unrolled for ``recursion_depth`` rounds; then the
+    entry procedure's trace structure is emitted.  The walk records the
+    mark sites it passes instead of looking marks up.  Sites that can
+    never add a mark are not recorded: scope edges whose rate is at most
+    ``_EPS`` (aggregation drops such rates), the entry of a loop that no
+    outside edge enters, and loops with no sites of their own.
+    """
+
+    def __init__(
+        self,
+        program: Program,
+        cost_model: CostModel,
+        spec: BehaviorSpec,
+        analysis: AnalysisMemo,
+    ):
+        self.program = program
+        self.cost_model = cost_model
+        self.spec = spec
+        self.analysis = analysis
+        self.core_types = cost_model.machine.core_types()
+        self.cfgs = {p.name: cached_cfg(p) for p in program}
+        self.loops = {name: analysis.loops(cfg) for name, cfg in self.cfgs.items()}
+        self.trips = self._resolve_trips()
+        self.proc_costs: dict = {}
+        self.loop_costs: dict = {}
+        self.sites: dict = {}
+
+    def build(self) -> TraceSkeleton:
+        callgraph = build_callgraph(self.program, self.cfgs)
+        sccs = []
+        for scc in callgraph.bottom_up_sccs():
+            rounds = self.spec.recursion_depth if callgraph.is_recursive(scc) else 1
+            for name in scc:
+                self.proc_costs[name] = CostVector.zero(self.core_types)
+            for _ in range(rounds):
+                for name in scc:
+                    self.loop_costs[name] = {}
+                    self.proc_costs[name] = self._aggregate_scope(name, None)
+            sccs.append((tuple(scc), rounds))
+        root = self._emit_proc(self.program.entry, 0, self.spec.segment_budget)
+        marker = self._segment("", 1.0, CostVector.zero(self.core_types))
+        return TraceSkeleton(tuple(sccs), self.sites, root, marker)
+
+    def _segment(self, uid: str, iterations: float, cost: CostVector) -> Segment:
+        """A mark-free segment with its cost tuples precomputed: traces
+        are shared templates, so this happens once per skeleton instead
+        of once per quantum."""
+        segment = Segment(uid, None, iterations, cost)
+        for ctype in self.core_types:
+            segment.cost_tuple(ctype.name)
+        return segment
+
     # -- setup --------------------------------------------------------------
 
-    def _resolve_trips(self) -> None:
+    def _resolve_trips(self) -> dict:
         """Resolve (proc, label) trip keys to loop uids."""
-        self._trips = {}
-        for key, trips in self._spec.trip_counts.items():
+        trips = {}
+        for key, count in self.spec.trip_counts.items():
             if isinstance(key, str):
-                self._trips[key] = float(trips)
+                trips[key] = float(count)
                 continue
             proc_name, label = key
-            proc = self._program[proc_name]
+            proc = self.program[proc_name]
             if label not in proc.labels:
                 raise SimulationError(
                     f"trip count names unknown label {label!r} in "
@@ -334,17 +675,18 @@ class TraceGenerator:
                 raise SimulationError(
                     f"label {label!r} in {proc_name!r} is not a loop header"
                 )
-            self._trips[loop.uid] = float(trips)
+            trips[loop.uid] = float(count)
+        return trips
 
     def _loop_with_header_start(self, proc_name: str, start: int) -> Optional[Loop]:
-        cfg = self._cfgs[proc_name]
-        for loop in self._loops[proc_name]:
+        cfg = self.cfgs[proc_name]
+        for loop in self.loops[proc_name]:
             if cfg.blocks[loop.header].start == start:
                 return loop
         return None
 
     def _trip(self, loop: Loop) -> float:
-        return self._trips.get(loop.uid, self._spec.default_trip)
+        return self.trips.get(loop.uid, self.spec.default_trip)
 
     # -- collapsed scope DAGs -----------------------------------------------
 
@@ -354,10 +696,10 @@ class TraceGenerator:
         Returns (items, succs, entry_key) where items maps key -> item
         and succs maps key -> ordered list of (succ_key, original_edges).
         """
-        cfg = self._cfgs[proc_name]
+        cfg = self.cfgs[proc_name]
         if within is None:
             members = set(range(len(cfg.blocks)))
-            sub_loops = [l for l in self._loops[proc_name] if l.parent is None]
+            sub_loops = [l for l in self.loops[proc_name] if l.parent is None]
             entry_block = 0
         else:
             members = set(within.body)
@@ -412,11 +754,11 @@ class TraceGenerator:
         The scope's items, their frequencies and their topological order
         depend only on the procedure's CFG and loops, so they live in the
         :class:`AnalysisMemo`: aggregation rounds, emission and every
-        other generator sharing the memo use one computation per scope.
+        other skeleton sharing the memo use one computation per scope.
         The DAG's edges are needed only to derive them and are not kept.
         Callers treat the returned structures as read-only.
         """
-        scopes = self.analysis.scopes(self._cfgs[proc_name])
+        scopes = self.analysis.scopes(self.cfgs[proc_name])
         key = within.uid if within is not None else None
         got = scopes.get(key)
         if got is None:
@@ -478,156 +820,74 @@ class TraceGenerator:
         order.reverse()
         return order
 
-    # -- marks ---------------------------------------------------------------
+    def _scope_members(self, proc_name: str, within: Optional[Loop]) -> set:
+        """Original block indices belonging to a scope."""
+        if within is not None:
+            return set(within.body)
+        return set(range(len(self.cfgs[proc_name].blocks)))
 
-    def _mark_on_edge(self, proc_name: str, src: int, dst: int):
-        if self._instrumented is None:
-            return None
-        return self._instrumented.mark_at_edge(proc_name, src, dst)
-
-    def _proc_entry_mark(self, proc_name: str):
-        if self._instrumented is None:
-            return None
-        return self._instrumented.entry_mark(proc_name)
-
-    def _section_entry_marks(self, proc_name: str, loop: Loop) -> list:
-        """Marks on the edges entering *loop* from outside."""
-        cfg = self._cfgs[proc_name]
-        marks = []
-        for src in cfg.preds(loop.header):
-            if src in loop.body:
-                continue
-            mark = self._mark_on_edge(proc_name, src, loop.header)
-            if mark is not None and mark not in marks:
-                marks.append(mark)
-        return marks
+    def _entry_edges(self, proc_name: str, loop: Loop) -> tuple:
+        """Keys of the edges entering *loop* from outside, in
+        predecessor order."""
+        cfg = self.cfgs[proc_name]
+        return tuple(
+            (proc_name, src, loop.header)
+            for src in cfg.preds(loop.header)
+            if src not in loop.body
+        )
 
     # -- aggregation (collapse) ----------------------------------------------
 
-    def _precompute_aggregates(self) -> None:
-        """Aggregate procedure costs bottom-up; iterate recursive SCCs.
+    def _aggregate_loop(self, proc_name: str, loop: Loop) -> CostVector:
+        """Cost of ONE iteration of *loop*."""
+        costs = self.loop_costs.setdefault(proc_name, {})
+        cost = costs.get(loop.uid)
+        if cost is None:
+            cost = costs[loop.uid] = self._aggregate_scope(proc_name, loop)
+        return cost
 
-        Scope cost totals come from, and go to, the shared
-        :meth:`AnalysisMemo.scope_costs` except in the non-final rounds
-        of a recursive SCC, whose totals are provisional.
-        """
-        shared = self.analysis.scope_costs(
-            self._program,
-            (
-                self.cost_model,
-                tuple(sorted(self._trips.items())),
-                self._spec.default_trip,
-                self._spec.recursion_depth,
-            ),
-        )
-        callgraph = build_callgraph(self._program, self._cfgs)
-        for scc in callgraph.bottom_up_sccs():
-            rounds = (
-                self._spec.recursion_depth if callgraph.is_recursive(scc) else 1
-            )
-            for name in scc:
-                self._agg_memo[name] = (
-                    CostVector.zero(self.machine.core_types()),
-                    {},
-                )
-            for round_ in range(rounds):
-                self._scope_costs = shared if round_ == rounds - 1 else None
-                for name in scc:
-                    self._loop_memo = {
-                        k: v
-                        for k, v in self._loop_memo.items()
-                        if not k.startswith(f"{name}@")
-                    }
-                    self._agg_memo[name] = self._aggregate_scope(name, None)
-        self._scope_costs = shared
-
-    def _aggregate_proc(self, proc_name: str):
-        """(cost, mark rates) of one call to *proc_name*."""
-        cached = self._agg_memo.get(proc_name)
-        if cached is not None:
-            return cached
-        self._agg_memo[proc_name] = (
-            CostVector.zero(self.machine.core_types()),
-            {},
-        )
-        result = self._aggregate_scope(proc_name, None)
-        self._agg_memo[proc_name] = result
-        return result
-
-    def _aggregate_loop(self, proc_name: str, loop: Loop):
-        """(cost, mark rates) of ONE iteration of *loop*."""
-        cached = self._loop_memo.get(loop.uid)
-        if cached is not None:
-            return cached
-        result = self._aggregate_scope(proc_name, loop)
-        self._loop_memo[loop.uid] = result
-        return result
-
-    def _aggregate_scope(self, proc_name: str, within: Optional[Loop]):
-        """(cost, mark rates) of one execution of a scope.
-
-        The cost is taken from the shared scope totals when they hold
-        it; otherwise it is summed here (and stored there).  Rates are
-        always summed: they are all that depends on the marks.
-        """
+    def _aggregate_scope(self, proc_name: str, within: Optional[Loop]) -> CostVector:
+        """Cost of one execution of a scope; records its mark sites."""
         items, freq, _ = self._scope_info(proc_name, within)
-        member_blocks = self._scope_members(proc_name, within)
-        shared = self._scope_costs
-        cost_key = (proc_name, within.uid if within is not None else None)
-        total = shared.get(cost_key) if shared is not None else None
-        summing = total is None
-        if summing:
-            total = CostVector.zero(self.machine.core_types())
-        rates: dict = {}
-
-        def add_rate(mark, rate: float) -> None:
-            if rate > _EPS:
-                rates[mark.mark_id] = rates.get(mark.mark_id, 0.0) + rate
-
-        cfg = self._cfgs[proc_name]
-        program = self._program
+        members = self._scope_members(proc_name, within)
+        cfg = self.cfgs[proc_name]
+        program = self.program
+        total = CostVector.zero(self.core_types)
+        sites: list = []
         for key, item in items.items():
             f = freq[key]
             if f <= _EPS:
                 continue
             if item.loop is not None:
                 loop = item.loop
-                trips = self._trip(loop)
-                inner_cost, inner_rates = self._aggregate_loop(proc_name, loop)
-                if summing:
-                    total.add(inner_cost, f * trips)
-                for mark_id, rate in inner_rates.items():
-                    rates[mark_id] = rates.get(mark_id, 0.0) + f * trips * rate
-                for mark in self._section_entry_marks(proc_name, loop):
-                    add_rate(mark, f)
-            else:
-                block = cfg.blocks[item.block]
-                if summing:
-                    total.add(self.cost_model.block_vector(block, program), f)
-                if block.kind is NodeKind.CALL:
-                    callee = block.call_target
-                    if callee is not None and callee in program:
-                        callee_cost, callee_rates = self._aggregate_proc(callee)
-                        if summing:
-                            total.add(callee_cost, f)
-                        for mark_id, rate in callee_rates.items():
-                            rates[mark_id] = rates.get(mark_id, 0.0) + f * rate
-                        entry = self._proc_entry_mark(callee)
-                        if entry is not None:
-                            add_rate(entry, f)
-                # Marks triggered by edges into this block from inside
-                # the scope (edges from outside are the *scope's* entry
-                # and belong to the caller's accounting).
-                inside_preds = [
-                    src for src in cfg.preds(item.block) if src in member_blocks
-                ]
-                for src in inside_preds:
-                    mark = self._mark_on_edge(proc_name, src, item.block)
-                    if mark is not None:
-                        add_rate(mark, f / max(1, len(cfg.preds(item.block))))
-        if summing and shared is not None:
-            shared[cost_key] = total
-        return total, rates
+                scale = f * self._trip(loop)
+                total.add(self._aggregate_loop(proc_name, loop), scale)
+                if self.sites[proc_name, loop.uid]:
+                    sites.append((_LOOP, loop.uid, scale))
+                entry_edges = self._entry_edges(proc_name, loop)
+                if entry_edges:
+                    sites.append((_SECTION, entry_edges, f))
+                continue
+            block = cfg.blocks[item.block]
+            total.add(self.cost_model.block_vector(block, program), f)
+            if block.kind is NodeKind.CALL:
+                callee = block.call_target
+                if callee is not None and callee in program:
+                    total.add(self.proc_costs[callee], f)
+                    sites.append((_CALL, callee, f))
+            # Marks triggered by edges into this block from inside the
+            # scope (edges from outside are the *scope's* entry and
+            # belong to the caller's accounting).
+            preds = cfg.preds(item.block)
+            for src in preds:
+                if src in members:
+                    rate = f / max(1, len(preds))
+                    if rate > _EPS:
+                        sites.append((_EDGE, (proc_name, src, item.block), rate))
+        self.sites[proc_name, within.uid if within is not None else None] = tuple(
+            sites
+        )
+        return total
 
     # -- emission (expand) -----------------------------------------------------
 
@@ -657,7 +917,7 @@ class TraceGenerator:
 
     def _inlinable_call_steps(self, proc_name: str, loop: Loop) -> float:
         """Rough step count contributed by calls inlined in *loop*'s body."""
-        cfg = self._cfgs[proc_name]
+        cfg = self.cfgs[proc_name]
         covered = set()
         for child in loop.children:
             covered.update(child.body)
@@ -668,147 +928,57 @@ class TraceGenerator:
             block = cfg.blocks[b]
             if block.kind is NodeKind.CALL and block.call_target:
                 callee = block.call_target
-                if callee in self._program and self._callee_has_loops(callee):
+                if callee in self.program and self._callee_has_loops(callee):
                     outer_loops = sum(
-                        1 for l in self._loops[callee] if l.parent is None
+                        1 for l in self.loops[callee] if l.parent is None
                     )
                     steps += 1.0 + outer_loops
         return steps
 
     def _callee_has_loops(self, callee: str) -> bool:
-        return bool(self._loops.get(callee))
+        return bool(self.loops.get(callee))
 
-    def _emit_proc(self, proc_name: str, depth: int, budget: float) -> list:
-        nodes = self._emit_scope(proc_name, None, depth, budget)
-        entry = self._proc_entry_mark(proc_name)
-        if entry is not None:
-            nodes = self._with_entry_marks(nodes, [entry], f"{proc_name}:entry")
-        return nodes
+    def _loop_contains_inlinable_call(self, proc_name: str, loop: Loop) -> bool:
+        cfg = self.cfgs[proc_name]
+        for b in loop.body:
+            block = cfg.blocks[b]
+            if block.kind is NodeKind.CALL and block.call_target:
+                callee = block.call_target
+                if callee in self.program and self._callee_has_loops(callee):
+                    return True
+        return False
 
-    def _with_entry_marks(self, nodes: list, marks: list, uid: str) -> list:
-        """Attach marks so they fire once, before *nodes*."""
-        ids = tuple(MarkRef(m.mark_id, m.phase_type) for m in marks)
-        if nodes and isinstance(nodes[0], Segment) and nodes[0].iterations == 1:
-            first = nodes[0]
-            nodes[0] = Segment(
-                first.uid,
-                first.phase_type,
-                first.iterations,
-                first.cost,
-                entry_marks=ids + first.entry_marks,
-                embedded=first.embedded,
-            )
-            return nodes
-        marker = Segment(
-            uid,
-            marks[0].phase_type if marks else None,
-            1.0,
-            CostVector.zero(self.machine.core_types()),
-            entry_marks=ids,
-        )
-        return [marker] + nodes
+    def _emit_proc(self, proc_name: str, depth: int, budget: float) -> _Call:
+        return _Call(proc_name, self._emit_scope(proc_name, None, depth, budget))
 
     def _emit_scope(
         self, proc_name: str, within: Optional[Loop], depth: int, budget: float
-    ) -> list:
+    ) -> tuple:
         items, freq, order = self._scope_info(proc_name, within)
-        member_blocks = self._scope_members(proc_name, within)
-        cfg = self._cfgs[proc_name]
-        program = self._program
-        core_types = self.machine.core_types()
+        members = self._scope_members(proc_name, within)
+        cfg = self.cfgs[proc_name]
+        program = self.program
         scope_uid = within.uid if within else proc_name
 
-        out: list = []
-        pending_cost = CostVector.zero(core_types)
-        pending_rates: dict = {}
-        pending_entry_marks: list = []
-        pending_count = [0]
-
-        def add_pending_rate(mark_id: int, phase_type: int, rate: float) -> None:
-            if rate <= _EPS:
-                return
-            prev = pending_rates.get(mark_id, (phase_type, 0.0))
-            pending_rates[mark_id] = (phase_type, prev[1] + rate)
+        ops: list = []
+        pending_cost = CostVector.zero(self.core_types)
+        pending_sites: list = []
+        pending_count = 0
 
         def flush(tag: str) -> None:
-            if pending_count[0] == 0:
+            nonlocal pending_count
+            if pending_count == 0:
                 return
-            embedded = tuple(
-                EmbeddedMark(mid, ptype, rate)
-                for mid, (ptype, rate) in sorted(pending_rates.items())
+            segment = self._segment(
+                f"{scope_uid}/{tag}", 1.0, pending_cost.scaled(1.0)
             )
-            entry_ids = tuple(
-                MarkRef(m.mark_id, m.phase_type) for m in pending_entry_marks
-            )
-            ptype = (
-                pending_entry_marks[0].phase_type if pending_entry_marks else None
-            )
-            out.append(
-                Segment(
-                    f"{scope_uid}/{tag}",
-                    ptype,
-                    1.0,
-                    pending_cost.scaled(1.0),
-                    entry_marks=entry_ids,
-                    embedded=embedded,
-                )
-            )
+            ops.append(_Group(segment, tuple(pending_sites)))
             pending_cost.instrs = 0.0
             for name in pending_cost.compute:
                 pending_cost.compute[name] = 0.0
                 pending_cost.stall[name] = 0.0
-            pending_rates.clear()
-            pending_entry_marks.clear()
-            pending_count[0] = 0
-
-        def fold_block(item: _ScopeItem, f: float) -> None:
-            block = cfg.blocks[item.block]
-            pending_cost.add(self.cost_model.block_vector(block, program), f)
-            pending_count[0] += 1
-            inside = [s_ for s_ in cfg.preds(item.block) if s_ in member_blocks]
-            for src in inside:
-                mark = self._mark_on_edge(proc_name, src, item.block)
-                if mark is not None:
-                    if f >= EXPAND_FREQ_THRESHOLD and mark not in pending_entry_marks:
-                        pending_entry_marks.append(mark)
-                    else:
-                        add_pending_rate(
-                            mark.mark_id,
-                            mark.phase_type,
-                            f / max(1, len(cfg.preds(item.block))),
-                        )
-
-        def fold_call(block, f: float) -> None:
-            callee = block.call_target
-            callee_cost, callee_rates = self._aggregate_proc(callee)
-            pending_cost.add(callee_cost, f)
-            pending_count[0] += 1
-            for mark_id, rate in callee_rates.items():
-                add_pending_rate(mark_id, _mark_phase(self._instrumented, mark_id), f * rate)
-            entry = self._proc_entry_mark(callee)
-            if entry is not None:
-                add_pending_rate(entry.mark_id, entry.phase_type, f)
-
-        def collapse_loop(loop: Loop, f: float) -> None:
-            flush("pre")
-            trips = self._trip(loop)
-            cost, rates = self._aggregate_loop(proc_name, loop)
-            embedded = tuple(
-                EmbeddedMark(mid, _mark_phase(self._instrumented, mid), rate)
-                for mid, rate in sorted(rates.items())
-            )
-            marks = self._section_entry_marks(proc_name, loop)
-            ptype = marks[0].phase_type if marks else None
-            out.append(
-                Segment(
-                    loop.uid,
-                    ptype,
-                    trips * f,
-                    cost,
-                    entry_marks=tuple(MarkRef(m.mark_id, m.phase_type) for m in marks),
-                    embedded=embedded,
-                )
-            )
+            pending_sites.clear()
+            pending_count = 0
 
         for key in order:
             item = items[key]
@@ -819,67 +989,56 @@ class TraceGenerator:
                 loop = item.loop
                 trips = self._trip(loop)
                 steps = self._estimated_steps(proc_name, loop, budget)
-                expandable = f >= EXPAND_FREQ_THRESHOLD and steps > 1.0
-                if expandable:
-                    flush("pre")
+                flush("pre")
+                entry_edges = self._entry_edges(proc_name, loop)
+                if f >= EXPAND_FREQ_THRESHOLD and steps > 1.0:
                     children = self._emit_scope(
                         proc_name, loop, depth, budget / max(1.0, trips)
                     )
-                    marks = self._section_entry_marks(proc_name, loop)
-                    rep = Repeat(tuple(children), int(round(trips)))
-                    if marks:
-                        out.extend(
-                            self._with_entry_marks([rep], marks, f"{loop.uid}:entry")
+                    ops.append(
+                        _Expanded(
+                            children,
+                            int(round(trips)),
+                            entry_edges,
+                            f"{loop.uid}:entry",
                         )
-                    else:
-                        out.append(rep)
+                    )
                 else:
-                    collapse_loop(loop, f)
+                    cost = self._aggregate_loop(proc_name, loop)
+                    segment = self._segment(loop.uid, trips * f, cost)
+                    ops.append(_Collapsed(segment, proc_name, loop.uid, entry_edges))
                 continue
 
             block = cfg.blocks[item.block]
+            callee = block.call_target
+            pending_cost.add(self.cost_model.block_vector(block, program), f)
+            pending_count += 1
             if (
                 block.kind is NodeKind.CALL
-                and block.call_target
-                and block.call_target in program
-                and self._callee_has_loops(block.call_target)
+                and callee
+                and callee in program
+                and self._callee_has_loops(callee)
                 and f >= EXPAND_FREQ_THRESHOLD
-                and depth < self._spec.max_inline_depth
+                and depth < self.spec.max_inline_depth
             ):
-                pending_cost.add(self.cost_model.block_vector(block, program), f)
-                pending_count[0] += 1
                 flush("pre")
-                out.extend(
-                    self._emit_proc(block.call_target, depth + 1, budget)
-                )
-            elif block.kind is NodeKind.CALL and block.call_target in program:
-                pending_cost.add(self.cost_model.block_vector(block, program), f)
-                fold_call(block, f)
+                ops.append(self._emit_proc(callee, depth + 1, budget))
+            elif block.kind is NodeKind.CALL and callee in program:
+                pending_cost.add(self.proc_costs[callee], f)
+                pending_sites.append((_CALL, callee, f))
             else:
-                fold_block(item, f)
+                preds = cfg.preds(item.block)
+                frequent = f >= EXPAND_FREQ_THRESHOLD
+                for src in preds:
+                    if src in members:
+                        pending_sites.append(
+                            (
+                                _BLOCK_EDGE,
+                                (proc_name, src, item.block),
+                                f / max(1, len(preds)),
+                                frequent,
+                            )
+                        )
 
         flush("post")
-        return out
-
-    def _scope_members(self, proc_name: str, within: Optional[Loop]) -> set:
-        """Original block indices belonging to a scope."""
-        if within is not None:
-            return set(within.body)
-        return set(range(len(self._cfgs[proc_name].blocks)))
-
-    def _loop_contains_inlinable_call(self, proc_name: str, loop: Loop) -> bool:
-        cfg = self._cfgs[proc_name]
-        for b in loop.body:
-            block = cfg.blocks[b]
-            if block.kind is NodeKind.CALL and block.call_target:
-                callee = block.call_target
-                if callee in self._program and self._callee_has_loops(callee):
-                    return True
-        return False
-
-
-def _mark_phase(instrumented, mark_id: int) -> int:
-    """Phase type a mark announces (via the instrumented index)."""
-    if instrumented is None:
-        return 0
-    return instrumented.marks[mark_id].phase_type
+        return tuple(ops)

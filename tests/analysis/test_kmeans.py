@@ -78,6 +78,14 @@ def test_empty_input_rejected():
         kmeans([], 1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_coordinates_rejected(bad):
+    with pytest.raises(AnalysisError, match="finite"):
+        kmeans([(0.0, 1.0), (2.0, bad), (3.0, 4.0)], 2)
+    with pytest.raises(AnalysisError, match="finite"):
+        kmeans([0.0, bad, 1.0], 1)
+
+
 # -- the array formulation as the bit-identity oracle ---------------------------
 
 

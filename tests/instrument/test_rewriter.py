@@ -17,9 +17,10 @@ def test_instrument_indexes_marks(phased_program):
     program, _ = phased_program
     inst = instrument(program, LoopStrategy(20))
     assert inst.marks
+    edges, _ = inst.mark_indices()
     for mark in inst.marks:
         for src, dst in mark.point.trigger_edges:
-            assert inst.mark_at_edge(mark.point.proc, src, dst) is mark
+            assert edges[mark.point.proc, src, dst] is mark
 
 
 def test_mark_ids_dense(phased_program):
@@ -116,7 +117,8 @@ def test_entry_mark_indexed():
         b.ret()
     program = pb.build()
     inst = instrument(program, BBStrategy(10, 0))
-    assert inst.entry_mark("main") is not None
+    _, entries = inst.mark_indices()
+    assert entries.get("main") is not None
 
 
 def _branch_to_adjacent_program():
