@@ -1,8 +1,8 @@
 """Reading numeric settings from the environment.
 
-A few knobs (worker count, task timeout, checkpoint interval) can be
-set through ``REPRO_*`` environment variables.  :func:`env_number` is
-the one parser they share.
+Two knobs (worker count, task timeout) can be set through ``REPRO_*``
+environment variables.  :func:`env_number` is the one parser they
+share.
 """
 
 from __future__ import annotations

@@ -70,13 +70,6 @@ class FaultError(SimulationError):
     ids out of range, negative event times)."""
 
 
-class CheckpointError(SimulationError):
-    """Raised by :mod:`repro.sim.checkpoint` when a checkpoint cannot be
-    written, fails its integrity check on load (bad magic, truncation,
-    digest mismatch), or does not match the simulation it is restored
-    into."""
-
-
 class StoreError(ReproError):
     """Raised by :mod:`repro.store` for invalid usage (malformed digests
     or ref names).  A missing object is never an error — it is a miss —

@@ -41,13 +41,12 @@ Crash-safe runs::
 ``--run-dir DIR`` makes the invocation durable: the chosen experiments
 and options are written to ``DIR/manifest.json``, every sweep runs
 through the broker queue at ``DIR/broker`` (its local workers' leases
-are expired the moment one dies), each task checkpoints its simulation
-periodically (``--checkpoint-interval`` simulated seconds), and with
-``--trace-out`` events also stream to ``trace.jsonl`` as they happen.
-``resume DIR`` replays the manifest against the same queue: sweep ids
-are derived from the tasks' content, so finished tasks are replayed,
-interrupted tasks continue from their latest valid checkpoint, and the
-completed output is byte-identical to an uninterrupted run.
+are expired the moment one dies), and with ``--trace-out`` events also
+stream to ``trace.jsonl`` as they happen.  ``resume DIR`` replays the
+manifest against the same queue: sweep ids are derived from the tasks'
+content, so finished tasks are replayed, interrupted tasks rerun from
+their start, and the completed output is byte-identical to an
+uninterrupted run.
 
 Per-task knob: ``--task-timeout SECONDS`` (or ``REPRO_TASK_TIMEOUT``;
 zero or negative means no timeout).  The attempt budget, the backoff
@@ -77,7 +76,6 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.sim.checkpoint import CHECKPOINT_INTERVAL_ENV
 from repro.telemetry import (
     TRACE_CATEGORIES_ENV,
     TRACE_DIR_ENV,
@@ -261,18 +259,10 @@ def _parse_args(argv):
         "--run-dir",
         default=None,
         metavar="DIR",
-        help="make the run durable: write DIR/manifest.json, run every "
-        "sweep through the broker queue at DIR/broker, and checkpoint "
-        "each task's simulation; an interrupted invocation continues "
-        "with 'python -m repro.experiments resume DIR'",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="simulated seconds between task checkpoints under "
-        "--run-dir (default: 10)",
+        help="make the run durable: write DIR/manifest.json and run "
+        "every sweep through the broker queue at DIR/broker; an "
+        "interrupted invocation continues with "
+        "'python -m repro.experiments resume DIR'",
     )
     parser.add_argument(
         "--task-timeout",
@@ -335,7 +325,6 @@ _MANIFEST_KEYS = (
     "cache_dir",
     "trace_out",
     "trace_categories",
-    "checkpoint_interval",
     "task_timeout",
 )
 
@@ -393,10 +382,6 @@ def _execute(args, chosen: list, run_dir: Optional[Path]) -> None:
     trace_dir = os.environ.get(TRACE_DIR_ENV)
     if run_dir is not None:
         harness.set_run_root(run_dir)
-        if args.checkpoint_interval is not None:
-            # Through the environment so sweep workers checkpoint at the
-            # same cadence (task_checkpoint_manager reads it).
-            os.environ[CHECKPOINT_INTERVAL_ENV] = str(args.checkpoint_interval)
     live = any(name != "telemetry" for name in chosen)
     recorder = None
     if trace_dir and live:

@@ -35,12 +35,11 @@ lease races
     Duplicate completions dedupe deterministically; any interleaving of
     completions yields one canonical result set.
 
-tasks themselves crash-safe
-    Each task runs with its checkpoint directory exported
-    (``ckpt/<key>/`` under the broker root, via
-    :func:`~repro.sim.checkpoint.task_checkpoint_dir`), so
-    checkpoint-aware point functions resume mid-simulation even when
-    their task is reclaimed by another worker.
+interrupted tasks
+    A task is the unit of durability: one whose worker dies before it
+    records a result reruns from its start on its next claim.  Point
+    functions are pure, so the rerun records the result an
+    uninterrupted run would have.
 
 Content keys hash the point function's reference plus the pickled task
 payload, so identical work enqueued twice — a resumed sweep, or the
@@ -65,7 +64,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.errors import BrokerError, LeaseLostError, TaskTimeoutError
-from repro.sim.checkpoint import task_checkpoint_dir
 from repro.taxonomy import failed_reason, lease_expired_reason
 from repro.store import atomic_publish
 from repro.telemetry.context import current_recorder
@@ -215,7 +213,6 @@ class Broker:
 
         queue.db                       tasks / results / events (SQLite)
         results/<key>-<digest>.pkl     pickled result payloads
-        ckpt/<key>/                    per-task simulation checkpoints
 
     Every instance opens its own SQLite connections (one per thread —
     heartbeat threads renew through their own handle), so any number of
@@ -741,54 +738,6 @@ class Broker:
             ).fetchall()
         ]
 
-    def checkpoint_dir(self, key: str) -> str:
-        """Where the task with content key *key* checkpoints."""
-        return str(self.directory / "ckpt" / key)
-
-    def gc_checkpoints(self) -> tuple:
-        """Remove ``ckpt/<key>`` dirs whose tasks all reached ``done``.
-
-        Checkpoints exist to resume interrupted work; once every task
-        row sharing a key is done, its directory is dead weight (it
-        used to accumulate forever).  Returns ``(dirs removed, bytes
-        freed)``.  Directories whose key is still pending, leased, or
-        quarantined — or not in the queue at all (another queue's keys,
-        a mid-write claim) — are left alone.
-        """
-        root = self.directory / "ckpt"
-        if not root.is_dir():
-            return 0, 0
-        states = {}
-        for key, state in self._conn().execute(
-            "SELECT key, state FROM tasks"
-        ).fetchall():
-            states.setdefault(key, set()).add(state)
-        removed = 0
-        freed = 0
-        for entry in sorted(root.iterdir()):
-            if not entry.is_dir() or states.get(entry.name) != {"done"}:
-                continue
-            size = 0
-            try:
-                for path in sorted(entry.rglob("*"), reverse=True):
-                    if path.is_file():
-                        size += path.stat().st_size
-                        path.unlink()
-                    elif path.is_dir():
-                        path.rmdir()
-                entry.rmdir()
-            except OSError:
-                continue
-            removed += 1
-            freed += size
-        if removed:
-            with self._txn() as cur:
-                self._event(
-                    cur, "gc", detail=f"{removed} checkpoint dir(s), "
-                    f"{freed} bytes",
-                )
-        return removed, freed
-
     def close(self) -> None:
         conn = getattr(self._local, "conn", None)
         if conn is not None:
@@ -881,11 +830,10 @@ def worker_loop(
     is runnable or running anywhere in the queue.
 
     The core of the local workers the harness runs for every
-    multi-worker sweep.  Each claimed task runs
-    under a heartbeat thread renewing the lease at a third of its TTL
-    and with its checkpoint directory exported; an exception inside the
-    point function reports :meth:`Broker.fail` (backed-off re-offer, then
-    quarantine) instead of killing the loop.
+    multi-worker sweep.  Each claimed task runs under a heartbeat thread
+    renewing the lease at a third of its TTL; an exception inside the
+    point function reports :meth:`Broker.fail` (backed-off re-offer,
+    then quarantine) instead of killing the loop.
 
     Args:
         worker: worker identity for leases (host:pid by default).
@@ -896,8 +844,7 @@ def worker_loop(
             local attempt burns out.
         max_tasks: stop after this many completed claims (tests).
         durable: ``False`` for a throwaway queue that nothing resumes
-            from: tasks run without a checkpoint directory and results
-            are not fsynced.
+            from: results are not fsynced.
 
     Returns:
         the number of tasks this worker completed.
@@ -934,11 +881,7 @@ def worker_loop(
         started = time.perf_counter()
         try:
             fn, task = lease.load()
-            if durable:
-                with task_checkpoint_dir(broker.checkpoint_dir(lease.key)):
-                    value = fn(task)
-            else:
-                value = fn(task)
+            value = fn(task)
         except BaseException as exc:
             heartbeat.stop()
             state = broker.fail(lease, exc)

@@ -48,7 +48,7 @@ from repro.experiments.runner import (
     run_strategies,
     run_technique,
 )
-from repro.experiments.report import format_series, format_table
+from repro.experiments.report import format_table
 
 
 # -- §IV-C2: lookahead depth ---------------------------------------------------
@@ -541,21 +541,13 @@ class FaultResilienceResult:
 
 def _fault_resilience_point(task: tuple) -> FaultResilienceRow:
     """Harness worker: baseline + hardened-tuned run under one plan."""
-    from repro.sim.checkpoint import task_checkpoint_manager
     from repro.sim.faults import FaultPlan
     from repro.tuning.runtime import PhaseTuningRuntime
 
     config, strategy, workload, rate, seed = task
     machine = config.resolved_machine()
     plan = FaultPlan.scaled(rate, machine, config.interval, seed=seed)
-    # Two simulations in one task: each checkpoints into its own subdir
-    # so neither resumes from the other's snapshot.
-    baseline = run_baseline(
-        config,
-        workload,
-        faults=plan,
-        checkpoint=task_checkpoint_manager("baseline"),
-    )
+    baseline = run_baseline(config, workload, faults=plan)
     runtime = PhaseTuningRuntime(
         machine,
         config.ipc_threshold,
@@ -568,11 +560,7 @@ def _fault_resilience_point(task: tuple) -> FaultResilienceRow:
         workload=workload,
         runtime=runtime,
         faults=plan,
-        checkpoint=task_checkpoint_manager("tuned"),
     )
-    # On a checkpoint resume the snapshot's runtime (not the fresh one
-    # built above) accumulated the tuning statistics.
-    runtime = tuned.runtime if tuned.runtime is not None else runtime
     return FaultResilienceRow(
         rate,
         baseline.instructions,

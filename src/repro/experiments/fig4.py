@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.metrics.overhead import time_overhead
-from repro.sim.checkpoint import task_checkpoint_manager
 from repro.tuning.runtime import SwitchToAllRuntime
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
@@ -49,7 +48,6 @@ def _point(task):
         name,
         workload=workload,
         runtime=SwitchToAllRuntime(config.resolved_machine()),
-        checkpoint=task_checkpoint_manager(),
     )
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.analysis.block_typing import StaticBlockTyper, inject_clustering_error
 from repro.metrics.throughput import throughput_improvement
-from repro.sim.checkpoint import task_checkpoint_manager
 from repro.workloads.spec import spec_benchmark
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_tasks
@@ -47,7 +46,6 @@ def _point(task):
         strategy,
         workload=workload,
         typing_overrides=overrides,
-        checkpoint=task_checkpoint_manager(),
     )
 
 

@@ -50,17 +50,14 @@ Durable sweeps
 A queue in a broker directory or a run dir is durable: results are
 recorded idempotently by content key (and fsynced), sweep ids derive
 from those keys, so a rerun — ``python -m repro.experiments resume
-RUNDIR`` — replays finished tasks and recomputes only what never
-finished, and each task runs with
-:data:`~repro.sim.checkpoint.TASK_CHECKPOINT_DIR_ENV` pointing at its
-own checkpoint directory, so checkpoint-aware point functions resume
-mid-simulation.  A local worker that dies loses its leases at once
-(the supervisor knows its ``host:pid`` identity), a task that keeps
-killing workers is quarantined after its attempt budget and rescued
-serially in the parent, and because point functions are pure and
-results are replayed in task order, a resumed sweep returns bit-
+RUNDIR`` — replays finished tasks and reruns, from its start, each
+task that never finished.  A local worker that dies loses its leases
+at once (the supervisor knows its ``host:pid`` identity), a task that
+keeps killing workers is quarantined after its attempt budget and
+rescued serially in the parent, and because point functions are pure
+and results are replayed in task order, a resumed sweep returns bit-
 identical results to an uninterrupted one.  The throwaway queue skips
-checkpoints and fsyncs: nothing outlives it to resume from.
+fsyncs: nothing outlives it to resume from.
 """
 
 from __future__ import annotations
@@ -81,7 +78,6 @@ from typing import Callable, Optional, Sequence
 from repro.env import env_number
 from repro.errors import BrokerError, ExperimentError, TaskTimeoutError
 from repro.experiments.broker import task_label
-from repro.sim.checkpoint import task_checkpoint_dir
 from repro.telemetry.context import current_recorder, set_recorder
 from repro.telemetry.recorder import TraceRecorder
 
@@ -376,12 +372,11 @@ def _run_broker(
     """Queue path of :func:`run_tasks`: enqueue, drive workers, replay
     in task order.
 
-    A non-*durable* (throwaway) queue runs tasks without checkpoints
-    and skips fsyncs.  Tasks that time out on their last attempt raise
-    :class:`TaskTimeoutError`; other quarantined tasks — or tasks whose
-    results cannot be verified — are rescued serially in-parent as the
-    last resort, so a genuine poison task raises its real traceback in
-    the caller.
+    A non-*durable* (throwaway) queue skips fsyncs.  Tasks that time
+    out on their last attempt raise :class:`TaskTimeoutError`; other
+    quarantined tasks — or tasks whose results cannot be verified — are
+    rescued serially in-parent as the last resort, so a genuine poison
+    task raises its real traceback in the caller.
     """
     from repro.experiments.broker import Broker, Lease, task_key
 
@@ -446,11 +441,7 @@ def _run_broker(
                     f"serially in parent ({why})"
                 )
             key = task_key(run_fn, tasks[index])
-            if durable:
-                with task_checkpoint_dir(broker.checkpoint_dir(key)):
-                    value = run_fn(tasks[index])
-            else:
-                value = run_fn(tasks[index])
+            value = run_fn(tasks[index])
             broker.complete(
                 Lease(sweep, index, key, labels[index], b"", 0, 0.0,
                       "parent-rescue"),

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 from repro.metrics.fairness import FairnessReport, fairness_report
 from repro.metrics.throughput import throughput
-from repro.sim.checkpoint import task_checkpoint_manager
 from repro.sim.executor import SimulationResult
 from repro.workloads.workload import Workload, WorkloadRun
 from repro.experiments.config import ExperimentConfig
@@ -38,11 +37,6 @@ class TechniqueOutcome:
         fairness: Table 2's metrics over completed processes.
         instructions: committed instructions within the interval.
         switches: total core switches across all processes.
-        runtime: the tuning runtime the simulation actually used, if
-            any.  When the run resumed from a checkpoint this is the
-            *snapshot's* runtime (carrying the accumulated tuning
-            state), not the one the caller passed in — read post-run
-            statistics from here.
     """
 
     name: str
@@ -50,19 +44,13 @@ class TechniqueOutcome:
     fairness: FairnessReport
     instructions: float
     switches: float
-    runtime: object = None
 
     @property
     def completed(self) -> int:
         return self.fairness.completed
 
 
-def _outcome(
-    name: str,
-    result: SimulationResult,
-    interval: float,
-    runtime=None,
-) -> TechniqueOutcome:
+def _outcome(name: str, result: SimulationResult, interval: float) -> TechniqueOutcome:
     result = result.summary()
     return TechniqueOutcome(
         name,
@@ -70,7 +58,6 @@ def _outcome(
         fairness_report(result.completed),
         throughput(result, interval),
         result.total_switches(),
-        runtime,
     )
 
 
@@ -83,7 +70,6 @@ def run_baseline(
     config: ExperimentConfig,
     workload: Optional[Workload] = None,
     faults=None,
-    checkpoint=None,
 ) -> TechniqueOutcome:
     """Run the stock-Linux-scheduler baseline.
 
@@ -91,9 +77,6 @@ def run_baseline(
         faults: optional :class:`~repro.sim.faults.FaultPlan` perturbing
             the run (fault-resilience experiments); ``None`` (default)
             runs fault-free.
-        checkpoint: optional checkpoint manager or directory; the run
-            checkpoints there and resumes from any valid snapshot (see
-            :meth:`~repro.workloads.workload.WorkloadRun.run`).
     """
     workload = workload or make_workload(config)
     run = WorkloadRun(workload, config.resolved_machine())
@@ -102,11 +85,8 @@ def run_baseline(
         contention_alpha=config.contention_alpha,
         pollution_beta=config.pollution_beta,
         faults=faults,
-        checkpoint=checkpoint,
     )
-    return _outcome(
-        "linux", result, config.interval, run.last_simulation.runtime
-    )
+    return _outcome("linux", result, config.interval)
 
 
 def run_technique(
@@ -117,7 +97,6 @@ def run_technique(
     typing_overrides: Optional[dict] = None,
     runtime=None,
     faults=None,
-    checkpoint=None,
 ) -> TechniqueOutcome:
     """Run one phase-based-tuning variant.
 
@@ -128,9 +107,6 @@ def run_technique(
         runtime: override the runtime entirely (e.g. switch-to-all).
         faults: optional :class:`~repro.sim.faults.FaultPlan` perturbing
             the run; ``None`` (default) runs fault-free.
-        checkpoint: optional checkpoint manager or directory; the run
-            checkpoints there and resumes from any valid snapshot (see
-            :meth:`~repro.workloads.workload.WorkloadRun.run`).
     """
     workload = workload or make_workload(config)
     run = WorkloadRun(
@@ -145,11 +121,8 @@ def run_technique(
         contention_alpha=config.contention_alpha,
         pollution_beta=config.pollution_beta,
         faults=faults,
-        checkpoint=checkpoint,
     )
-    return _outcome(
-        strategy_name, result, config.interval, run.last_simulation.runtime
-    )
+    return _outcome(strategy_name, result, config.interval)
 
 
 def run_technique_point(task: tuple) -> TechniqueOutcome:
@@ -158,9 +131,7 @@ def run_technique_point(task: tuple) -> TechniqueOutcome:
     ``task`` is ``(config, strategy_name, workload, delta)`` with an
     optional trailing ``faults`` plan; module level so
     :func:`repro.experiments.harness.run_tasks` can ship it to
-    workers.  Under a durable sweep the worker exports each task's
-    checkpoint directory; :func:`task_checkpoint_manager` picks it up
-    here, making every such task resumable mid-simulation.
+    workers.
     """
     config, strategy_name, workload, delta, *rest = task
     faults = rest[0] if rest else None
@@ -170,7 +141,6 @@ def run_technique_point(task: tuple) -> TechniqueOutcome:
         workload=workload,
         delta=delta,
         faults=faults,
-        checkpoint=task_checkpoint_manager(),
     )
 
 

@@ -30,7 +30,6 @@ from typing import Callable, Optional
 
 from repro.errors import (
     AffinitySyscallError,
-    CheckpointError,
     FaultError,
     SimulationError,
 )
@@ -57,10 +56,6 @@ from repro.telemetry.events import PROC_TID_BASE
 #: Floor on simulated progress per scheduling decision, to keep the
 #: event count bounded even for pathological zero-cost segments.
 _MIN_STEP_S = 1e-9
-
-#: Version stamp of Simulation.snapshot_state dicts; bump on any layout
-#: change so stale checkpoints are rejected instead of misrestored.
-_SNAPSHOT_VERSION = 2
 
 #: Environment kill-switch for segment-batched quantum execution: any
 #: non-empty value forces ``batched=False`` (the stepped reference
@@ -326,9 +321,6 @@ class Simulation:
         self._tr = tr
         if tr is not None:
             self._tr_run = tr.begin_run(f"sim:{machine.name}", clock="sim")
-            # Metrics as of construction: snapshot_state ships only the
-            # delta beyond this, i.e. what this run itself recorded.
-            self._tr_metrics_base = dict(tr.metrics)
             self._tr_exec = tr.wants("exec")
             self._tr_phase = tr.wants("phase")
             self._tr_quantum = tr.wants("quantum")
@@ -378,216 +370,10 @@ class Simulation:
             self._events.push(max(now, self._core_busy_until[core_id]),
                               ("core", core_id))
 
-    # -- checkpoint/resume ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """A picklable image of everything :meth:`run` mutates.
-
-        Pure read — no RNG draws, no state mutation — so taking
-        snapshots never perturbs the run: a simulation run with
-        checkpointing enabled stays bit-identical to one without.
-
-        The dict must be pickled in one piece (``save_checkpoint`` does
-        this): the processes referenced from the event heap, the
-        scheduler runqueues, and the result lists are the *same*
-        objects, and a single pickle preserves that sharing.
-        """
-        runtime = self.runtime
-        runtime_state = None
-        if runtime is not None:
-            snap = getattr(runtime, "snapshot_state", None)
-            if snap is not None:
-                runtime_state = snap()
-        telemetry = None
-        tr = self._tr
-        if tr is not None:
-            run = self._tr_run
-            # Only this run's share of the recorder: its own events, and
-            # the metrics delta since construction.  A shared recorder's
-            # earlier runs (and anything recorded before this simulation
-            # existed, e.g. pipeline-cache counters) must not travel, or
-            # restoring would double-count them.
-            base = self._tr_metrics_base
-            telemetry = {
-                "run_info": tr.runs.get(run),
-                "events": [ev for ev in tr.events if ev[3] == run],
-                "metrics": {
-                    name: value - base.get(name, 0.0)
-                    for name, value in tr.metrics.items()
-                    if value != base.get(name, 0.0)
-                },
-            }
-        return {
-            "version": _SNAPSHOT_VERSION,
-            "machine": self.machine,
-            "scheduler": self.scheduler,
-            "scheduler_state": self.scheduler.snapshot_state(),
-            "runtime": runtime,
-            "runtime_state": runtime_state,
-            "faults": self.faults,
-            "faults_state": (
-                self.faults.snapshot_state() if self.faults is not None else None
-            ),
-            "memory": self.memory,
-            "on_complete": self.on_complete,
-            # Additive key: snapshots predating the open-system engine
-            # restore with .get() to None, which is exactly what closed
-            # runs (the only runs that existed) carried.
-            "on_cancel": self.on_cancel,
-            "contention_alpha": self.contention_alpha,
-            "pollution_beta": self.pollution_beta,
-            "batched": self.batched,
-            "now": self._now,
-            "heap": list(self._events._heap),
-            "seq": self._events._seq,
-            "live": sorted(self._live),
-            "result": self._result,
-            "core_state": {
-                "busy_until": list(self._core_busy_until),
-                "idle": list(self._core_idle),
-                "idle_since": list(self._core_idle_since),
-                "stall_frac": list(self._core_stall_frac),
-                "offline": list(self._core_offline),
-                "freq_scale": list(self._core_freq_scale),
-                "mem_pressure": list(self._core_mem_pressure),
-                "freq_eff": list(self._core_freq_eff),
-            },
-            "telemetry": telemetry,
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "Simulation":
-        """Rebuild a live simulation from a :meth:`snapshot_state` dict
-        (typically via :func:`repro.sim.checkpoint.load_checkpoint`).
-
-        The snapshot's own scheduler, runtime, and fault injector are
-        re-wired into the new instance, so ``from_snapshot(s).run(t)``
-        continues exactly where the snapshot was taken.
-
-        Keys this method does not read are ignored: snapshots from
-        earlier versions carry the flag of a since-removed executor mode
-        (pinned bit-identical to batched, caches never snapshotted),
-        and resume unchanged (DESIGN.md §12).
-        """
-        if not isinstance(state, dict) or state.get("version") != _SNAPSHOT_VERSION:
-            raise CheckpointError(
-                "snapshot version mismatch: expected "
-                f"{_SNAPSHOT_VERSION}, got "
-                f"{state.get('version') if isinstance(state, dict) else state!r}"
-            )
-        sim = cls(
-            state["machine"],
-            scheduler=state["scheduler"],
-            runtime=state["runtime"],
-            contention_alpha=state["contention_alpha"],
-            pollution_beta=state["pollution_beta"],
-            on_complete=state["on_complete"],
-            on_cancel=state.get("on_cancel"),
-            memory=state["memory"],
-            faults=state["faults"],
-            batched=state["batched"],
-        )
-        sim.restore_state(state)
-        return sim
-
-    def restore_state(self, state: dict) -> None:
-        """Install a :meth:`snapshot_state` image into this simulation.
-
-        The constructor has already attached the scheduler (fresh empty
-        runqueues, waker bound) and begun a telemetry run; this replaces
-        every piece of dynamic state with the snapshot's and rebuilds
-        the derived hot-path caches around it.
-        """
-        if not isinstance(state, dict) or state.get("version") != _SNAPSHOT_VERSION:
-            raise CheckpointError(
-                "snapshot version mismatch: expected "
-                f"{_SNAPSHOT_VERSION}, got "
-                f"{state.get('version') if isinstance(state, dict) else state!r}"
-            )
-        machine = state["machine"]
-        if len(machine) != len(self.machine) or machine.name != self.machine.name:
-            raise CheckpointError(
-                f"snapshot was taken on machine {machine.name!r} "
-                f"({len(machine)} cores); cannot restore into "
-                f"{self.machine.name!r} ({len(self.machine)} cores)"
-            )
-        core = state["core_state"]
-        self._now = state["now"]
-        self._events = EventQueue()
-        self._events._heap = list(state["heap"])
-        self._events._seq = state["seq"]
-        self._live = set(state["live"])
-        self._result = state["result"]
-        self._core_busy_until = list(core["busy_until"])
-        self._core_idle = list(core["idle"])
-        self._core_idle_since = list(core["idle_since"])
-        self._core_stall_frac = list(core["stall_frac"])
-        self._core_offline = list(core["offline"])
-        self._core_freq_scale = list(core["freq_scale"])
-        self._core_mem_pressure = list(core["mem_pressure"])
-        self._core_freq_eff = list(core["freq_eff"])
-        self.on_complete = state["on_complete"]
-        self.on_cancel = state.get("on_cancel")
-        self.scheduler.restore_state(state["scheduler_state"])
-        if self.faults is not None and state["faults_state"] is not None:
-            self.faults.restore_state(state["faults_state"])
-        runtime = self.runtime
-        if runtime is not None and state["runtime_state"] is not None:
-            restore = getattr(runtime, "restore_state", None)
-            if restore is not None:
-                restore(state["runtime_state"])
-        # Rebuild the derived hot-path bundle around the restored lists
-        # (_sched_queues still aliases scheduler._queues: restore_state
-        # refills the attach()-built deques in place).
-        self._hot = (
-            self._core_exec,
-            self._core_freq_eff,
-            self._timeslice,
-            self.runtime,
-            self._core_idle,
-            self._core_stall_frac,
-            self.contention_alpha,
-            self.pollution_beta,
-            self._result.throughput_buckets,
-        )
-        tel = state.get("telemetry")
-        tr = self._tr
-        if tr is not None and tel is not None:
-            # Rebase the snapshot's events onto the run id the fresh
-            # constructor allocated: on a new recorder both are 0 and
-            # the replayed stream is bit-identical; on a shared recorder
-            # the resumed run appends under its own id, like any run.
-            run = self._tr_run
-            if tel["run_info"] is not None:
-                tr.runs[run] = tel["run_info"]
-            tr.events.extend(
-                (ph, cat, name, run, ts, tid, value, args)
-                for ph, cat, name, _, ts, tid, value, args in tel["events"]
-            )
-            metrics = tr.metrics
-            for name, value in tel["metrics"].items():
-                metrics[name] = metrics.get(name, 0.0) + value
-
     # -- main loop --------------------------------------------------------------
 
-    def run(self, until: float, checkpoint=None) -> SimulationResult:
-        """Run the simulation until time *until* (seconds).
-
-        Args:
-            until: horizon in simulated seconds.
-            checkpoint: optional
-                :class:`~repro.sim.checkpoint.CheckpointManager` (or a
-                directory path to build one with default cadence).
-                Snapshots are taken between events whenever sim time
-                crosses the manager's interval grid; they never change
-                what the run computes.
-        """
-        ckpt = checkpoint
-        if ckpt is not None and isinstance(ckpt, (str, os.PathLike)):
-            from repro.sim.checkpoint import CheckpointManager
-
-            ckpt = CheckpointManager(ckpt)
-        ckpt_due = ckpt.first_due(self._now) if ckpt is not None else float("inf")
+    def run(self, until: float) -> SimulationResult:
+        """Run the simulation until time *until* (seconds)."""
         # The event loop runs once per scheduling quantum — hundreds of
         # thousands of iterations per experiment — so it reads the heap
         # directly instead of going through the EventQueue wrappers
@@ -599,12 +385,6 @@ class Simulation:
             time = heap[0][0]
             if time > until:
                 break
-            if time >= ckpt_due:
-                # Between events every invariant holds, so this is the
-                # one safe instant to freeze the run.  A crash after
-                # this point loses at most [ckpt_due, crash) of work.
-                ckpt.save(self, time)
-                ckpt_due = ckpt.next_due
             time, _, payload = heappop(heap)
             if time > self._now:
                 self._now = time

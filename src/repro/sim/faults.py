@@ -378,17 +378,6 @@ class FaultInjector:
             "skipped_events": 0,
         }
 
-    # -- checkpoint/resume --------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """The injector's cursor: RNG stream position plus fired
-        counters (the plan is immutable and travels separately)."""
-        return {"rng": self._rng.getstate(), "fired": dict(self.fired)}
-
-    def restore_state(self, state: dict) -> None:
-        self._rng.setstate(state["rng"])
-        self.fired = dict(state["fired"])
-
     # -- scheduled faults ---------------------------------------------------
 
     def scheduled_events(self) -> list:

@@ -42,7 +42,6 @@ from repro.metrics.latency import (
     QueueDepthSeries,
     per_class_throughput,
 )
-from repro.sim.checkpoint import CheckpointManager
 from repro.sim.executor import Simulation, SimulationResult
 from repro.sim.faults import FaultPlan, HotplugEvent
 from repro.sim.machine import MachineConfig
@@ -349,7 +348,6 @@ class OpenSystemRun:
         self._sojourn = LatencySketch()
         self._wait = LatencySketch()
         self._completed_by_class: dict = {}
-        self.last_simulation: Optional[Simulation] = None
 
     # -- pure plan views ----------------------------------------------------
 
@@ -372,7 +370,7 @@ class OpenSystemRun:
             isolated_time=prepared.isolated_seconds,
         )
 
-    # -- simulation callbacks (bound methods: snapshots stay picklable) -----
+    # -- simulation callbacks ---------------------------------------------
 
     def _on_complete(self, proc: SimProcess, now: float):
         if proc.pid > OPEN_PID_BASE:
@@ -406,7 +404,6 @@ class OpenSystemRun:
         contention_alpha: float = 0.4,
         pollution_beta: float = 0.6,
         faults=None,
-        checkpoint=None,
     ) -> OpenSystemResult:
         """Run the open system for *until* simulated seconds (defaults
         to the plan horizon).
@@ -429,63 +426,42 @@ class OpenSystemRun:
         if fault_arg is None:
             fault_arg = plan.breakdown_plan(self.machine)
 
-        if checkpoint is not None and not isinstance(
-            checkpoint, CheckpointManager
-        ):
-            checkpoint = CheckpointManager(checkpoint)
-        simulation = None
-        if checkpoint is not None:
-            state = checkpoint.latest_state()
-            if state is not None:
-                simulation = Simulation.from_snapshot(state)
         arrivals = plan.arrivals()
-        if simulation is None:
-            simulation = Simulation(
-                self.machine,
-                scheduler=scheduler,
-                runtime=runtime,
-                contention_alpha=contention_alpha,
-                pollution_beta=pollution_beta,
-                on_complete=self._on_complete,
-                on_cancel=self._on_cancel,
-                faults=fault_arg,
-            )
-            if self._closed is not None:
-                for slot in range(self._closed.workload.slots):
-                    simulation.add_process(self._closed._spawn(slot), 0.0)
-            for index, (t, name) in enumerate(arrivals):
-                simulation.add_process(self._spawn_open(index, name), t)
-            for t, index in plan.cancellations(arrivals):
-                simulation.cancel_process(OPEN_PID_BASE + 1 + index, t)
-        self.last_simulation = simulation
-        # On a checkpoint resume the snapshot's engine (bound into the
-        # restored callbacks) carries the accumulated sketches; read
-        # results through it, like WorkloadRun reads last_simulation.
-        engine = (
-            simulation.on_complete.__self__
-            if simulation.on_complete is not None
-            and getattr(simulation.on_complete, "__self__", None) is not None
-            and isinstance(simulation.on_complete.__self__, OpenSystemRun)
-            else self
+        simulation = Simulation(
+            self.machine,
+            scheduler=scheduler,
+            runtime=runtime,
+            contention_alpha=contention_alpha,
+            pollution_beta=pollution_beta,
+            on_complete=self._on_complete,
+            on_cancel=self._on_cancel,
+            faults=fault_arg,
         )
-        sim_result = simulation.run(horizon, checkpoint=checkpoint)
+        if self._closed is not None:
+            for slot in range(self._closed.workload.slots):
+                simulation.add_process(self._closed._spawn(slot), 0.0)
+        for index, (t, name) in enumerate(arrivals):
+            simulation.add_process(self._spawn_open(index, name), t)
+        for t, index in plan.cancellations(arrivals):
+            simulation.cancel_process(OPEN_PID_BASE + 1 + index, t)
+        sim_result = simulation.run(horizon)
         simulation.snapshot_running()
         arrived_times = [t for t, _name in arrivals if t <= horizon]
         depth = QueueDepthSeries.from_events(
             arrived_times,
-            engine._completion_times + engine._cancel_times,
+            self._completion_times + self._cancel_times,
         )
         return OpenSystemResult(
             plan=plan,
             horizon=horizon,
             arrived=len(arrived_times),
-            completed=len(engine._completion_times),
-            cancelled=len(engine._cancel_times),
-            cancel_misses=engine._cancel_misses,
-            sojourn=engine._sojourn,
-            wait=engine._wait,
+            completed=len(self._completion_times),
+            cancelled=len(self._cancel_times),
+            cancel_misses=self._cancel_misses,
+            sojourn=self._sojourn,
+            wait=self._wait,
             depth=depth,
-            completed_by_class=dict(engine._completed_by_class),
+            completed_by_class=dict(self._completed_by_class),
             sim_result=sim_result,
         )
 

@@ -32,36 +32,6 @@ class Scheduler(abc.ABC):
         self.machine = machine
         self.waker = waker
 
-    def __getstate__(self):
-        """Pickle support for checkpoints.
-
-        ``waker`` is a bound method of the owning simulation (pickling
-        it would drag the whole executor along) and ``telemetry`` is a
-        live recorder; the executor re-binds both on ``attach``, so
-        neither travels.
-        """
-        state = self.__dict__.copy()
-        state.pop("waker", None)
-        state["telemetry"] = None
-        return state
-
-    def snapshot_state(self) -> dict:
-        """Dynamic state for checkpoint/resume.
-
-        Stateless schedulers have none; implementations with runqueues
-        or counters must override this together with
-        :meth:`restore_state`.
-        """
-        return {}
-
-    def restore_state(self, state: dict) -> None:
-        """Install state captured by :meth:`snapshot_state`.
-
-        Called after :meth:`attach` on a freshly constructed (or
-        unpickled) scheduler; the default is a no-op to match the empty
-        default snapshot.
-        """
-
     @abc.abstractmethod
     def enqueue(self, proc: SimProcess, now: float) -> None:
         """Place a ready process on some allowed core's queue."""

@@ -54,34 +54,6 @@ class LinuxO1Scheduler(Scheduler):
         self._queues = {c.cid: deque() for c in machine.cores}
         self._offline = set()
 
-    # -- checkpoint/resume ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "queues": {cid: list(queue) for cid, queue in self._queues.items()},
-            "offline": sorted(self._offline),
-            "last_balance": self._last_balance,
-            "placements": self.placements,
-            "steals": self.steals,
-            "balance_moves": self.balance_moves,
-            "affinity_breaks": self.affinity_breaks,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        # Repopulate the attach()-built deques in place: the executor
-        # aliases the _queues dict on its hot path, and keeping the
-        # machine-order keys preserves _steal/load_map iteration order.
-        queues = state["queues"]
-        for cid, queue in self._queues.items():
-            queue.clear()
-            queue.extend(queues.get(cid, ()))
-        self._offline = set(state["offline"])
-        self._last_balance = state["last_balance"]
-        self.placements = state["placements"]
-        self.steals = state["steals"]
-        self.balance_moves = state["balance_moves"]
-        self.affinity_breaks = state["affinity_breaks"]
-
     # -- hotplug ----------------------------------------------------------------
 
     def set_core_offline(self, core_id: int, offline: bool, now: float) -> None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.errors import SimulationError, WorkloadError
 from repro.program.basic_block import NodeKind
@@ -977,6 +977,7 @@ class _SkeletonBuilder:
             for name in pending_cost.compute:
                 pending_cost.compute[name] = 0.0
                 pending_cost.stall[name] = 0.0
+                pending_cost.l2hits[name] = 0.0
             pending_sites.clear()
             pending_count = 0
 

@@ -19,7 +19,6 @@ bank's rejection statistics quantify how rarely it happens).
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,15 +59,6 @@ class PhaseState:
     firings: int = 0
     open_failures: int = 0
     epoch: int = 0
-
-    def __setstate__(self, state: dict) -> None:
-        # A live ``decided`` string is always the shared FREE object; an
-        # unpickled one (a checkpoint resume) is a new "free", which
-        # changes the pickle of a result holding both.  Restore the
-        # sentinel, and intern the keys as pickle's default restore does.
-        vars(self).update((sys.intern(key), value) for key, value in state.items())
-        if self.decided == FREE:
-            self.decided = FREE
 
     def reset(self) -> None:
         """Forget everything (feedback adaptation / re-exploration)."""

@@ -313,61 +313,6 @@ class PhaseTuningRuntime:
         """All logged degradation events affecting process *pid*."""
         return [ev for ev in self.degradation_log if ev.pid == pid]
 
-    # -- checkpoint/resume -------------------------------------------------
-
-    def __getstate__(self):
-        """Pickle support: the trace recorder is a live object owned by
-        the session; the executor re-attaches telemetry on restore."""
-        state = self.__dict__.copy()
-        state["_tr"] = None
-        return state
-
-    def snapshot_state(self) -> dict:
-        """Mutable tuning state for checkpoint/resume.
-
-        Captures live references (counter bank, monitor, logs) rather
-        than copies; pickling the snapshot dict — which checkpointing
-        always does — freezes them into a consistent deep image.
-        Per-(process, phase-type) state lives on ``proc.tuner_state``
-        and travels with the process graph, not here.
-        """
-        return {
-            "counters": self.counters,
-            "monitor": self.monitor,
-            "machine_epoch": self.machine_epoch,
-            "decisions": self.decisions,
-            "resamples": self.resamples,
-            "degraded_decisions": self.degraded_decisions,
-            "invalidations": self.invalidations,
-            "affinity_errors": self.affinity_errors,
-            "rejected_samples": self.rejected_samples,
-            "degradation_log": self.degradation_log,
-            "affinity_failures": self._affinity_failures,
-            "affinity_blocked": self._affinity_blocked,
-            "freq_by_name": self._freq_by_name,
-            "ref_freq": self._ref_freq,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.counters = state["counters"]
-        self.monitor = state["monitor"]
-        self.machine_epoch = state["machine_epoch"]
-        self.decisions = state["decisions"]
-        self.resamples = state["resamples"]
-        self.degraded_decisions = state["degraded_decisions"]
-        self.invalidations = state["invalidations"]
-        self.affinity_errors = state["affinity_errors"]
-        self.rejected_samples = state["rejected_samples"]
-        self.degradation_log = list(state["degradation_log"])
-        self._affinity_failures = dict(state["affinity_failures"])
-        self._affinity_blocked = dict(state["affinity_blocked"])
-        self._freq_by_name = dict(state["freq_by_name"])
-        self._ref_freq = state["ref_freq"]
-        if self.faults is not None:
-            # Re-wire the injector into the restored measurement path.
-            self.counters.injector = self.faults
-            self.monitor.injector = self.faults
-
     # -- state access ------------------------------------------------------
 
     def _state(self, proc: SimProcess, phase_type: int) -> PhaseState:

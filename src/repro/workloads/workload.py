@@ -17,14 +17,12 @@ distinct benchmark so repeated jobs are cheap.
 
 from __future__ import annotations
 
-import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import WorkloadError
 from repro.instrument.marker import MarkingStrategy
-from repro.sim.checkpoint import CheckpointManager
 from repro.sim.executor import Simulation, SimulationResult
 from repro.sim.machine import MachineConfig
 from repro.sim.process import SimProcess, Trace
@@ -129,17 +127,8 @@ class WorkloadRun:
 
         self._next_pid = 0
         self._cursor = [0] * workload.slots
-        #: The simulation the last :meth:`run` call executed.  On a
-        #: checkpoint resume this is the *snapshot's* simulation (whose
-        #: runtime carries the accumulated tuning state), not one built
-        #: from this object's arguments — callers reading post-run
-        #: runtime statistics must go through it.
-        self.last_simulation: Optional[Simulation] = None
 
     def _on_complete(self, proc: SimProcess, now: float) -> SimProcess:
-        # Bound method rather than a lambda so simulation snapshots stay
-        # picklable; the checkpoint then carries this WorkloadRun (queue
-        # cursors, pid counter) along with the simulation state.
         return self._spawn(proc.slot)
 
     def _spawn(self, slot: int) -> SimProcess:
@@ -175,7 +164,6 @@ class WorkloadRun:
         contention_alpha: float = 0.4,
         pollution_beta: float = 0.6,
         faults=None,
-        checkpoint=None,
     ) -> SimulationResult:
         """Run the workload for *interval* simulated seconds.
 
@@ -185,36 +173,19 @@ class WorkloadRun:
             contention_alpha / pollution_beta: executor knobs.
             faults: optional :class:`~repro.sim.faults.FaultPlan` (or
                 injector) perturbing the run; ``None`` runs fault-free.
-            checkpoint: optional
-                :class:`~repro.sim.checkpoint.CheckpointManager` (or a
-                directory path).  The run checkpoints at the manager's
-                cadence, and — the resume path — when the directory
-                already holds a valid snapshot, the run *continues from
-                it*, discarding the arguments' fresh state in favour of
-                the checkpointed simulation (which carries its own
-                WorkloadRun, scheduler, and runtime).
         """
-        if checkpoint is not None and isinstance(checkpoint, (str, os.PathLike)):
-            checkpoint = CheckpointManager(checkpoint)
-        simulation = None
-        if checkpoint is not None:
-            state = checkpoint.latest_state()
-            if state is not None:
-                simulation = Simulation.from_snapshot(state)
-        if simulation is None:
-            simulation = Simulation(
-                self.machine,
-                scheduler=scheduler,
-                runtime=runtime,
-                contention_alpha=contention_alpha,
-                pollution_beta=pollution_beta,
-                on_complete=self._on_complete,
-                faults=faults,
-            )
-            for slot in range(self.workload.slots):
-                simulation.add_process(self._spawn(slot), 0.0)
-        self.last_simulation = simulation
-        result = simulation.run(interval, checkpoint=checkpoint)
+        simulation = Simulation(
+            self.machine,
+            scheduler=scheduler,
+            runtime=runtime,
+            contention_alpha=contention_alpha,
+            pollution_beta=pollution_beta,
+            on_complete=self._on_complete,
+            faults=faults,
+        )
+        for slot in range(self.workload.slots):
+            simulation.add_process(self._spawn(slot), 0.0)
+        result = simulation.run(interval)
         simulation.snapshot_running()
         return result
 

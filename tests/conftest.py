@@ -226,3 +226,57 @@ def make_recursive_program(name: str = "recursive", iters: int = 400):
         recursion_depth=3,
     )
     return pb.build(), spec
+
+
+def make_corner_program(name: str = "corners", chain: int = 28):
+    """A benchmark that reaches three corners of trace generation.
+
+    Returns (program, behavior_spec).  ``main``'s own scope holds:
+
+    * two folded groups with L2 hits, one before the loop and one
+      after it, so emitting the second starts from a flushed cost;
+    * a loop whose header has two predecessors outside it (a branch
+      and its fall-through), so one mark on all edges into the header
+      sits on two entry edges;
+    * a block reached with frequency ``2**-29``, at the end of a chain
+      of *chain* halving branches, from two predecessors, so the rate
+      of a mark on its edges is at or below ``_EPS``.
+    """
+    pb = ProgramBuilder(name)
+    pb.region("MID", 1 << 20)
+    with pb.proc("main") as b:
+        b.movi("r1", 0)
+        for _ in range(8):
+            b.load("r6", "MID", index="r1", stride=64)
+            b.add("r6", "r6", 1)
+        b.cmp("r1", 1)
+        b.br("lt", "head")
+        b.add("r2", "r2", 1)
+        b.label("head")
+        for _ in range(6):
+            b.fmul("f1", "f1", "f2")
+        b.add("r1", "r1", 1)
+        b.cmp("r1", 50)
+        b.br("lt", "head")
+        for _ in range(8):
+            b.load("r6", "MID", index="r1", stride=64)
+            b.store("MID", "r6", index="r1", stride=64)
+        for i in range(chain):
+            b.cmp("r3", i)
+            b.br("eq", "tail")
+        b.cmp("r4", 0)
+        b.br("lt", "second")
+        b.cmp("r4", 1)
+        b.br("lt", "tail")
+        b.label("join")
+        b.add("r7", "r7", 1)
+        b.jmp("tail")
+        b.label("second")
+        b.cmp("r4", 2)
+        b.br("lt", "join")
+        b.jmp("tail")
+        b.label("tail")
+        b.add("r8", "r8", 1)
+        b.ret()
+    spec = BehaviorSpec(trip_counts={("main", "head"): 50})
+    return pb.build(), spec

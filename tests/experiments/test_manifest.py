@@ -8,13 +8,17 @@ transport was removed carries ``"broker_url"`` (``--broker-url`` is no
 longer a flag), every manifest written before the store tier chain
 was removed carries ``"store_url"`` and ``"store_dir"``, and every
 manifest written before the multi-host broker options were removed
-carries ``"broker_dir"``, ``"priority"`` and ``"lease_ttl"``.
-``resume`` reads only the keys it knows, so such run directories still
-resume, with the same stdout as a fresh invocation.
+carries ``"broker_dir"``, ``"priority"`` and ``"lease_ttl"``.  Run
+directories written while tasks checkpointed their simulations carry
+``"checkpoint_interval"`` and a ``broker/ckpt/<key>/`` directory per
+task.  ``resume`` reads only the keys and folders it knows, so such run
+directories still resume, with the same stdout as a fresh invocation.
 """
 
 import json
 import os
+import re
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -60,7 +64,14 @@ STORE_MANIFEST_KEYS = (
 )
 
 
-def _cli(*argv, cwd):
+#: The keys the writer with ``--checkpoint-interval`` produced.
+CHECKPOINT_MANIFEST_KEYS = (
+    "names", "jobs", "log", "cache_dir", "trace_out", "trace_categories",
+    "checkpoint_interval", "task_timeout",
+)
+
+
+def _cli(*argv, cwd, stderr=False):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
@@ -72,7 +83,7 @@ def _cli(*argv, cwd):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return (done.stdout, done.stderr) if stderr else done.stdout
 
 
 def test_legacy_manifest_with_no_coalesce_resumes(tmp_path):
@@ -117,3 +128,64 @@ def test_manifest_with_store_keys_resumes(tmp_path):
     assert not (tmp_path / "local-store").exists()
     assert not (tmp_path / "shared-queue").exists()
     assert (run_dir / "broker" / "queue.db").exists()
+
+
+def test_checkpointing_run_dir_resumes(tmp_path):
+    """A run directory left by a killed run of the checkpointing writer
+    resumes to fresh stdout.  Its manifest holds
+    ``checkpoint_interval: 5`` and its queue has one task cut off
+    mid-run: leased, no result, and a populated ``broker/ckpt/<key>/``.
+    That task reruns from its start, and the checkpoint folders are left
+    as they were."""
+    fresh = _cli("--jobs", "1", "open_system", cwd=tmp_path)
+    run_dir = tmp_path / "run"
+    assert _cli(
+        "--run-dir", str(run_dir), "--jobs", "1", "open_system", cwd=tmp_path
+    ) == fresh
+
+    manifest = {key: None for key in CHECKPOINT_MANIFEST_KEYS}
+    manifest.update(
+        names=["open_system"], jobs=1, log=False, checkpoint_interval=5
+    )
+    (run_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True)
+    )
+    broker = run_dir / "broker"
+    db = sqlite3.connect(broker / "queue.db")
+    with db:
+        keys = [row[0] for row in db.execute("SELECT key FROM tasks")]
+        cut = db.execute(
+            "SELECT sweep, idx, key FROM tasks ORDER BY sweep, idx DESC"
+        ).fetchone()
+        sweep, idx, key = cut
+        (file,) = db.execute(
+            "SELECT file FROM results WHERE sweep = ? AND key = ?",
+            (sweep, key),
+        ).fetchone()
+        db.execute(
+            "DELETE FROM results WHERE sweep = ? AND key = ?", (sweep, key)
+        )
+        db.execute(
+            "UPDATE tasks SET state = 'leased', attempts = 1, "
+            "lease_owner = 'gone:1', lease_deadline = 0 "
+            "WHERE sweep = ? AND idx = ?",
+            (sweep, idx),
+        )
+    db.close()
+    (broker / "results" / file).unlink()
+    ckpts = {}
+    for task_key in keys:
+        folder = broker / "ckpt" / task_key
+        folder.mkdir(parents=True)
+        (folder / "ckpt-00000001.ckpt").write_bytes(b"REPROCKPT1\n" + b"x" * 64)
+        ckpts[task_key] = folder
+
+    stdout, stderr = _cli("resume", str(run_dir), "--log", cwd=tmp_path,
+                          stderr=True)
+    assert stdout == fresh
+    done, total = map(int, re.search(
+        r"broker: (\d+) of (\d+) task\(s\) already complete", stderr
+    ).groups())
+    assert 0 < done == total - 1
+    for folder in ckpts.values():
+        assert [p.name for p in folder.iterdir()] == ["ckpt-00000001.ckpt"]

@@ -7,11 +7,18 @@ number the tables and figures read, identical to a live run's.
 """
 
 import io
+import os
 import pickle
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.broker import LABEL_LIMIT, Broker
+import repro
+
+from repro.experiments.broker import LABEL_LIMIT, Broker, task_key
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_tasks
 from repro.experiments.runner import make_workload, run_technique_point
@@ -19,6 +26,11 @@ from repro.metrics.fairness import fairness_report
 from repro.metrics.throughput import throughput
 from repro.sim.executor import SimulationResult
 from repro.sim.flattrace import FlatCursor
+from repro.sim.machine import core2quad_amp
+from repro.sim.scheduler.base import Scheduler
+from repro.telemetry.context import set_recorder
+from repro.telemetry.recorder import TraceRecorder
+from repro.tuning.runtime import PhaseTuningRuntime
 from repro.sim.process import (
     ProcessRecord,
     SimProcess,
@@ -114,9 +126,6 @@ def _fields(outcome) -> tuple:
         outcome.fairness,
         outcome.instructions,
         outcome.switches,
-        type(outcome.runtime),
-        outcome.runtime.decisions,
-        outcome.runtime.degradation_log,
     )
 
 
@@ -124,6 +133,75 @@ def test_shipped_outcomes_equal_serial_ones():
     serial = run_tasks(run_technique_point, TASKS, jobs=1)
     shipped = run_tasks(run_technique_point, TASKS, jobs=2)
     assert [_fields(o) for o in shipped] == [_fields(o) for o in serial]
+
+
+# -- pickling hooks on the boundary -------------------------------------------
+#
+# The classes a task, its content key or a worker result pickles keep
+# their hooks: ``MachineConfig.__getstate__`` (a machine pickles to the
+# same bytes, and so the same task key, whichever cached views were
+# computed) and ``Trace.__getstate__``/``__setstate__`` (the pipeline
+# disk cache and spawned workers ship traces without their flat-array
+# cache).  Outcomes carry no runtime, scheduler or trace recorder.
+
+
+def test_task_and_outcome_survive_a_pickle_round_trip(outcome):
+    task = TASKS[0]
+    assert pickle.loads(pickle.dumps(task)) == task
+    shipped = pickle.loads(pickle.dumps(outcome))
+    assert _fields(shipped) == _fields(outcome)
+    assert pickle.dumps(shipped) == pickle.dumps(outcome)
+
+
+_KEY_SCRIPT = """
+from dataclasses import replace
+from repro.experiments.broker import task_key
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import make_workload, run_technique_point
+from repro.sim.machine import core2quad_amp
+from repro.sim.scheduler.base import Scheduler
+config = replace(ExperimentConfig.quick(), machine=core2quad_amp())
+print(task_key(run_technique_point, (config, "Loop[45]", make_workload(config), 0.12)))
+"""
+
+
+def test_task_key_is_stable_across_processes():
+    config = replace(CONFIG, machine=core2quad_amp())
+    task = (config, "Loop[45]", WORKLOAD, 0.12)
+    # Running the task computes the machine's cached views here; a
+    # fresh interpreter's machine has none.
+    run_technique_point(task)
+    assert config.machine.all_cores_mask
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    fresh = subprocess.run(
+        [sys.executable, "-c", _KEY_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout.strip()
+    assert fresh == task_key(run_technique_point, task)
+
+
+class _NoLiveStatePickler(pickle.Pickler):
+    """Fails on the live objects of a traced, tuned simulation."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, (TraceRecorder, PhaseTuningRuntime, Scheduler)):
+            raise AssertionError(f"{type(obj).__name__} crossed the boundary")
+        return NotImplemented
+
+
+def test_traced_outcome_carries_no_live_state():
+    previous = set_recorder(TraceRecorder(categories={"tuning", "sched"}))
+    try:
+        traced = run_technique_point(TASKS[0])
+    finally:
+        set_recorder(previous)
+    _NoLiveStatePickler(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(traced)
 
 
 def _length(task) -> int:

@@ -6,9 +6,9 @@ Under :func:`~repro.experiments.harness.set_run_root` (the CLI's
 (digest-verified result files, traced-shape filtering, first
 completion wins), the ``run_tasks`` integration (finished tasks
 replayed on rerun, missing ones recomputed, sweeps under one run root
-resuming independently, per-task checkpoint directories), exact blame
-of dead local workers, and the quarantine-then-rescue path of a task
-that kills every worker it runs on.
+resuming independently, an interrupted task rerun from its start),
+exact blame of dead local workers, and the quarantine-then-rescue path
+of a task that kills every worker it runs on.
 """
 
 import multiprocessing
@@ -23,7 +23,6 @@ import pytest
 from repro.experiments import harness
 from repro.experiments.broker import Broker, Lease, task_key, worker_loop
 from repro.experiments.harness import run_tasks
-from repro.sim.checkpoint import TASK_CHECKPOINT_DIR_ENV
 from repro.taxonomy import LEASE_EXPIRED, state_of
 
 
@@ -43,10 +42,6 @@ def _counted_square(task):
 
 def _calls(marker_dir) -> int:
     return len(list(pathlib.Path(marker_dir).iterdir()))
-
-
-def _checkpoint_dir_of(task):
-    return os.environ.get(TASK_CHECKPOINT_DIR_ENV)
 
 
 def _kill_twice(task):
@@ -69,8 +64,8 @@ def _kill_twice(task):
 
 
 def _kill_always(task):
-    """SIGKILL every worker the victim runs on; in the parent, note the
-    exported checkpoint directory and return normally."""
+    """SIGKILL every worker the victim runs on; in the parent, note
+    where the rescue ran and return normally."""
     value, marker_dir = task
     if value == "victim":
         marker = pathlib.Path(marker_dir)
@@ -79,8 +74,8 @@ def _kill_always(task):
             tries = int(attempts.read_text()) if attempts.exists() else 0
             attempts.write_text(str(tries + 1))
             os.kill(os.getpid(), signal.SIGKILL)
-        (marker / "rescue-ckpt").write_text(
-            os.environ.get(TASK_CHECKPOINT_DIR_ENV, "")
+        (marker / "rescued-in").write_text(
+            multiprocessing.current_process().name
         )
     return f"done:{value}"
 
@@ -205,18 +200,6 @@ def test_crash_counts(run_root, tmp_path):
     assert all(worker.rpartition(":")[2].isdigit() for worker, _ in reclaims)
 
 
-def test_checkpoint_dir_layout(run_root, tmp_path):
-    """Under a run dir each task checkpoints into ``broker/ckpt/<key>``;
-    the throwaway queue of a plain parallel sweep exports none."""
-    dirs = run_tasks(_checkpoint_dir_of, ["a", "b"], jobs=2)
-    assert dirs == [
-        str(run_root / "broker" / "ckpt" / task_key(_checkpoint_dir_of, task))
-        for task in ("a", "b")
-    ]
-    harness.set_run_root(None)
-    assert run_tasks(_checkpoint_dir_of, ["a", "b"], jobs=2) == [None, None]
-
-
 # -- run_tasks integration ------------------------------------------------------
 
 
@@ -266,8 +249,8 @@ def test_journal_path_accepts_plain_directory(tmp_path):
 def test_worker_killing_task_quarantined_then_rescued(run_root, tmp_path):
     """A task that kills its worker on every attempt is quarantined
     after the attempt budget (each death blamed on that worker alone),
-    then rerun serially in the parent with its checkpoint directory —
-    and the sweep's results are correct."""
+    then rerun serially in the parent — and the sweep's results are
+    correct."""
     tasks = [("a", str(tmp_path)), ("victim", str(tmp_path)), ("b", str(tmp_path))]
     logs = []
     out = run_tasks(_kill_always, tasks, jobs=2, log=logs.append)
@@ -280,9 +263,7 @@ def test_worker_killing_task_quarantined_then_rescued(run_root, tmp_path):
         if kind == "quarantine" and idx == 1
     ]
     assert state_of(reason) == LEASE_EXPIRED
-    assert (tmp_path / "rescue-ckpt").read_text() == broker.checkpoint_dir(
-        task_key(_kill_always, tasks[1])
-    )
+    assert (tmp_path / "rescued-in").read_text() == "MainProcess"
     assert any(line.startswith("[rescue 1/1] ") for line in logs)
     assert broker.replay(sweep) == dict(enumerate(out))
 
@@ -345,7 +326,7 @@ def test_run_root_off_by_default(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# -- a resumed task records the uninterrupted digest ---------------------------
+# -- an interrupted task reruns from its start ---------------------------------
 
 
 class _Interrupted(Exception):
@@ -353,14 +334,15 @@ class _Interrupted(Exception):
 
 
 def test_resumed_task_records_the_uninterrupted_digest(tmp_path, monkeypatch):
-    """A sweep task interrupted after its first checkpoint and resumed
-    from it records the same result sha256 as an uninterrupted run."""
+    """A sweep task that fails part-way through its simulation is
+    re-offered and reruns from its start in the same worker loop; its
+    ``results`` row (label, content key, result sha256) equals the row
+    an uninterrupted run records."""
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_technique_point
-    from repro.sim.checkpoint import CHECKPOINT_INTERVAL_ENV, CheckpointManager
+    from repro.sim.executor import Simulation
     from repro.workloads.workload import Workload
 
-    monkeypatch.setenv(CHECKPOINT_INTERVAL_ENV, "10")
     config = ExperimentConfig.quick()
     task = (config, "Loop[45]", Workload.random(config.slots, seed=1), None)
 
@@ -370,31 +352,27 @@ def test_resumed_task_records_the_uninterrupted_digest(tmp_path, monkeypatch):
         worker_loop(directory, backoff_base=0.0, poll_interval=0.01)
         broker = Broker(directory)
         assert broker.counts(sweep)["done"] == 1
-        return broker._conn().execute(
+        rows = broker._conn().execute(
             "SELECT label, key, sha256 FROM results WHERE sweep = ?",
             (sweep,),
         ).fetchall()
+        return rows, [kind for _, kind, *_ in broker.events(sweep)]
 
-    uninterrupted = recorded("uninterrupted")
+    uninterrupted, _ = recorded("uninterrupted")
 
-    save, latest_state = CheckpointManager.save, CheckpointManager.latest_state
-    saves, resumed = [], []
+    run = Simulation.run
+    horizons = []
 
-    def save_once_then_stop(self, sim, at=None):
-        path = save(self, sim, at)
-        if not saves:
-            saves.append(path)
+    def stop_halfway_once(self, until):
+        horizons.append(until)
+        if len(horizons) == 1:
+            run(self, until / 2)
             raise _Interrupted()
-        return path
+        return run(self, until)
 
-    def recording_latest_state(self):
-        state = latest_state(self)
-        resumed.append(state is not None)
-        return state
+    monkeypatch.setattr(Simulation, "run", stop_halfway_once)
+    interrupted, kinds = recorded("interrupted")
 
-    monkeypatch.setattr(CheckpointManager, "save", save_once_then_stop)
-    monkeypatch.setattr(CheckpointManager, "latest_state", recording_latest_state)
-    interrupted = recorded("interrupted")
-
-    assert resumed == [False, True]  # the second attempt resumed
+    assert horizons == [config.interval, config.interval]
+    assert "fail" in kinds
     assert interrupted == uninterrupted

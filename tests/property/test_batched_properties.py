@@ -4,14 +4,12 @@ One invariant, swept over random seeds, nonzero fault plans, and
 tracing on/off: the stepped (``batched=False``) and batched (default)
 executors produce *exactly* equal results — completion floats,
 switch/migration counts, telemetry event streams, throughput buckets,
-idle accounting — and the equality survives a kill/resume from a
-checkpoint cut between two grid points.
+idle accounting.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import SimProcess, Simulation, TraceGenerator, core2quad_amp
-from repro.sim.checkpoint import CheckpointManager
 from repro.sim.faults import FaultPlan
 from repro.telemetry.context import set_recorder
 from repro.telemetry.recorder import TraceRecorder
@@ -73,25 +71,3 @@ def test_three_paths_exactly_equal(seed, rate, traced):
     batched = _run(plan, traced=traced)
     stepped = _run(plan, batched=False, traced=traced)
     assert batched == stepped
-
-
-@settings(max_examples=6, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    cut=st.floats(min_value=3.0, max_value=12.0),
-)
-def test_kill_resume_mid_window_equals_stepped(seed, cut, tmp_path_factory):
-    """A batched run checkpointed on the grid, killed at *cut*, and
-    resumed from its snapshot matches the uninterrupted stepped run."""
-    plan = FaultPlan.scaled(0.5, MACHINE, INTERVAL, seed=seed)
-    reference, _ = _run(plan, batched=False)
-
-    ckpt_dir = tmp_path_factory.mktemp("ck")
-    partial = CheckpointManager(ckpt_dir, interval=2.0)
-    _build(plan).run(cut, checkpoint=partial)
-    assert partial.saves > 0
-
-    state = CheckpointManager(ckpt_dir, interval=2.0).latest_state()
-    resumed = Simulation.from_snapshot(state)
-    assert resumed.batched
-    assert _summary(resumed.run(INTERVAL)) == reference

@@ -4,7 +4,7 @@ Same playbook as the broker race tests: hypothesis drives the
 interleavings, real threads/processes race on one store directory, and
 the invariant under test is the CAS one — any interleaving of
 same-digest publishers yields exactly one canonical object.  The broker
-result/checkpoint housekeeping and the store CLI are covered here too.
+result housekeeping and the store CLI are covered here too.
 """
 
 import json
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.broker import Broker, task_key
+from repro.experiments.broker import Broker
 from repro.store import LocalStore, object_digest
 from repro.store.__main__ import main as store_main
 
@@ -131,7 +131,7 @@ def test_gc_sweeps_crashed_writer_temp_files(tmp_path):
     assert store.get(digest) == b"survivor"
 
 
-# -- broker results and checkpoints ----------------------------------------
+# -- broker results ----------------------------------------------------------
 
 
 def test_broker_replay_without_store_still_misses(tmp_path):
@@ -144,34 +144,6 @@ def test_broker_replay_without_store_still_misses(tmp_path):
     # results/ next to the queue is the one copy: a missing file is
     # simply absent, and the task re-runs.
     assert broker.replay(sweep) == {}
-    broker.close()
-
-
-def test_gc_checkpoints_removes_only_done_keys(tmp_path):
-    broker = Broker(tmp_path / "broker", fsync=False)
-    sweep = broker.enqueue(_square, [2, 3])
-    done_key = task_key(_square, 2)
-    pending_key = task_key(_square, 3)
-
-    for key in (done_key, pending_key, "not-in-the-queue"):
-        ckpt = broker.directory / "ckpt" / key / "baseline"
-        ckpt.mkdir(parents=True)
-        (ckpt / "ckpt-00000000.ckpt").write_bytes(b"x" * 64)
-
-    lease = broker.claim(worker="w")
-    assert lease.key == done_key
-    broker.complete(lease, 4)
-
-    removed, freed = broker.gc_checkpoints()
-    assert (removed, freed) == (1, 64)
-    assert not (broker.directory / "ckpt" / done_key).exists()
-    # Pending and foreign directories are untouched.
-    assert (broker.directory / "ckpt" / pending_key).is_dir()
-    assert (broker.directory / "ckpt" / "not-in-the-queue").is_dir()
-    assert any(row[1] == "gc" for row in broker.events())
-    # Idempotent: nothing left to collect.
-    assert broker.gc_checkpoints() == (0, 0)
-    assert sweep  # silence unused warning-style lints
     broker.close()
 
 
@@ -191,29 +163,6 @@ def test_cli_stats_gc_roundtrip(tmp_path, capsys):
 
     assert store_main(["gc", "--dir", str(src)]) == 0
     assert store.objects() == [digest]
-
-
-def test_cli_gc_broker_dir(tmp_path, capsys):
-    broker = Broker(tmp_path / "broker", fsync=False)
-    broker.enqueue(_square, [7])
-    key = task_key(_square, 7)
-    ckpt = broker.directory / "ckpt" / key
-    ckpt.mkdir(parents=True)
-    (ckpt / "ckpt-00000000.ckpt").write_bytes(b"y" * 32)
-    lease = broker.claim(worker="w")
-    broker.complete(lease, 49)
-    broker.close()
-
-    assert store_main(["gc", "--broker-dir", str(tmp_path / "broker")]) == 0
-    assert "1 done-task checkpoint" in capsys.readouterr().out
-    assert not ckpt.exists()
-
-
-def test_cli_gc_missing_broker_dir_fails_and_creates_nothing(tmp_path, capsys):
-    missing = tmp_path / "no-such-queue"
-    assert store_main(["gc", "--broker-dir", str(missing)]) == 1
-    assert f"no broker directory {missing}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_gc_requires_a_target(capsys):

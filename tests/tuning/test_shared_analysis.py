@@ -39,13 +39,22 @@ from repro.tuning.pipeline import (
 )
 from repro.workloads.spec import spec_benchmark
 from repro.workloads.workload import Workload, WorkloadRun
-from tests.conftest import make_phased_program, make_recursive_program
+from tests.conftest import (
+    make_corner_program,
+    make_phased_program,
+    make_recursive_program,
+)
 
 PROGRAMS = ("179.art", "164.gzip")
 
 #: No SPEC benchmark recurses, so this one puts phases in a recursive
 #: call cycle, whose unrolling rounds the shared scope costs must respect.
 RECURSIVE = make_recursive_program()
+
+#: Reaches what no other subject does: a second folded group with L2
+#: hits in one scope, a folded mark rate at or below ``_EPS`` and one
+#: mark on two loop-entry edges (see ``make_corner_program``).
+CORNERS = make_corner_program()
 
 #: The stock trace (``None``) and every Table 2 technique.
 VARIANTS = (None,) + TABLE2_VARIANTS
@@ -116,6 +125,29 @@ PINNED_DIGESTS = {
         "Loop[30]": "8e8c6bc517b06914beb99caf5f0ee8f02274025063ab69722ce151b217e0c0b3",
         "Loop[45]": "6079d5bad94288268c76f5f394d21533ed93b01c7343f3e7a9c2f49d7a59e739",
         "Loop[60]": "6079d5bad94288268c76f5f394d21533ed93b01c7343f3e7a9c2f49d7a59e739",
+    },
+    # Recorded with the fix that resets the L2 hits of each flushed
+    # group; before it, the second group also carried the first's.
+    "corners": {
+        None: "14323b828be8f5d5eac3c61261ea80bf3c6424b1fcac93a9fe2333914f595fd8",
+        "BB[10,0]": "94a9cd83c2ec8096998a98d618d3c205aa2d5c8d28bcb2bc9b96602ad98106fe",
+        "BB[10,1]": "14323b828be8f5d5eac3c61261ea80bf3c6424b1fcac93a9fe2333914f595fd8",
+        "BB[10,2]": "94a9cd83c2ec8096998a98d618d3c205aa2d5c8d28bcb2bc9b96602ad98106fe",
+        "BB[10,3]": "94a9cd83c2ec8096998a98d618d3c205aa2d5c8d28bcb2bc9b96602ad98106fe",
+        "BB[15,0]": "94a9cd83c2ec8096998a98d618d3c205aa2d5c8d28bcb2bc9b96602ad98106fe",
+        "BB[15,1]": "14323b828be8f5d5eac3c61261ea80bf3c6424b1fcac93a9fe2333914f595fd8",
+        "BB[15,2]": "94a9cd83c2ec8096998a98d618d3c205aa2d5c8d28bcb2bc9b96602ad98106fe",
+        "BB[15,3]": "94a9cd83c2ec8096998a98d618d3c205aa2d5c8d28bcb2bc9b96602ad98106fe",
+        "BB[20,0]": "14323b828be8f5d5eac3c61261ea80bf3c6424b1fcac93a9fe2333914f595fd8",
+        "BB[20,1]": "14323b828be8f5d5eac3c61261ea80bf3c6424b1fcac93a9fe2333914f595fd8",
+        "BB[20,2]": "14323b828be8f5d5eac3c61261ea80bf3c6424b1fcac93a9fe2333914f595fd8",
+        "BB[20,3]": "14323b828be8f5d5eac3c61261ea80bf3c6424b1fcac93a9fe2333914f595fd8",
+        "Int[30]": "fc78f6a00bab61b09c15868e882d259f85195f5e973885c8ed815373f04ce0ee",
+        "Int[45]": "fc78f6a00bab61b09c15868e882d259f85195f5e973885c8ed815373f04ce0ee",
+        "Int[60]": "fc78f6a00bab61b09c15868e882d259f85195f5e973885c8ed815373f04ce0ee",
+        "Loop[30]": "14323b828be8f5d5eac3c61261ea80bf3c6424b1fcac93a9fe2333914f595fd8",
+        "Loop[45]": "14323b828be8f5d5eac3c61261ea80bf3c6424b1fcac93a9fe2333914f595fd8",
+        "Loop[60]": "14323b828be8f5d5eac3c61261ea80bf3c6424b1fcac93a9fe2333914f595fd8",
     },
 }
 
@@ -459,6 +491,8 @@ RESHAPED_DIGESTS = {
     ("164.gzip", "folded"): "b2943d29c01d2733261dc45c62f66d279ce9cb1f5621921ee248733dda284c5d",
     ("recursive", "collapsed"): "083e7ee61deb49616c825426d83e6a4e72bf1f0f90ec484024f0e973a4ea6d07",
     ("recursive", "folded"): "5f0fe8e037113fa84732dd4693709ee7650cec8b23c698265c7745dab49fa171",
+    ("corners", "collapsed"): "0ec9e60be85092faed9e8cdf82d8540c8e5e771bb3fbd47e7c1ea808382a6df8",
+    ("corners", "folded"): "0ec9e60be85092faed9e8cdf82d8540c8e5e771bb3fbd47e7c1ea808382a6df8",
 }
 
 
@@ -475,6 +509,7 @@ DENSE_DIGESTS = {
     "179.art": "b708fb0ce5a892b2511ae0649413228944de79283cdcdfa36f8012a1fd20811c",
     "164.gzip": "65b0164a18acf6a776d7de7b54c24d9b10c89357e8a5a423951b7063c5647873",
     "recursive": "a1ee0111b5054c79d58dd0d6f2d15ad3f699d725d0476c1b227f823a00f3547d",
+    "corners": "b8c316608f6a715975816c6add56d36ccf9b4919003ed80af3567fdb3a9a368a",
 }
 
 
@@ -484,6 +519,7 @@ def _subjects():
         bench = spec_benchmark(name)
         yield name, bench.program, bench.spec
     yield "recursive", *RECURSIVE
+    yield "corners", *CORNERS
 
 
 def _build_all(cache_for):
