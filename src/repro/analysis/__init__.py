@@ -10,7 +10,8 @@ The pipeline:
    (MacQueen) into phase types Π; alternatively type blocks from an
    execution profile per core type (the paper's evaluation setup), and
    optionally inject controlled clustering error (Figure 7).
-3. :mod:`annotate` — attributed CFGs ``B̄ ⊆ B × Π``.
+3. :mod:`annotate` — attributed CFGs ``B̄ ⊆ B × Π``, and the memo of
+   the analyses below that every technique of a program shares.
 4. :mod:`interval_summary` — dominant type of each interval by weighted
    depth-first traversal ignoring backward edges.
 5. :mod:`loop_summary` — Algorithm 1: inter-procedural, bottom-up over

@@ -18,9 +18,12 @@ randomly selected and placed into the opposite cluster."
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from repro.errors import AnalysisError
 from repro.program.basic_block import BasicBlock, NodeKind
@@ -31,9 +34,13 @@ from repro.analysis.kmeans import kmeans
 from repro.analysis.reuse_distance import DEFAULT_NOMINAL_CACHE, NominalCache
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockTyping:
     """A phase-type assignment for the blocks of one program.
+
+    A typing is immutable (``types`` is a read-only copy of the mapping
+    it was made with), so its :attr:`fingerprint` is computed once per
+    object.
 
     Attributes:
         types: map from block uid (``"proc#index"``) to type id in
@@ -42,8 +49,26 @@ class BlockTyping:
         num_types: |Π|.
     """
 
-    types: dict[str, int]
+    types: Mapping[str, int]
     num_types: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "types", MappingProxyType(dict(self.types)))
+
+    def __reduce__(self):
+        return (BlockTyping, (dict(self.types), self.num_types))
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 content digest of the assignment, the typing's part of
+        pipeline cache keys and of the shared analyses' keys.  Persisted
+        cache refs are named by it, so the string must stay the same
+        for the same typing."""
+        h = hashlib.sha256()
+        for part in (str(self.num_types), repr(sorted(self.types.items()))):
+            h.update(part.encode("utf-8"))
+            h.update(b"\x00")
+        return h.hexdigest()
 
     def type_of(self, block: BasicBlock) -> Optional[int]:
         """The type of *block*, or ``None`` if untyped."""

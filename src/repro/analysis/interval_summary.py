@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.program.intervals import Interval
-from repro.program.loops import block_nesting_levels, find_loops
-from repro.analysis.annotate import AttributedCFG
+from repro.program.loops import block_nesting_levels
+
+if TYPE_CHECKING:
+    from repro.analysis.annotate import AttributedCFG
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,7 @@ def summarize_intervals(
             inside a cycle (loop) contained in the interval.
     """
     cfg = acfg.cfg
-    loops = find_loops(cfg)
-    nesting = block_nesting_levels(cfg, loops)
+    nesting = block_nesting_levels(cfg, acfg.loops)
 
     summaries: list[TypedInterval] = []
     owner: dict = {}

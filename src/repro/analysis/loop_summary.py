@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.program.basic_block import NodeKind
 from repro.program.loops import Loop, block_nesting_levels
-from repro.analysis.annotate import AttributedProgram
+
+if TYPE_CHECKING:
+    from repro.analysis.annotate import AttributedProgram
 
 
 def default_nesting_weight(level: int) -> float:

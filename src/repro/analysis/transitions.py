@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from repro.program.basic_block import NodeKind
-from repro.analysis.annotate import AttributedCFG, AttributedProgram
-from repro.analysis.interval_summary import IntervalSummary, summarize_intervals
-from repro.analysis.loop_summary import LoopSummary, summarize_loops
+
+if TYPE_CHECKING:
+    from repro.analysis.annotate import AttributedCFG, AttributedProgram
+    from repro.analysis.loop_summary import LoopSummary
 
 
 @dataclass(frozen=True)
@@ -145,14 +146,15 @@ def _may_change_type(
     return False
 
 
-def basic_block_transitions(
-    aprog: AttributedProgram,
-    min_size: int = 10,
-    lookahead: int = 0,
-) -> list[TransitionPoint]:
-    """Basic-block technique: sections are single typed blocks of at
-    least *min_size* instructions; *lookahead* applies the majority test.
-    """
+def basic_block_sections(
+    aprog: AttributedProgram, min_size: int
+) -> tuple[TransitionPoint, ...]:
+    """The basic-block technique's sections before lookahead: reachable
+    typed blocks of at least *min_size* instructions whose mark could
+    fire, as transition points.  Every lookahead at one *min_size*
+    filters the same sections (read them through
+    :meth:`StaticAnalyses.bb_sections
+    <repro.analysis.annotate.StaticAnalyses.bb_sections>`)."""
     points: list[TransitionPoint] = []
     for acfg in aprog:
         cfg = acfg.cfg
@@ -170,8 +172,6 @@ def basic_block_transitions(
                 acfg, block.index, section, phase_type, min_size
             ):
                 continue
-            if not _majority_lookahead(acfg, block.index, phase_type, lookahead):
-                continue
             edges, at_entry = _entering_edges(acfg, block.index, section)
             points.append(
                 TransitionPoint(
@@ -185,26 +185,35 @@ def basic_block_transitions(
                     at_proc_entry=at_entry,
                 )
             )
-    return points
+    return tuple(points)
+
+
+def basic_block_transitions(
+    aprog: AttributedProgram,
+    min_size: int = 10,
+    lookahead: int = 0,
+) -> list[TransitionPoint]:
+    """Basic-block technique: sections are single typed blocks of at
+    least *min_size* instructions; *lookahead* applies the majority test.
+    """
+    return [
+        point
+        for point in aprog.analyses.bb_sections(aprog, min_size)
+        if _majority_lookahead(
+            aprog[point.proc], point.entry_block, point.phase_type, lookahead
+        )
+    ]
 
 
 def interval_transitions(
-    aprog: AttributedProgram,
-    min_size: int = 30,
-    summaries: Optional[dict] = None,
+    aprog: AttributedProgram, min_size: int = 30
 ) -> list[TransitionPoint]:
     """Interval technique: sections are intervals of at least *min_size*
-    instructions summarized to a dominant type.
-
-    Args:
-        summaries: optional precomputed ``{proc: IntervalSummary}``.
-    """
+    instructions summarized to a dominant type."""
     points: list[TransitionPoint] = []
     for acfg in aprog:
         cfg = acfg.cfg
-        summary: IntervalSummary = (
-            summaries[cfg.proc_name] if summaries else summarize_intervals(acfg)
-        )
+        summary = aprog.analyses.interval_summary(acfg)
         for typed in summary.intervals:
             if typed.dominant_type is None or typed.size_instrs < min_size:
                 continue
@@ -251,7 +260,6 @@ def interval_transitions(
 def loop_transitions(
     aprog: AttributedProgram,
     min_size: int = 45,
-    summary: Optional[LoopSummary] = None,
     eliminate_same_type_callees: bool = True,
 ) -> list[TransitionPoint]:
     """Loop technique: sections are the loops surviving Algorithm 1's
@@ -263,7 +271,7 @@ def loop_transitions(
             ("eliminate phase marks in functions that are called inside
             of loops").
     """
-    summary = summary or summarize_loops(aprog)
+    summary = aprog.analyses.loop_summary(aprog)
 
     candidates = [
         tl

@@ -75,7 +75,6 @@ import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.env import env_number
 from repro.errors import BrokerError, ExperimentError, TaskTimeoutError
 from repro.experiments.broker import task_label
 from repro.telemetry.context import current_recorder, set_recorder
@@ -107,6 +106,21 @@ def set_run_root(path) -> Optional[Path]:
     return _run_root
 
 
+def _env_number(name: str, cast):
+    """The environment variable *name* parsed with *cast* (``int`` or
+    ``float``), or ``None`` when it is unset or blank.  A value *cast*
+    rejects raises :class:`~repro.errors.ExperimentError` naming the
+    variable."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    try:
+        return cast(raw)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ExperimentError(f"{name}={raw!r} is not {kind}") from None
+
+
 def worker_count(jobs: Optional[int] = None) -> int:
     """Resolve the effective worker count (always >= 1).
 
@@ -115,7 +129,7 @@ def worker_count(jobs: Optional[int] = None) -> int:
             environment variable, then to ``os.cpu_count()``.
     """
     if jobs is None:
-        jobs = env_number(JOBS_ENV, int, None, ExperimentError)
+        jobs = _env_number(JOBS_ENV, int)
         if jobs is None:
             jobs = os.cpu_count() or 1
     return max(1, int(jobs))
@@ -126,7 +140,7 @@ def resolve_timeout(timeout: Optional[float]) -> Optional[float]:
     ``REPRO_TASK_TIMEOUT`` environment variable, else no timeout.  Zero
     or a negative value, from either source, means no timeout."""
     if timeout is None:
-        timeout = env_number(TASK_TIMEOUT_ENV, float, None, ExperimentError)
+        timeout = _env_number(TASK_TIMEOUT_ENV, float)
     return timeout if timeout is not None and timeout > 0 else None
 
 

@@ -3,7 +3,9 @@
 The evaluation names variants ``BB[min,lookahead]`` (basic-block
 technique), ``Int[min]`` (interval technique), and ``Loop[min]`` (loop
 technique); Table 2 sweeps eighteen of them.  Each strategy computes the
-transition points for its sectioning granularity.
+transition points for its sectioning granularity by filtering the
+summaries (or basic-block sections) its annotated program shares with
+every other strategy of the same program and typing.
 """
 
 from __future__ import annotations

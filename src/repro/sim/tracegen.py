@@ -34,15 +34,18 @@ segment budget, beyond which a loop collapses.
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from repro.errors import SimulationError, WorkloadError
+from repro.analysis.annotate import StaticAnalyses
 from repro.program.basic_block import NodeKind
-from repro.program.callgraph import build_callgraph
 from repro.program.cfg import CFG, cached_cfg
-from repro.program.loops import Loop, find_loops
+from repro.program.loops import Loop
 from repro.program.module import Program
 from repro.sim.cost_model import CostModel, CostVector
 from repro.sim.machine import MachineConfig
@@ -56,9 +59,13 @@ EXPAND_FREQ_THRESHOLD = 0.75
 _EPS = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class BehaviorSpec:
     """Dynamic behaviour parameters of one benchmark.
+
+    A spec is immutable (``trip_counts`` is a read-only copy of the
+    mapping it was made with), so its :meth:`key` and
+    :attr:`fingerprint` are computed once per object.
 
     Attributes:
         trip_counts: iterations per loop entry, keyed by ``(proc, label)``
@@ -72,11 +79,28 @@ class BehaviorSpec:
             may produce; larger loops are collapsed.
     """
 
-    trip_counts: dict = field(default_factory=dict)
+    trip_counts: Mapping = field(default_factory=dict)
     default_trip: float = 50.0
     recursion_depth: int = 4
     max_inline_depth: int = 8
     segment_budget: int = 200_000
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "trip_counts", MappingProxyType(dict(self.trip_counts))
+        )
+
+    def __reduce__(self):
+        return (
+            BehaviorSpec,
+            (
+                dict(self.trip_counts),
+                self.default_trip,
+                self.recursion_depth,
+                self.max_inline_depth,
+                self.segment_budget,
+            ),
+        )
 
     def with_trips(self, **updates) -> "BehaviorSpec":
         """Copy with additional ``(proc, label) -> trips`` entries given
@@ -95,6 +119,10 @@ class BehaviorSpec:
 
     def key(self) -> tuple:
         """Hashable identity of the spec: equal keys, equal traces."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:
         trips = sorted((repr(k), float(v)) for k, v in self.trip_counts.items())
         return (
             tuple(trips),
@@ -103,6 +131,22 @@ class BehaviorSpec:
             self.max_inline_depth,
             self.segment_budget,
         )
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 content digest of the spec, its part of pipeline cache
+        keys.  Persisted cache refs are named by it, so the string must
+        stay the same for the same spec."""
+        trips = sorted((str(k), float(v)) for k, v in self.trip_counts.items())
+        h = hashlib.sha256()
+        for part in (
+            repr(trips),
+            f"{self.default_trip}:{self.recursion_depth}:"
+            f"{self.max_inline_depth}:{self.segment_budget}",
+        ):
+            h.update(part.encode("utf-8"))
+            h.update(b"\x00")
+        return h.hexdigest()
 
 
 class _ScopeItem:
@@ -122,16 +166,23 @@ class _ScopeItem:
 
 
 class AnalysisMemo:
-    """The variant-invariant products trace generation reads.
+    """The variant-invariant products of the static pipeline.
 
     None of these depends on the marks a technique places, so one memo
-    can serve every generator that builds traces of the same programs.
-    :class:`~repro.tuning.pipeline.PipelineCache` owns one and hands it
-    to each generator it makes; a generator made without one gets a
-    private memo that dies with it.
+    can serve every generator that builds traces of the same programs
+    and every technique that marks them.
+    :class:`~repro.tuning.pipeline.PipelineCache` owns one, annotates
+    programs with its :attr:`static` analyses and hands it to each
+    generator it makes; a generator made without one gets a private
+    memo that dies with it.
 
-    * **analyses** of each CFG: its loops and its collapsed scope DAGs
-      with their frequencies and topological order;
+    * **static analyses** (:attr:`static`, a
+      :class:`~repro.analysis.annotate.StaticAnalyses`): each CFG's
+      loops and intervals, each program's call graph, and the interval
+      summaries, loop summary and basic-block sections per typing that
+      the marking techniques filter by their thresholds;
+    * **scope DAGs** of each CFG, collapsed, with their frequencies and
+      topological order;
     * **block cost vectors**, in the :meth:`cost_model` of each
       ``(machine, memory)``, per ``(program, block uid)``;
     * **trace skeletons**, one per ``(program, cost model,
@@ -165,10 +216,8 @@ class AnalysisMemo:
     """
 
     def __init__(self) -> None:
+        self.static = StaticAnalyses()
         self._cost_models: dict = {}
-        self._loops: "weakref.WeakKeyDictionary[CFG, list]" = (
-            weakref.WeakKeyDictionary()
-        )
         self._scopes: "weakref.WeakKeyDictionary[CFG, dict]" = (
             weakref.WeakKeyDictionary()
         )
@@ -189,13 +238,6 @@ class AnalysisMemo:
         if model is None:
             model = self._cost_models[key] = CostModel(machine, memory)
         return model
-
-    def loops(self, cfg: CFG) -> list:
-        """:func:`~repro.program.loops.find_loops` of *cfg*."""
-        loops = self._loops.get(cfg)
-        if loops is None:
-            loops = self._loops[cfg] = find_loops(cfg)
-        return loops
 
     def scopes(self, cfg: CFG) -> dict:
         """Scope infos of *cfg* by enclosing loop uid (``None`` for the
@@ -622,14 +664,16 @@ class _SkeletonBuilder:
         self.analysis = analysis
         self.core_types = cost_model.machine.core_types()
         self.cfgs = {p.name: cached_cfg(p) for p in program}
-        self.loops = {name: analysis.loops(cfg) for name, cfg in self.cfgs.items()}
+        self.loops = {
+            name: analysis.static.loops(cfg) for name, cfg in self.cfgs.items()
+        }
         self.trips = self._resolve_trips()
         self.proc_costs: dict = {}
         self.loop_costs: dict = {}
         self.sites: dict = {}
 
     def build(self) -> TraceSkeleton:
-        callgraph = build_callgraph(self.program, self.cfgs)
+        callgraph = self.analysis.static.callgraph(self.program)
         sccs = []
         for scc in callgraph.bottom_up_sccs():
             rounds = self.spec.recursion_depth if callgraph.is_recursive(scc) else 1

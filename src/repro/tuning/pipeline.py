@@ -33,8 +33,13 @@ Cache levels (each usable on its own):
 
 Beneath the levels, builds share what does not depend on the technique
 (the cache's :class:`~repro.sim.tracegen.AnalysisMemo`, never an entry):
-costs are computed once per program and traces once per mark placement.
+static analyses are computed once per program and typing, costs once
+per program and traces once per mark placement.
 
+* loops and intervals per procedure CFG, the call graph per program,
+  and the loop summary, interval summaries and basic-block sections
+  per (program, typing), which each technique only filters by its
+  thresholds;
 * block cost vectors per (program, machine, memory model, block);
 * scope cost totals per (program, cost model, resolved trip counts,
   default trip, recursion depth, scope);
@@ -144,20 +149,13 @@ def machine_fingerprint(machine: MachineConfig) -> str:
 
 
 def spec_fingerprint(spec: Optional[BehaviorSpec]) -> str:
-    if spec is None:
-        return "default-spec"
-    trips = sorted((str(k), float(v)) for k, v in spec.trip_counts.items())
-    return _digest(
-        repr(trips),
-        f"{spec.default_trip}:{spec.recursion_depth}:"
-        f"{spec.max_inline_depth}:{spec.segment_budget}",
-    )
+    """:attr:`BehaviorSpec.fingerprint`, computed once per spec."""
+    return "default-spec" if spec is None else spec.fingerprint
 
 
 def typing_fingerprint(typing: Optional[BlockTyping]) -> str:
-    if typing is None:
-        return "default-typing"
-    return _digest(str(typing.num_types), repr(sorted(typing.types.items())))
+    """:attr:`BlockTyping.fingerprint`, computed once per typing."""
+    return "default-typing" if typing is None else typing.fingerprint
 
 
 # -- the cache ------------------------------------------------------------------
@@ -209,7 +207,9 @@ class PipelineCache:
     Beside its entries the cache owns the *variant-invariant* analyses
     its builds share: block costs and cost vectors per (program,
     machine), scope cost totals per (program, machine, trip counts),
-    liveness per procedure CFG, loops and scope DAGs per CFG, and one
+    liveness per procedure CFG, loops, intervals and scope DAGs per
+    CFG, the call graph per program, the loop summary, interval
+    summaries and basic-block sections per (program, typing), and one
     tuned trace per mark placement (an
     :class:`~repro.sim.tracegen.AnalysisMemo` plus a live-register
     memo).  They do not depend on the technique, so the stock trace and
@@ -636,7 +636,11 @@ def transition_points(
 
     Transition points are pure data (procedure names, block indices,
     edges), so a set computed from one annotated instance is valid for
-    any annotation of the same program + typing.
+    any annotation of the same program + typing.  A miss only filters:
+    the strategy reads the loop summary, interval summaries or
+    basic-block sections from *aprog*'s
+    :class:`~repro.analysis.annotate.StaticAnalyses`, which
+    :func:`instrument_cached` shares across every strategy of the cache.
     """
     if cache is None:
         cache = _DEFAULT_CACHE
@@ -669,7 +673,7 @@ def instrument_cached(
         block_typing = (
             typing if typing is not None else typed_blocks(program, cache=cache)
         )
-        aprog = annotate_program(program, block_typing)
+        aprog = annotate_program(program, block_typing, cache.analysis.static)
         points = transition_points(aprog, strategy, cache=cache)
         marks = build_marks(aprog, points, cache.live_scratch)
         return InstrumentedProgram(program, aprog, strategy.name, marks)

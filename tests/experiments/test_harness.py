@@ -12,7 +12,12 @@ import time
 import pytest
 
 from repro.errors import ExperimentError, TaskTimeoutError
-from repro.experiments.harness import derive_seed, run_tasks, worker_count
+from repro.experiments.harness import (
+    derive_seed,
+    resolve_timeout,
+    run_tasks,
+    worker_count,
+)
 
 
 # Module level so the parallel path can pickle them by reference.
@@ -82,6 +87,24 @@ def test_env_must_be_integer(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "many")
     with pytest.raises(ExperimentError):
         worker_count()
+
+
+def test_invalid_env_values_are_named_in_the_error(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", " 2.5 ")
+    with pytest.raises(ExperimentError) as jobs_error:
+        worker_count()
+    assert str(jobs_error.value) == "REPRO_JOBS='2.5' is not an integer"
+    monkeypatch.setenv("REPRO_TASK_TIMEOUT", "soon")
+    with pytest.raises(ExperimentError) as timeout_error:
+        resolve_timeout(None)
+    assert str(timeout_error.value) == "REPRO_TASK_TIMEOUT='soon' is not a number"
+
+
+def test_blank_env_values_mean_unset(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "  ")
+    monkeypatch.setenv("REPRO_TASK_TIMEOUT", "")
+    assert worker_count() == max(1, os.cpu_count() or 1)
+    assert resolve_timeout(None) is None
 
 
 def test_default_is_at_least_one(monkeypatch):

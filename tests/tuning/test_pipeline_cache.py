@@ -20,7 +20,9 @@ from repro.tuning.pipeline import (
     strategy_fingerprint,
     tune_program,
     typed_blocks,
+    typing_fingerprint,
 )
+from repro.workloads.spec import spec_suite
 from tests.conftest import make_phased_program
 
 
@@ -53,6 +55,87 @@ def test_machine_fingerprint_distinguishes_machines():
 
 def test_spec_fingerprint_none_is_stable():
     assert spec_fingerprint(None) == spec_fingerprint(None)
+
+
+#: ``(spec_fingerprint, typing_fingerprint)`` of every ``spec_suite()``
+#: benchmark under the default typer.  Persisted ``--cache-dir`` refs are
+#: named by these strings, so they must never change.
+PINNED_FINGERPRINTS = {
+    "401.bzip2": (
+        "f4a7f20e472c9d1a1cc15f03f1ca49ea69cda3279653f2236167c0631d46b07c",
+        "e0359df84add73995cd052ffdadd9d44476ead0d31327111e0ae8e837c59ecae",
+    ),
+    "410.bwaves": (
+        "239792186988ce415950393d1a1422e1b1860d30cd787c944c7377acf3b88e38",
+        "e12dffa5aafa18f0aec79b85df38cede040b49d56220c94b5d9a9aaa632b37fb",
+    ),
+    "429.mcf": (
+        "e08e5f381fd15392814cdbeb17f99c557d9d41a8cac0e981c57fd166c1e73b43",
+        "332bf707dcd3279bace5294d33b09ccc56ce91c37abf975e21cab0b29e25f926",
+    ),
+    "459.GemsFDTD": (
+        "5e6b9ddf4190bd9558e29bc4cd8d56654332aadae5ac7524cecfdc95f89b30ab",
+        "872967f86b29917cd723ed1cabfea3eb20cd95ac32d0a2d04abd2e6fc9054416",
+    ),
+    "470.lbm": (
+        "10b49da0ce9fe63e8cbbc6f04d0638824c15766c9807c5bd5096429c86a9ff7d",
+        "e12dffa5aafa18f0aec79b85df38cede040b49d56220c94b5d9a9aaa632b37fb",
+    ),
+    "473.astar": (
+        "565eba40c2123a89430ecd4a243941f645b6ddfd9d1016069849d972a1259052",
+        "7e445c42509d4c08ebec72ed23f1b4a43227a19480bc3bd9882fd8605b755eee",
+    ),
+    "188.ammp": (
+        "f9f0d951e6d97d2ce7fd46d617515d35efcb0c8fab0c34f00abe61cfe3ce1450",
+        "059cd2cc187a6c261eeb745451ae4c4ca0b148cbeaf5f3bbfb4009b2915e0cf5",
+    ),
+    "173.applu": (
+        "503d4c693b046567ec40fdb475f8558c3a62fc418fca49a37d97d05d1ec1e01a",
+        "e12dffa5aafa18f0aec79b85df38cede040b49d56220c94b5d9a9aaa632b37fb",
+    ),
+    "179.art": (
+        "9b1e8721e06b6726c580fd20cb4b05f260bda2ea02dd321cc9a05579c725c1de",
+        "9c1269205d5186550bb58e86741e29b1079cf0c5e9a31d1890a003a44d716e96",
+    ),
+    "183.equake": (
+        "58f9ca0415aea1efeb72d931bb61fda188c38551d636e7821939c158826f7ee4",
+        "ee050e041a588562259648a78cce321b72ff7d601b45ca29231ad69e9d4e19a1",
+    ),
+    "164.gzip": (
+        "670bff21f3f12c02b86fd594b9420d5449217bc9c6c866cd1c02b390852c0e9e",
+        "9c9a0bbb07968738f388ca2847fc8b5cd656ccccfccd6ef514be2c0f6a6e48c3",
+    ),
+    "181.mcf": (
+        "b64cf0248f383ff91d52d257cdeed593f6ef12a8c0cc655baebc890d2a4e9b81",
+        "332bf707dcd3279bace5294d33b09ccc56ce91c37abf975e21cab0b29e25f926",
+    ),
+    "172.mgrid": (
+        "fe000e565475769a8084551f0432cabacb1fe7c70b24658cb3b64a181f15db77",
+        "ee050e041a588562259648a78cce321b72ff7d601b45ca29231ad69e9d4e19a1",
+    ),
+    "171.swim": (
+        "2ce2ccd98174a60f263a237c2211c552b778934239f237e3145a072c1afe651e",
+        "332bf707dcd3279bace5294d33b09ccc56ce91c37abf975e21cab0b29e25f926",
+    ),
+    "175.vpr": (
+        "53e848241406b2878512c71febc5b5322e2fe01f5b3d3207b9b173fdbeaa5e7c",
+        "9c9a0bbb07968738f388ca2847fc8b5cd656ccccfccd6ef514be2c0f6a6e48c3",
+    ),
+}
+
+
+def test_spec_and_typing_fingerprints_are_pinned():
+    cache = PipelineCache()
+    got = {
+        bench.name: (
+            spec_fingerprint(bench.spec),
+            typing_fingerprint(typed_blocks(bench.program, cache=cache)),
+        )
+        for bench in spec_suite()
+    }
+    assert got == PINNED_FINGERPRINTS
+    assert spec_fingerprint(None) == "default-spec"
+    assert typing_fingerprint(None) == "default-typing"
 
 
 # -- cache behaviour ------------------------------------------------------------

@@ -1,14 +1,17 @@
 """The variant-invariant analyses a PipelineCache shares between builds.
 
-Block costs and cost vectors, liveness, loops, scope DAGs and trace
-skeletons depend on the program, not on the technique, so one cache
-computes them once per program and every Table 2 variant reuses them;
-variants that place the same marks share one tuned trace.  Sharing must
-never change a result.
+Block costs and cost vectors, liveness, loops, intervals, call graphs,
+scope DAGs and trace skeletons depend on the program, and the loop and
+interval summaries and basic-block sections on the program and its
+typing, not on the technique, so one cache computes them once per
+program (and typing) and every Table 2 variant reuses them; variants
+that place the same marks share one tuned trace.  Sharing must never
+change a result.
 """
 
 import gc
 import hashlib
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -17,13 +20,17 @@ import pytest
 
 from repro.analysis.annotate import annotate_program
 from repro.analysis.block_typing import BlockTyping
-from repro.analysis.transitions import TransitionPoint
+from repro.analysis.interval_summary import summarize_intervals
+from repro.analysis.loop_summary import summarize_loops
+from repro.analysis.transitions import TransitionPoint, basic_block_sections
 from repro.experiments.config import TABLE2_VARIANTS, ExperimentConfig
 from repro.instrument import rewriter
 from repro.instrument.marker import parse_strategy
 from repro.instrument.phase_mark import PhaseMark
 from repro.instrument.rewriter import InstrumentedProgram
 from repro.program.cfg import cached_cfg
+from repro.program.intervals import partition_intervals
+from repro.program.loops import find_loops
 from repro.sim.cost_model import CostModel
 from repro.sim.flattrace import flat_trace
 from repro.sim.machine import core2quad_amp
@@ -766,14 +773,19 @@ def test_fairness_setup_generates_one_trace_per_placement(monkeypatch):
     monkeypatch.setattr(TraceGenerator, "generate", generate)
     monkeypatch.setattr(AnalysisMemo, "tuned_trace", lookup)
     monkeypatch.setattr(_SkeletonBuilder, "build", build)
+    _fairness_setup(PipelineCache())
+    assert counts == {"lookups": 270, "generated": 167, "skeletons": 15}
+
+
+def _fairness_setup(cache: PipelineCache) -> None:
+    """A cold seed-1 ``fairness-paper`` set-up: the stock run and the 18
+    Table 2 variants of its 15 benchmarks, 19 workload runs."""
     config = ExperimentConfig.fairness_paper().with_(seed=1)
     workload = Workload.random(config.slots, seed=1)
     machine = config.resolved_machine()
-    cache = PipelineCache()
     WorkloadRun(workload, machine, cache=cache)
     for name in TABLE2_VARIANTS:
         WorkloadRun(workload, machine, config.strategy(name), cache=cache)
-    assert counts == {"lookups": 270, "generated": 167, "skeletons": 15}
 
 
 def test_scope_costs_are_keyed_by_trips_and_recursion_depth():
@@ -875,22 +887,98 @@ def test_liveness_and_costs_computed_once_per_cache(counted):
     assert set(costs.values()) == {3}
 
 
+def _count_calls(monkeypatch, function, key=None) -> Counter:
+    """Count the calls of *function* made through any ``repro`` module
+    that binds it, bucketed by ``key(*args)`` (one bucket by default),
+    so no caller can bypass the count."""
+    counts = Counter()
+
+    def counted(*args, **kwargs):
+        counts[key(*args) if key else None] += 1
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and (
+            getattr(module, function.__name__, None) is function
+        ):
+            monkeypatch.setattr(module, function.__name__, counted)
+    return counts
+
+
+@pytest.fixture()
+def static_work(monkeypatch):
+    """Runs of each shared static analysis: ``find_loops`` per CFG,
+    the others in total."""
+    return {
+        "summarize_loops": _count_calls(monkeypatch, summarize_loops),
+        "summarize_intervals": _count_calls(monkeypatch, summarize_intervals),
+        "partition_intervals": _count_calls(monkeypatch, partition_intervals),
+        "bb_sections": _count_calls(monkeypatch, basic_block_sections),
+        "find_loops": _count_calls(monkeypatch, find_loops, key=id),
+    }
+
+
+def test_static_analyses_computed_once_per_program_and_typing(static_work):
+    """A cold Table 2 set-up at fairness scale (15 programs with 165
+    procedures, one typing each, 18 techniques) summarizes each
+    program's loops once, each procedure's intervals once, finds each
+    CFG's loops once and selects basic-block sections once per program
+    and BB min size (10, 15 and 20): the techniques only filter them.
+    The sharing leaves the pipeline's 525 hits and 1,110 misses as they
+    were when every variant analysed its program afresh."""
+    find_loops_per_cfg = static_work.pop("find_loops")
+    once = {
+        "summarize_loops": 15,
+        "summarize_intervals": 165,
+        "partition_intervals": 165,
+        "bb_sections": 45,
+    }
+    cache = PipelineCache()
+    for rounds in (1, 2):
+        # The analyses are not entries: a set-up after clear() computes
+        # each of them once more.
+        if rounds == 2:
+            cache.clear()
+        _fairness_setup(cache)
+        runs = {name: sum(counts.values()) for name, counts in static_work.items()}
+        assert runs == {name: count * rounds for name, count in once.items()}
+        assert len(find_loops_per_cfg) == 165
+        assert set(find_loops_per_cfg.values()) == {rounds}
+        assert (cache.hits, cache.misses) == (525, 1110)
+
+
 def test_shared_analyses_are_not_entries():
     cache = PipelineCache()
     machine = core2quad_amp()
     bench = spec_benchmark(PROGRAMS[0])
-    for_loop45 = (bench.program, parse_strategy("Loop[45]"), machine, bench.spec)
-    for_loop30 = (bench.program, parse_strategy("Loop[30]"), machine, bench.spec)
-    run_trace(*for_loop45, cache=cache)
-    stats = cache.stats()
-    run_trace(*for_loop30, cache=cache)
-    after = cache.stats()
-    # Loop[30] misses its own levels only; the costs, liveness and loops
-    # it reuses are neither hits nor misses.
-    assert after["hits"] - stats["hits"] == 2  # typing + baseline trace
-    assert after["misses"] - stats["misses"] == 4
+
+    def lookup(variant):
+        strategy = parse_strategy(variant)
+        run_trace(bench.program, strategy, machine, bench.spec, cache=cache)
+
+    lookup("Loop[45]")
+    for variant in ("Loop[30]", "Int[45]", "Int[30]", "BB[15,0]", "BB[15,2]"):
+        stats = cache.stats()
+        lookup(variant)
+        after = cache.stats()
+        # Each technique misses its own levels only; the costs, liveness,
+        # loops, intervals, summaries and sections it reuses are neither
+        # hits nor misses.
+        assert after["hits"] - stats["hits"] == 2, variant  # typing + baseline
+        assert after["misses"] - stats["misses"] == 4, variant
     # Every entry is a miss's product; the analyses add none.
-    assert len(cache) == after["misses"]
+    assert len(cache) == cache.misses
+    # One summary per program or CFG and typing, one section set per
+    # min size.
+    typing = typed_blocks(bench.program, cache=cache)
+    static = cache.analysis.static
+    (loop_summaries,) = static._loop_summaries.values()
+    assert list(loop_summaries) == [typing.fingerprint]
+    assert len(static._interval_summaries) == len(bench.program.procedures)
+    for interval_summaries in static._interval_summaries.values():
+        assert list(interval_summaries) == [typing.fingerprint]
+    (bb_sections,) = static._bb_sections.values()
+    assert list(bb_sections) == [(typing.fingerprint, 15)]
 
 
 def test_dropped_program_costs_never_reach_a_new_program():
@@ -922,18 +1010,32 @@ def test_dropped_program_leaves_the_memo():
     keep it alive."""
     cache = PipelineCache()
     memo, scratch = cache.analysis, cache.live_scratch
+    static = memo.static
     machine = core2quad_amp()
     model = memo.cost_model(machine)
     assert memo.cost_model(machine) is model
     program, spec = make_phased_program("transient")
     cfg = cached_cfg(program["main"])
-    memo.loops(cfg)
+    static.loops(cfg)
+    static.intervals(cfg)
     memo.scopes(cfg)
     model.block_vector(cfg.blocks[0], program)
-    marked = instrument_cached(program, parse_strategy("Loop[45]"), cache=cache)
+    for variant in ("Loop[45]", "Int[45]", "BB[10,0]"):
+        marked = instrument_cached(program, parse_strategy(variant), cache=cache)
     memo.tuned_trace(marked, machine, spec)
+    # The summaries and sections must not hold the program they are
+    # keyed on, nor the annotated program that references it.
+    shared = (
+        static._loops,
+        static._intervals,
+        static._callgraphs,
+        static._interval_summaries,
+        static._loop_summaries,
+        static._bb_sections,
+    )
+    assert [len(products) for products in shared] == [1] * len(shared)
     assert len(model._programs) == 1
-    assert len(memo._loops) == 1 and len(memo._scopes) == 1
+    assert len(memo._scopes) == 1
     assert len(memo._skeletons) == 1 and len(memo._traces) == 1
     assert len(scratch) == 1
     alive = weakref.ref(program)
@@ -941,7 +1043,8 @@ def test_dropped_program_leaves_the_memo():
     del program, cfg, marked, cache
     gc.collect()
     assert alive() is None
+    assert [len(products) for products in shared] == [0] * len(shared)
     assert len(model._programs) == 0
-    assert len(memo._loops) == 0 and len(memo._scopes) == 0
+    assert len(memo._scopes) == 0
     assert len(memo._skeletons) == 0 and len(memo._traces) == 0
     assert len(scratch) == 0
