@@ -513,7 +513,9 @@ class Simulation:
                     stall,
                     l2_resident,
                     raw_stall_frac,
-                ) = flat.fastinfo[ctype_name][pos]
+                    _,
+                    _,
+                ) = flat.rows[ctype_name][pos]
                 if runtime is None or not emb_p:
                     if nb >= 0:
                         neighbor = (
@@ -773,9 +775,10 @@ class Simulation:
 
         Bit-identical to :meth:`_run_quantum_stepped`: every step runs
         through the same scalar expressions, in the same order, but reads
-        its costs from the :class:`FlatTrace` columns instead of walking
-        the trace tree, and keeps the cursor state in locals.  Mark-free
-        entries skip the :meth:`_fire_marks` call (a no-op for them).
+        its costs from the :class:`FlatTrace` step rows instead of
+        walking the trace tree, and keeps the cursor state in locals.
+        Mark-free entries skip the :meth:`_fire_marks` call (a no-op for
+        them).
         :meth:`_core_turn` has already committed inline any quantum that
         resumes mid-step and ends inside that step, unless a memory
         pressure event may apply.
@@ -823,28 +826,29 @@ class Simulation:
         mem_pressure = self._core_mem_pressure[core_id]
 
         stats = proc.stats
-        (
-            segs,
-            iters,
-            instrs_l,
-            ovh_l,
-            entry_marked,
-            any_marked,
-            emb_multi,
-            comp_l,
-            stall_l,
-            l2_l,
-            sfrac_l,
-        ) = flat.cols[ctype_name]
+        segs = flat.segs
+        rows = flat.rows[ctype_name]
         # Steps needing the mark path: with a runtime attached, any mark
         # (entry or embedded) may call into it; without one, only entry
         # marks charge cycles (embedded overhead is a constant
-        # per-iteration term already present in the cost columns).
-        marked = any_marked if runtime is not None else entry_marked
+        # per-iteration term already present in the step row).
+        with_runtime = runtime is not None
 
         while budget > 0 and pos < n_steps:
+            (
+                iterations,
+                seg_instrs,
+                per_iter_overhead,
+                emb_multi,
+                compute,
+                stall,
+                l2_resident,
+                raw_stall_frac,
+                entry_marked,
+                any_marked,
+            ) = rows[pos]
             if at_entry:
-                if marked[pos]:
+                if any_marked if with_runtime else entry_marked:
                     action = self._fire_marks(proc, segs[pos], core, t)
                     cost_s = action.extra_cycles / freq
                     t += cost_s
@@ -888,12 +892,6 @@ class Simulation:
                 # loop (zero cycles, zero firings); just clear the flag.
                 at_entry = False
 
-
-            compute = comp_l[pos]
-            stall = stall_l[pos]
-            l2_resident = l2_l[pos]
-            seg_instrs = instrs_l[pos]
-            raw_stall_frac = sfrac_l[pos]
             if neighbor > 0:
                 if contention_alpha > 0 and stall > 0:
                     stall *= 1.0 + contention_alpha * neighbor
@@ -904,17 +902,15 @@ class Simulation:
             if mem_pressure > 0.0 and l2_resident > 0:
                 stall += mem_pressure * l2_resident * pollution_penalty
 
-            if runtime is not None and emb_multi[pos]:
+            # The row's overhead is exactly embedded_rate *
+            # MARK_FIRE_CYCLES (0.0 for mark-free steps) — what
+            # _embedded_overhead returns whenever thrash is impossible
+            # (no runtime, or fewer than two embedded marks).
+            switch_rate = 0.0
+            if with_runtime and emb_multi:
                 per_iter_overhead, switch_rate = self._embedded_overhead(
                     proc, segs[pos], runtime
                 )
-            else:
-                # ovh_l holds exactly embedded_rate * MARK_FIRE_CYCLES
-                # (0.0 for mark-free steps) — what _embedded_overhead
-                # returns whenever thrash is impossible (no runtime, or
-                # fewer than two embedded marks).
-                per_iter_overhead = ovh_l[pos]
-                switch_rate = 0.0
 
             total_per_iter = compute + stall + per_iter_overhead
             # min()/max() spelled as conditionals (value-identical for
@@ -922,7 +918,7 @@ class Simulation:
             per_iter_s = total_per_iter / freq
             if per_iter_s < 1e-18:
                 per_iter_s = 1e-18
-            remaining = iters[pos] - done
+            remaining = iterations - done
             fit = budget / per_iter_s
             n = remaining if remaining <= fit else fit
             if n <= 0:
@@ -962,7 +958,7 @@ class Simulation:
                 buckets[bucket] = instrs
             core_stall_frac[core_id] = raw_stall_frac
             done += n
-            if iters[pos] - done <= 1e-9:
+            if iterations - done <= 1e-9:
                 pos += 1
                 done = 0.0
                 at_entry = True
@@ -1142,12 +1138,6 @@ class Simulation:
             )
         if self._notify_machine is not None:
             self._notify_machine(event, now, tuple(self._core_freq_scale))
-
-    def _account_throughput(self, t: float, instrs: float) -> None:
-        bucket = int(t)
-        self._result.throughput_buckets[bucket] = (
-            self._result.throughput_buckets.get(bucket, 0.0) + instrs
-        )
 
     def _do_cancel(self, pid: int, now: float) -> None:
         """Dispatch one ``("cancel", pid)`` event (see

@@ -3,21 +3,28 @@
 A :class:`~repro.sim.process.Trace` is a tree of segments and repeats;
 the stepped executor walks it one segment-step at a time through a
 :class:`~repro.sim.process.TraceCursor`.  This module flattens the tree
-once per trace into parallel per-step lists — one entry per *visit* of a
-segment, in exactly the order the cursor would produce — so the
-executor's quantum loop indexes any step in O(1) and keeps the cursor
-state in a position and an iteration count.  The lists are plain Python
-lists: the loop is scalar, and a quantum rarely spans enough steps for
-array arithmetic to repay its per-call overhead.
+once per trace into its *visits* — one per segment entry, in exactly
+the order the cursor would produce — so the executor's quantum loop
+indexes any step in O(1) and keeps the cursor state in a position and
+an iteration count.
+
+A visit is a reference to its segment's *step row* on the running core
+type: one tuple per segment and core type with everything the quantum
+loop reads, built once and cached on the segment, so every visit and
+every trace holding the segment share it.  Marked sections recur many
+times per run (a Table 2 trace has ~120 visits of ~46 distinct
+segments), so the flat form costs a few pointers per visit instead of a
+copy of the step's costs.
 
 Flattening is capped (:data:`FLATTEN_LIMIT` steps): traces whose repeat
 structure expands beyond the cap — possible only for hand-built
 pathological traces, not generator output — keep the tree walker.
 
-The lists are a pure cache over the trace (cached on
-``Trace._flat``, excluded from equality and pickling); every float in
-them is taken verbatim from ``Segment.cost_tuple``, so the batched and
-stepped executors see bit-identical per-step costs.
+The flat form is a pure cache over the trace (cached on
+``Trace._flat``, the rows on ``Segment._rows``, all excluded from
+equality and pickling); every float in a row is taken verbatim from
+``Segment.cost_tuple``, so the batched and stepped executors see
+bit-identical per-step costs.
 """
 
 from __future__ import annotations
@@ -63,98 +70,52 @@ def _flat_steps(trace: Trace, limit: int) -> list:
     return steps
 
 
-class FlatTrace:
-    """Parallel per-step lists of one trace (shared, read-only)."""
+def step_row(seg: Segment, ctype_name: str) -> tuple:
+    """The step row of *seg* on one core type (cached on the segment).
 
-    __slots__ = (
-        "n",
-        "segs",
-        "iters",
-        "instrs",
-        "compute",
-        "stall",
-        "l2",
-        "sfrac",
-        "ovh",
-        "entry_marked",
-        "any_marked",
-        "emb_multi",
-        "cols",
-        "fastinfo",
-    )
+    ``(iterations, instrs, ovh, emb_multi, compute, stall, l2, sfrac,
+    entry_marked, any_marked)``: ``ovh`` is the embedded-mark overhead
+    per iteration under a runtime-less simulation (the only mode that
+    batches embedded steps), the identical expression to
+    ``Simulation._embedded_overhead``; ``emb_multi`` flags two or more
+    embedded marks, the only steps that can thrash between decided
+    core types under a runtime.
+    """
+    rows = seg._rows
+    if rows is None:
+        rows = seg._rows = {}
+    row = rows.get(ctype_name)
+    if row is None:
+        compute, stall, l2, instrs, sfrac = seg.cost_tuple(ctype_name)
+        embedded = seg.embedded
+        row = rows[ctype_name] = (
+            seg.iterations,
+            instrs,
+            seg.embedded_rate * MARK_FIRE_CYCLES if embedded else 0.0,
+            len(embedded) > 1,
+            compute,
+            stall,
+            l2,
+            sfrac,
+            bool(seg.entry_marks),
+            bool(seg.entry_marks or embedded),
+        )
+    return row
+
+
+class FlatTrace:
+    """The visits of one trace (shared, read-only): ``segs[i]`` is the
+    *i*-th visited segment and ``rows[ctype][i]`` its step row on that
+    core type, the one row object every visit shares."""
+
+    __slots__ = ("n", "segs", "rows")
 
     def __init__(self, steps: list, ctype_names) -> None:
-        n = len(steps)
-        self.n = n
+        self.n = len(steps)
         self.segs = steps
-        self.iters = [seg.iterations for seg in steps]
-        self.instrs = [seg.cost.instrs for seg in steps]
-        # Embedded-mark overhead per iteration under a runtime-less
-        # simulation (the only mode that batches embedded steps); the
-        # identical expression to Simulation._embedded_overhead.
-        self.ovh = [
-            seg.embedded_rate * MARK_FIRE_CYCLES if seg.embedded else 0.0
-            for seg in steps
-        ]
-        self.entry_marked = [bool(seg.entry_marks) for seg in steps]
-        self.any_marked = [
-            bool(seg.entry_marks or seg.embedded) for seg in steps
-        ]
-        # Steps with two or more embedded marks: only these can thrash
-        # between decided core types, so only these need the full
-        # Simulation._embedded_overhead computation under a runtime.
-        self.emb_multi = [len(seg.embedded) > 1 for seg in steps]
-
-        self.compute = {}
-        self.stall = {}
-        self.l2 = {}
-        self.sfrac = {}
-        self.cols = {}
-        self.fastinfo = {}
-        for name in ctype_names:
-            comp = [0.0] * n
-            stall = [0.0] * n
-            l2 = [0.0] * n
-            sfrac = [0.0] * n
-            for i, seg in enumerate(steps):
-                comp[i], stall[i], l2[i], _, sfrac[i] = seg.cost_tuple(name)
-            self.compute[name] = comp
-            self.stall[name] = stall
-            self.l2[name] = l2
-            self.sfrac[name] = sfrac
-            # Everything the executor's quantum prologue needs, bundled
-            # behind one dict lookup (the ctype-independent views are
-            # duplicated references — free — so the prologue is a
-            # single fetch + unpack instead of a dozen lookups).
-            self.cols[name] = (
-                self.segs,
-                self.iters,
-                self.instrs,
-                self.ovh,
-                self.entry_marked,
-                self.any_marked,
-                self.emb_multi,
-                comp,
-                stall,
-                l2,
-                sfrac,
-            )
-            # Row-major per-step tuples for the executor's mid-step
-            # resume fast path (the overwhelmingly common quantum
-            # shape): it touches exactly one step, so one tuple index +
-            # unpack replaces eight column indexings.
-            self.fastinfo[name] = list(
-                zip(
-                    self.iters,
-                    self.instrs,
-                    self.ovh,
-                    self.emb_multi,
-                    comp,
-                    stall,
-                    l2,
-                    sfrac,
-                )
-            )
+        self.rows = {
+            name: [step_row(seg, name) for seg in steps] for name in ctype_names
+        }
 
 
 def flat_trace(trace: Trace) -> Optional[FlatTrace]:
@@ -192,7 +153,8 @@ class FlatCursor:
     Exposes the same public surface (``finished`` / ``current`` /
     ``remaining_iterations`` / ``consume`` / ``at_entry`` /
     ``mark_entry_handled``) with the same float arithmetic and the same
-    1e-9 advance tolerance, plus direct state (``pos`` / ``iters_done``)
+    1e-9 advance tolerance, reading each step's iteration count from
+    its visited segment, plus direct state (``pos`` / ``iters_done``)
     the batched executor reads and writes wholesale.
     """
 
@@ -218,14 +180,15 @@ class FlatCursor:
     def remaining_iterations(self) -> float:
         if self.pos >= self.flat.n:
             return 0.0
-        return self.flat.iters[self.pos] - self.iters_done
+        return self.flat.segs[self.pos].iterations - self.iters_done
 
     def consume(self, iterations: float) -> None:
         """Consume *iterations* of the current step (TraceCursor
         semantics, including the 1e-9 tolerances)."""
         if self.pos >= self.flat.n:
             raise SimulationError("consume() on a finished trace")
-        remaining = self.flat.iters[self.pos] - self.iters_done
+        iters = self.flat.segs[self.pos].iterations
+        remaining = iters - self.iters_done
         if iterations < 0 or iterations > remaining + 1e-9:
             raise SimulationError(
                 f"cannot consume {iterations} of "
@@ -233,7 +196,7 @@ class FlatCursor:
             )
         self.at_entry = False
         self.iters_done += iterations
-        if self.flat.iters[self.pos] - self.iters_done <= 1e-9:
+        if iters - self.iters_done <= 1e-9:
             self.pos += 1
             self.iters_done = 0.0
             self.at_entry = self.pos < self.flat.n

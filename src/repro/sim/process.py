@@ -53,6 +53,11 @@ class EmbeddedMark(MarkRef):
     rate: float = 0.0
 
 
+#: The fields a :class:`Segment` pickles, in state order: the compared
+#: ones.
+_SEGMENT_STATE = ("uid", "phase_type", "iterations", "cost", "entry_marks", "embedded")
+
+
 @dataclass(slots=True)
 class Segment:
     """A leaf trace node: one section executed ``iterations`` times.
@@ -83,6 +88,35 @@ class Segment:
     _embedded_rate: Optional[float] = field(
         default=None, repr=False, compare=False
     )
+    #: Per-core-type step rows of :func:`repro.sim.flattrace.step_row`,
+    #: shared by every flat-trace visit of this segment.  Never passed
+    #: on, unlike ``_cost_tuples``: a row holds ``iterations`` and the
+    #: mark flags, which copies sharing the cost may change.
+    _rows: Optional[dict] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self):
+        # Only the compared fields travel; the caches rebuild lazily.
+        return tuple(getattr(self, name) for name in _SEGMENT_STATE)
+
+    def __setstate__(self, state) -> None:
+        if len(state) == 2:
+            # ``(None, slots)``: pickled with its caches, which are
+            # dropped (they rebuild to the same floats).
+            slots = state[1]
+            state = tuple(slots[name] for name in _SEGMENT_STATE)
+        (
+            self.uid,
+            self.phase_type,
+            self.iterations,
+            self.cost,
+            self.entry_marks,
+            self.embedded,
+        ) = state
+        self._cost_tuples = None
+        self._embedded_rate = None
+        self._rows = None
 
     @property
     def total_instrs(self) -> float:
@@ -140,10 +174,10 @@ class Trace:
     """A process's whole dynamic behaviour."""
 
     nodes: tuple
-    #: Cached flat (vectorized) form built by
+    #: Cached flat form built by
     #: :func:`repro.sim.flattrace.flat_trace` — a pure cache, excluded
     #: from equality and from pickling (workers and the disk cache ship
-    #: only the tree; the flat arrays are rebuilt lazily where needed).
+    #: only the tree; the flat form is rebuilt lazily where needed).
     _flat: object = field(default=None, repr=False, compare=False)
     #: Memoised :meth:`content_digest`, a pure cache like ``_flat``.
     _digest: Optional[str] = field(default=None, repr=False, compare=False)

@@ -10,7 +10,9 @@ float arithmetic op for op.
 
 import pytest
 
+from repro.experiments.config import TABLE2_VARIANTS, ExperimentConfig
 from repro.instrument import BBStrategy, LoopStrategy, instrument
+from repro.instrument.phase_mark import MARK_FIRE_CYCLES
 from repro.sim import SimProcess, Simulation, TraceGenerator
 from repro.sim.cost_model import CostVector
 from repro.sim.faults import (
@@ -24,9 +26,21 @@ from repro.sim.flattrace import (
     FlatCursor,
     flat_trace,
     make_cursor,
+    step_row,
 )
-from repro.sim.process import Repeat, Segment, Trace, TraceCursor
+from repro.sim.process import (
+    EmbeddedMark,
+    MarkRef,
+    Repeat,
+    Segment,
+    Trace,
+    TraceCursor,
+)
+from repro.sim.tracegen import _marked
 from repro.tuning import PhaseTuningRuntime
+from repro.tuning.pipeline import PipelineCache, run_trace
+from repro.workloads.spec import spec_benchmark
+from repro.workloads.workload import Workload
 from tests.conftest import make_phased_program
 
 
@@ -190,6 +204,74 @@ def test_oversized_trace_keeps_tree_walker(machine):
     assert isinstance(make_cursor(huge), TraceCursor)
     # The verdict is cached too (the sentinel, not re-expansion).
     assert flat_trace(huge) is None
+
+
+# -- shared step rows -----------------------------------------------------------
+
+
+def test_visits_and_traces_share_one_row_per_segment(machine):
+    """Every visit of a segment, in every trace holding it, references
+    the segment's one row object per core type."""
+    trace = _nested_trace(machine)
+    a, repeat, _ = trace.nodes
+    other = Trace((repeat.children[0], a))
+    flats = [flat_trace(trace), flat_trace(other)]
+    for name in [ct.name for ct in machine.core_types()]:
+        for flat in flats:
+            assert len(flat.rows[name]) == flat.n
+            for seg, row in zip(flat.segs, flat.rows[name]):
+                assert row is step_row(seg, name)
+        # 13 visits of 3 segments: 3 row objects.
+        assert len({id(r) for f in flats for r in f.rows[name]}) == 3
+
+
+def test_fairness_setup_builds_one_row_per_segment_and_core_type():
+    """Across Table 2's traces at paper scale (stock and all 18
+    variants), distinct rows are exactly the distinct (segment, core
+    type) pairs visited: no visit copies its segment's row."""
+    config = ExperimentConfig.fairness_paper().with_(seed=1)
+    machine = config.resolved_machine()
+    workload = Workload.random(config.slots, seed=1)
+    cache = PipelineCache()
+    flats = []
+    for name in sorted(workload.benchmark_names()):
+        bench = spec_benchmark(name)
+        for variant in (None,) + TABLE2_VARIANTS:
+            strategy = config.strategy(variant) if variant else None
+            trace, _ = run_trace(
+                bench.program, strategy, machine, bench.spec, cache=cache
+            )
+            flats.append(flat_trace(trace))
+    visits = sum(flat.n for flat in flats)
+    pairs = {
+        (id(seg), name) for flat in flats for name in flat.rows for seg in flat.segs
+    }
+    rows = {id(row) for flat in flats for col in flat.rows.values() for row in col}
+    assert len(rows) == len(pairs)
+    assert visits > 2 * len({id(seg) for flat in flats for seg in flat.segs})
+
+
+def test_segments_sharing_cost_tuples_keep_their_own_rows(machine):
+    """Marked copies share their template's cost tuples (tracegen's
+    ``_marked``) but differ in marks, so each gets its own row."""
+    plain = _zero_segment(machine, "a", 2.0)
+    for name in [ct.name for ct in machine.core_types()]:
+        step_row(plain, name)
+    entry = _marked(plain, 0, (MarkRef(1, 0),), ())
+    embedded = _marked(
+        plain, None, (), (EmbeddedMark(2, 0, 0.5), EmbeddedMark(3, 1, 0.25))
+    )
+    assert entry._cost_tuples is plain._cost_tuples is embedded._cost_tuples
+    for name in [ct.name for ct in machine.core_types()]:
+        rows = [step_row(seg, name) for seg in (plain, entry, embedded)]
+        assert [row[4:8] for row in rows] == [rows[0][4:8]] * 3
+        # (ovh, emb_multi) and (entry_marked, any_marked) differ.
+        assert [row[2:4] for row in rows] == [
+            (0.0, False), (0.0, False), (0.75 * MARK_FIRE_CYCLES, True)
+        ]
+        assert [row[8:] for row in rows] == [
+            (False, False), (True, True), (False, True)
+        ]
 
 
 def test_hand_built_repeat_trace_runs_identically(machine):

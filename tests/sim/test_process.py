@@ -1,5 +1,7 @@
 """Unit tests for traces, the cursor, and process bookkeeping."""
 
+import copyreg
+import io
 import pickle
 from dataclasses import fields, replace
 
@@ -7,6 +9,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.cost_model import CostVector
+from repro.sim.flattrace import step_row
 from repro.sim.machine import core2quad_amp
 from repro.sim.process import (
     EmbeddedMark,
@@ -156,6 +159,63 @@ def test_content_digest_is_a_pure_cache():
     restored = pickle.loads(pickle.dumps(trace))
     assert restored._digest is None
     assert restored.content_digest() == digest
+
+
+def _cached_segment():
+    """A marked segment with every cache filled."""
+    segment = Segment(
+        "m", 0, 2.0, _vector(),
+        entry_marks=(MarkRef(3, 1),),
+        embedded=(EmbeddedMark(4, 0, 0.5), EmbeddedMark(5, 1, 0.25)),
+    )
+    for name in ("fast", "slow"):
+        step_row(segment, name)
+    assert segment._cost_tuples and segment._embedded_rate and segment._rows
+    return segment
+
+
+def _assert_rebuilds(restored, segment):
+    """*restored* equals *segment* and carries no cache until asked,
+    then rebuilds every cache to the same floats."""
+    assert restored == segment
+    assert restored._cost_tuples is None
+    assert restored._embedded_rate is None
+    assert restored._rows is None
+    for name in ("fast", "slow"):
+        assert step_row(restored, name) == step_row(segment, name)
+        assert restored.cost_tuple(name) == segment.cost_tuple(name)
+    assert restored.embedded_rate == segment.embedded_rate
+
+
+def test_segment_pickles_without_its_caches():
+    segment = _cached_segment()
+    blob = pickle.dumps(segment, protocol=pickle.HIGHEST_PROTOCOL)
+    bare = Segment(
+        segment.uid, segment.phase_type, segment.iterations, segment.cost,
+        entry_marks=segment.entry_marks, embedded=segment.embedded,
+    )
+    assert len(blob) == len(pickle.dumps(bare, protocol=pickle.HIGHEST_PROTOCOL))
+    _assert_rebuilds(pickle.loads(blob), segment)
+
+
+class _CachePickler(pickle.Pickler):
+    """Pickles segments the way they pickled while their state was the
+    default one of a slotted dataclass: ``(None, slots)``, the caches
+    included."""
+
+    def reducer_override(self, obj):
+        if type(obj) is not Segment:
+            return NotImplemented
+        slots = {f.name: getattr(obj, f.name) for f in fields(Segment)}
+        del slots["_rows"]
+        return copyreg.__newobj__, (Segment,), (None, slots)
+
+
+def test_segment_loads_a_state_pickled_with_its_caches():
+    segment = _cached_segment()
+    out = io.BytesIO()
+    _CachePickler(out, protocol=pickle.HIGHEST_PROTOCOL).dump(segment)
+    _assert_rebuilds(pickle.loads(out.getvalue()), segment)
 
 
 def test_cursor_overconsumption_rejected():

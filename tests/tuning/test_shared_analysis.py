@@ -557,13 +557,12 @@ def test_shared_cache_builds_equal_fresh_caches():
             for name in ctypes:
                 assert seg.cost_tuple(name) == fresh_seg.cost_tuple(name), key
         flat, fresh_flat = flat_trace(trace), flat_trace(fresh_trace)
-        assert flat.iters == fresh_flat.iters
-        assert flat.instrs == fresh_flat.instrs
-        assert flat.ovh == fresh_flat.ovh
+        assert flat.n == fresh_flat.n, key
+        assert flat.segs == fresh_flat.segs, key
         for name in ctypes:
-            assert flat.compute[name] == fresh_flat.compute[name], key
-            assert flat.stall[name] == fresh_flat.stall[name], key
-            assert flat.l2[name] == fresh_flat.l2[name], key
+            # Whole step rows: every float the batched executor reads
+            # and the mark flags that route its entries.
+            assert flat.rows[name] == fresh_flat.rows[name], key
 
 
 def test_traces_match_pinned_digests():
