@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heappop as _heappop, heapreplace as _heapreplace
 from typing import Callable, Optional
 
 from repro.errors import (
@@ -72,8 +72,8 @@ class MarkAction:
 
 
 #: Reused no-op action for mark-free segment entries (the overwhelmingly
-#: common case in baseline runs).
-_NO_ACTION = MarkAction()
+#: common case in baseline runs) and for runtime marks that ask nothing.
+NO_ACTION = MarkAction()
 
 #: Reused actions for runtime-less entries, keyed by entry-mark count —
 #: the extra cycles depend only on that count.
@@ -136,6 +136,25 @@ class SimulationResult:
         )
 
 
+def _core_waker(
+    core_offline, core_idle, core_idle_since, core_busy_until, idle_time,
+    events, core_events,
+):
+    """The ``waker(core_id, now)`` a simulation gives its scheduler:
+    an idle, online core closes its idle interval and gets a turn at
+    *now*, or when its last quantum ends if that is later."""
+
+    def wake(core_id: int, now: float) -> None:
+        if core_offline[core_id]:
+            return
+        if core_idle[core_id]:
+            core_idle[core_id] = False
+            idle_time[core_id] += max(0.0, now - core_idle_since[core_id])
+            events.push(max(now, core_busy_until[core_id]), core_events[core_id])
+
+    return wake
+
+
 class Simulation:
     """One simulation run.
 
@@ -184,7 +203,6 @@ class Simulation:
     ):
         self.machine = machine
         self.scheduler = scheduler or LinuxO1Scheduler()
-        self.scheduler.attach(machine, self._wake_core)
         self.runtime = runtime
         self.contention_alpha = contention_alpha
         self.pollution_beta = pollution_beta
@@ -243,12 +261,6 @@ class Simulation:
             attach = getattr(runtime, "attach_faults", None)
             if attach is not None:
                 attach(self.faults)
-        # With memory-pressure events in play, _core_turn's inline
-        # fast-commit (which omits the pressure term) must stand aside
-        # for the full quantum paths.
-        self._mem_pressure_possible = (
-            self.faults is not None and bool(self.faults.plan.mem_pressure)
-        )
         self._l2_neighbors = tuple(
             tuple(machine.l2_neighbors(c.cid)) for c in machine.cores
         )
@@ -281,37 +293,26 @@ class Simulation:
             core.ctype.freq_hz * 1.0 for core in machine.cores
         ]
         self._core_events = tuple(("core", core.cid) for core in machine.cores)
-        self._timeslice = self.scheduler.timeslice
         self._result = SimulationResult(
             machine,
             0.0,
             idle_time_by_core={c.cid: 0.0 for c in machine.cores},
         )
         self._live: set = set()
-        # Direct access to the stock scheduler's runqueues lets the
-        # per-quantum turn skip the pick/requeue call overhead; any
-        # subclass (which may override those methods) keeps the full
-        # calls.
-        self._sched_queues = (
-            self.scheduler._queues
-            if type(self.scheduler) is LinuxO1Scheduler
-            else None
-        )
-        # Everything the quantum fast path reads from self, bundled so
-        # one attribute fetch + unpack replaces nine lookups.  Mutable
-        # members (lists/dicts) are shared references, so updates via
-        # self.* stay visible.
-        self._hot = (
-            self._core_exec,
-            self._core_freq_eff,
-            self._timeslice,
-            self.runtime,
+        # The scheduler's waker closes over the per-core state it
+        # touches, not over the simulation: a bound method would make
+        # simulation and scheduler a reference cycle, and every finished
+        # run would wait for the cycle collector to be freed.
+        self._wake_core = _core_waker(
+            self._core_offline,
             self._core_idle,
-            self._core_stall_frac,
-            self.contention_alpha,
-            self.pollution_beta,
-            self._result.throughput_buckets,
+            self._core_idle_since,
+            self._core_busy_until,
+            self._result.idle_time_by_core,
+            self._events,
+            self._core_events,
         )
+        self.scheduler.attach(machine, self._wake_core)
         # Telemetry: the recorder and its category gates are resolved
         # once here, so with the null recorder (the default) every hook
         # point below is a single falsy attribute check and an untraced
@@ -359,85 +360,336 @@ class Simulation:
         """
         self._events.push(at, ("cancel", pid))
 
-    def _wake_core(self, core_id: int, now: float) -> None:
-        if self._core_offline[core_id]:
-            return
-        if self._core_idle[core_id]:
-            self._core_idle[core_id] = False
-            self._result.idle_time_by_core[core_id] += max(
-                0.0, now - self._core_idle_since[core_id]
-            )
-            self._events.push(max(now, self._core_busy_until[core_id]),
-                              ("core", core_id))
-
     # -- main loop --------------------------------------------------------------
 
     def run(self, until: float) -> SimulationResult:
-        """Run the simulation until time *until* (seconds)."""
-        # The event loop runs once per scheduling quantum — hundreds of
-        # thousands of iterations per experiment — so it reads the heap
-        # directly instead of going through the EventQueue wrappers
-        # (pops are time-ordered, so _now only ever moves forward).
-        heap = self._events._heap
+        """Run the simulation until time *until* (seconds).
+
+        One loop delivers every event, and a core's turn runs inside it:
+        pick the core's next process, run one quantum, put the process
+        back and reschedule the core.  A quantum over a flat trace runs
+        inline, one step row per iteration, with the cursor state in
+        locals; the common quantum that resumes mid-step and ends inside
+        that step is just the loop's first iteration.  Other traces,
+        and ``batched=False``, run :meth:`_run_quantum_stepped`.
+        """
+        # The loop runs once per scheduling quantum — hundreds of
+        # thousands of times per experiment — so everything it reads
+        # that cannot change during the run is bound to a local here,
+        # once per call, and it reads the heap directly instead of going
+        # through the EventQueue wrappers.  Mutable members (lists and
+        # dicts) are shared references, so faults and the waker keep
+        # them current.
+        events = self._events
+        heap = events._heap
         heappop = _heappop
-        core_turn = self._core_turn
+        heapreplace = _heapreplace
+        scheduler = self.scheduler
+        runtime = self.runtime
+        with_runtime = runtime is not None
+        batched = self.batched
+        timeslice = scheduler.timeslice
+        min_step = _MIN_STEP_S
+        core_exec = self._core_exec
+        core_events = self._core_events
+        freq_eff = self._core_freq_eff
+        busy_until = self._core_busy_until
+        core_idle = self._core_idle
+        core_idle_since = self._core_idle_since
+        core_stall_frac = self._core_stall_frac
+        core_offline = self._core_offline
+        core_mem_pressure = self._core_mem_pressure
+        contention_alpha = self.contention_alpha
+        pollution_beta = self.pollution_beta
+        buckets = self._result.throughput_buckets
+        fire_marks = self._fire_marks
+        tr_exec = self._tr_exec
+        tr_quantum = self._tr_quantum
+        # The stock scheduler's pick and requeue run inline on its
+        # runqueues (indexed by core id); any other scheduler, a
+        # subclass included (it may override them), gets the calls.
+        if type(scheduler) is LinuxO1Scheduler:
+            queues = [scheduler._queues[cid] for cid in range(len(core_exec))]
+            sched_offline = scheduler._offline
+            balance_interval = scheduler.balance_interval
+        else:
+            queues = None
+
         while heap:
-            time = heap[0][0]
-            if time > until:
+            entry = heap[0]
+            now = entry[0]
+            if now > until:
                 break
-            time, _, payload = heappop(heap)
-            if time > self._now:
-                self._now = time
+            if now > self._now:
+                self._now = now
+            payload = entry[2]
             kind = payload[0]
-            if kind == "core":
-                core_turn(payload[1], time)
-            elif kind == "arrive":
-                proc = payload[1]
-                proc.arrival = time
-                self._live.add(proc.pid)
-                if self._tr_exec:
-                    self._tr.instant(
-                        "exec",
-                        "start",
-                        time,
-                        tid=PROC_TID_BASE + proc.pid,
-                        args={"pid": proc.pid, "name": proc.name},
-                        run=self._tr_run,
-                    )
-                self.scheduler.enqueue(proc, time)
-                if self._tr_opensys:
-                    self._tr.instant(
-                        "opensys",
-                        "arrival",
-                        time,
-                        tid=PROC_TID_BASE + proc.pid,
-                        args={"pid": proc.pid, "name": proc.name},
-                        run=self._tr_run,
-                    )
-                    self._tr.counter(
-                        "opensys",
-                        "jobs_in_system",
-                        time,
-                        float(len(self._live)),
-                        run=self._tr_run,
-                    )
-            elif kind == "cancel":
-                self._do_cancel(payload[1], time)
-            elif kind == "fault":
-                self._apply_fault(payload[1], time)
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unknown event {kind!r}")
+            if kind != "core":
+                heappop(heap)
+                if kind == "arrive":
+                    self._arrive(payload[1], now)
+                elif kind == "cancel":
+                    self._do_cancel(payload[1], now)
+                elif kind == "fault":
+                    self._apply_fault(payload[1], now)
+                else:  # pragma: no cover - defensive
+                    raise SimulationError(f"unknown event {kind!r}")
+                continue
+
+            # -- a core's turn: pick ---------------------------------------
+            core_id = payload[1]
+            if core_offline[core_id]:
+                proc = None
+            elif queues is not None:
+                if now - scheduler._last_balance >= balance_interval:
+                    scheduler._maybe_balance(now)
+                queue = queues[core_id]
+                proc = queue.popleft() if queue else scheduler._steal(core_id, now)
+            else:
+                proc = scheduler.pick(core_id, now)
+            if proc is None:
+                core_idle[core_id] = True
+                core_idle_since[core_id] = now
+                core_stall_frac[core_id] = 0.0
+                # Every push made during the turn is keyed after this
+                # entry, so it is still the heap's root.
+                heappop(heap)
+                continue
+
+            # -- run one quantum -------------------------------------------
+            cursor = proc.cursor
+            if batched and cursor.__class__ is FlatCursor:
+                # Bit-identical to _run_quantum_stepped: every step runs
+                # through the same scalar expressions, in the same
+                # order, reading its costs from the step's shared row.
+                core, ctype_name, _, neighbors, pollution_penalty, nb = (
+                    core_exec[core_id]
+                )
+                freq = freq_eff[core_id]
+                budget = timeslice
+                t = now
+                proc.current_core = core_id
+                flat = cursor.flat
+                pos = cursor.pos
+                done = cursor.iters_done
+                at_entry = cursor.at_entry
+                n_steps = flat.n
+                # The neighbour scan reads only *other* cores' state,
+                # which nothing changes mid-quantum, so it is
+                # quantum-invariant.  Stall fractions are non-negative,
+                # so with a single L2 neighbour the max-scan collapses
+                # to one read.
+                if nb >= 0:
+                    neighbor = 0.0 if core_idle[nb] else core_stall_frac[nb]
+                else:
+                    neighbor = 0.0
+                    for other in neighbors:
+                        if not core_idle[other]:
+                            other_frac = core_stall_frac[other]
+                            if other_frac > neighbor:
+                                neighbor = other_frac
+                # Like the neighbour scan: pressure events only apply
+                # between quanta.
+                mem_pressure = core_mem_pressure[core_id]
+                stats = proc.stats
+                rows = flat.rows[ctype_name]
+                end = None
+                while budget > 0 and pos < n_steps:
+                    (
+                        iterations,
+                        seg_instrs,
+                        per_iter_overhead,
+                        emb_multi,
+                        compute,
+                        stall,
+                        l2_resident,
+                        raw_stall_frac,
+                        entry_marked,
+                        any_marked,
+                    ) = rows[pos]
+                    if at_entry:
+                        # With a runtime attached, any mark (entry or
+                        # embedded) may call into it; without one, only
+                        # entry marks charge cycles.  A mark-free entry
+                        # is an exact no-op in the stepped loop.
+                        at_entry = False
+                        if any_marked if with_runtime else entry_marked:
+                            action = fire_marks(proc, flat.segs[pos], core, t)
+                            cost_s = action.extra_cycles / freq
+                            t += cost_s
+                            budget -= cost_s
+                            if (
+                                action.affinity is not None
+                                and action.affinity != proc.affinity
+                            ):
+                                if self.faults is not None and not (
+                                    self._affinity_call_ok(proc, t)
+                                ):
+                                    continue
+                                proc.affinity = validate_affinity(
+                                    action.affinity, len(self.machine)
+                                )
+                                if (
+                                    self.faults is not None
+                                    and self._notify_affinity is not None
+                                ):
+                                    self._notify_affinity(proc, True, None, t)
+                                if core_id not in proc.affinity:
+                                    # Core switch: charge migration and
+                                    # preempt.
+                                    stats.switches += 1
+                                    stats.migrations += 1
+                                    if tr_exec:
+                                        self._tr.instant(
+                                            "exec",
+                                            "migrate",
+                                            t,
+                                            tid=PROC_TID_BASE + proc.pid,
+                                            args={"pid": proc.pid, "from": core_id},
+                                            run=self._tr_run,
+                                        )
+                                    end = t + MIGRATION_CYCLES / freq
+                                    break
+                            continue
+
+                    if neighbor > 0:
+                        if contention_alpha > 0 and stall > 0:
+                            stall *= 1.0 + contention_alpha * neighbor
+                        if pollution_beta > 0 and l2_resident > 0:
+                            stall += (
+                                pollution_beta
+                                * neighbor
+                                * l2_resident
+                                * pollution_penalty
+                            )
+                    if mem_pressure > 0.0 and l2_resident > 0:
+                        stall += mem_pressure * l2_resident * pollution_penalty
+
+                    # The row's overhead is exactly embedded_rate *
+                    # MARK_FIRE_CYCLES (0.0 for mark-free steps) — what
+                    # _embedded_overhead returns whenever thrash is
+                    # impossible (no runtime, or fewer than two embedded
+                    # marks).
+                    switch_rate = 0.0
+                    if with_runtime and emb_multi:
+                        per_iter_overhead, switch_rate = self._embedded_overhead(
+                            proc, flat.segs[pos], runtime
+                        )
+
+                    total_per_iter = compute + stall + per_iter_overhead
+                    # min()/max() spelled as conditionals (value-identical
+                    # for the non-NaN floats here).
+                    per_iter_s = total_per_iter / freq
+                    if per_iter_s < 1e-18:
+                        per_iter_s = 1e-18
+                    remaining = iterations - done
+                    fit = budget / per_iter_s
+                    n = remaining if remaining <= fit else fit
+                    if n <= 0:
+                        n = min(remaining, 1e-9)
+                    elapsed = n * per_iter_s
+                    # stats.record inlined, same field order and float
+                    # ops (0.0 + x == x exactly, so the try/except miss
+                    # arm matches the .get(k, 0.0) + x it replaces).
+                    instrs = n * seg_instrs
+                    stats.instructions += instrs
+                    cycles_by_type = stats.cycles_by_type
+                    try:
+                        cycles_by_type[ctype_name] += n * total_per_iter
+                    except KeyError:
+                        cycles_by_type[ctype_name] = n * total_per_iter
+                    instrs_by_type = stats.instrs_by_type
+                    try:
+                        instrs_by_type[ctype_name] += instrs
+                    except KeyError:
+                        instrs_by_type[ctype_name] = instrs
+                    # Both sums are non-negative floats, so adding a
+                    # zero term (a mark-free or thrash-free step) leaves
+                    # them bit-identical: the common case skips it.
+                    if per_iter_overhead:
+                        stats.mark_overhead_cycles += n * per_iter_overhead
+                    if switch_rate:
+                        stats.switches += n * switch_rate
+                        if tr_exec:
+                            self._tr.counter(
+                                "exec",
+                                "thrash",
+                                t,
+                                n * switch_rate,
+                                tid=PROC_TID_BASE + proc.pid,
+                                run=self._tr_run,
+                            )
+                    stats.cpu_time += elapsed
+                    bucket = int(t)
+                    try:
+                        buckets[bucket] += instrs
+                    except KeyError:
+                        buckets[bucket] = instrs
+                    core_stall_frac[core_id] = raw_stall_frac
+                    done += n
+                    if iterations - done <= 1e-9:
+                        pos += 1
+                        done = 0.0
+                        at_entry = True
+                    t += elapsed
+                    budget -= elapsed
+                    if budget <= min_step and pos < n_steps:
+                        break
+
+                cursor.pos = pos
+                cursor.iters_done = done
+                finished = pos >= n_steps
+                cursor.at_entry = at_entry and not finished
+                if end is None:
+                    floor = now + min_step
+                    end = t if t > floor else floor
+            else:
+                end = self._run_quantum_stepped(core_id, proc, now)
+                finished = cursor.finished
+
+            # -- put the process back, reschedule the core -----------------
+            busy_until[core_id] = end
+            if tr_quantum:
+                self._tr.span(
+                    "quantum",
+                    "q",
+                    now,
+                    end - now,
+                    tid=core_id,
+                    args={"pid": proc.pid},
+                    run=self._tr_run,
+                )
+            # core_stall_frac keeps the last segment's memory intensity
+            # so neighbours sharing the L2 see this core's pressure
+            # until it idles or runs something else.
+            if finished:
+                self._finish(proc, end)
+            elif core_id in proc.affinity:
+                if queues is not None and core_id not in sched_offline:
+                    # Stock-scheduler requeue, inlined: the waker is a
+                    # no-op for a core that is mid-turn (never idle),
+                    # leaving just the runqueue append.
+                    queues[core_id].append(proc)
+                else:
+                    scheduler.requeue(proc, core_id, end)
+            else:
+                scheduler.enqueue(proc, end)
+            # Everything pushed during the turn is at a time >= now with
+            # a later sequence number, so this turn's entry is still the
+            # root: replace it in place instead of a pop and a push.
+            heapreplace(heap, (end, events._seq, core_events[core_id]))
+            events._seq += 1
 
         # Close idle accounting at the horizon.
-        for cid, idle in enumerate(self._core_idle):
+        for cid, idle in enumerate(core_idle):
             if idle:
                 self._result.idle_time_by_core[cid] += max(
-                    0.0, until - self._core_idle_since[cid]
+                    0.0, until - core_idle_since[cid]
                 )
-                self._core_idle_since[cid] = until
+                core_idle_since[cid] = until
         self._now = max(self._now, until)
         self._result.time = self._now
-        if self._tr_exec:
+        if tr_exec:
             for cid in sorted(self._result.idle_time_by_core):
                 self._tr.counter(
                     "exec",
@@ -449,184 +701,37 @@ class Simulation:
                 )
         return self._result
 
-    def _core_turn(self, core_id: int, now: float) -> None:
-        if self._core_offline[core_id]:
-            self._core_idle[core_id] = True
-            self._core_idle_since[core_id] = now
-            self._core_stall_frac[core_id] = 0.0
-            return
-        sq = self._sched_queues
-        if sq is not None:
-            # Stock-scheduler pick, inlined (this core is online — the
-            # executor checked — and the offline sets stay in sync).
-            sched = self.scheduler
-            if now - sched._last_balance >= sched.balance_interval:
-                sched._maybe_balance(now)
-            queue = sq[core_id]
-            proc = queue.popleft() if queue else sched._steal(core_id, now)
-        else:
-            proc = self.scheduler.pick(core_id, now)
-        if proc is None:
-            self._core_idle[core_id] = True
-            self._core_idle_since[core_id] = now
-            self._core_stall_frac[core_id] = 0.0
-            return
-        # The batched/stepped dispatch and the proc.finished property
-        # chain are inlined here: both run once per quantum.
-        cursor = proc.cursor
-        if self.batched and cursor.__class__ is FlatCursor:
-            # Most quanta resume mid-step and end inside that same step.
-            # Decide that *before* mutating anything (same float ops as
-            # _run_quantum_flat): if so, commit the step right here and
-            # skip the call; any other shape delegates with state
-            # untouched.
-            end = None
-            finished = False
-            done = cursor.iters_done
-            if (
-                done > 0.0
-                and not cursor.at_entry
-                and not self._mem_pressure_possible
-            ):
-                (
-                    core_exec,
-                    freq_eff,
-                    timeslice,
-                    runtime,
-                    core_idle,
-                    core_stall_frac,
-                    contention_alpha,
-                    pollution_beta,
-                    buckets,
-                ) = self._hot
-                _, ctype_name, _, neighbors, pollution_penalty, nb = (
-                    core_exec[core_id]
-                )
-                flat = cursor.flat
-                pos = cursor.pos
-                (
-                    remaining_full,
-                    seg_instrs,
-                    per_iter_overhead,
-                    emb_p,
-                    compute,
-                    stall,
-                    l2_resident,
-                    raw_stall_frac,
-                    _,
-                    _,
-                ) = flat.rows[ctype_name][pos]
-                if runtime is None or not emb_p:
-                    if nb >= 0:
-                        neighbor = (
-                            0.0 if core_idle[nb] else core_stall_frac[nb]
-                        )
-                    else:
-                        neighbor = 0.0
-                        for other in neighbors:
-                            if not core_idle[other]:
-                                other_frac = core_stall_frac[other]
-                                if other_frac > neighbor:
-                                    neighbor = other_frac
-                    if neighbor > 0:
-                        if contention_alpha > 0 and stall > 0:
-                            stall *= 1.0 + contention_alpha * neighbor
-                        if pollution_beta > 0 and l2_resident > 0:
-                            stall += (
-                                pollution_beta
-                                * neighbor
-                                * l2_resident
-                                * pollution_penalty
-                            )
-                    total_per_iter = compute + stall + per_iter_overhead
-                    per_iter_s = total_per_iter / freq_eff[core_id]
-                    if per_iter_s < 1e-18:
-                        per_iter_s = 1e-18
-                    remaining = remaining_full - done
-                    fit = timeslice / per_iter_s
-                    n = remaining if remaining <= fit else fit
-                    if n > 0:
-                        elapsed = n * per_iter_s
-                        new_done = done + n
-                        budget = timeslice - elapsed
-                        advanced = remaining_full - new_done <= 1e-9
-                        if budget <= _MIN_STEP_S or (
-                            advanced and pos + 1 >= flat.n
-                        ):
-                            proc.current_core = core_id
-                            instrs = n * seg_instrs
-                            stats = proc.stats
-                            stats.instructions += instrs
-                            cycles_by_type = stats.cycles_by_type
-                            try:
-                                cycles_by_type[ctype_name] += (
-                                    n * total_per_iter
-                                )
-                            except KeyError:
-                                cycles_by_type[ctype_name] = (
-                                    n * total_per_iter
-                                )
-                            instrs_by_type = stats.instrs_by_type
-                            try:
-                                instrs_by_type[ctype_name] += instrs
-                            except KeyError:
-                                instrs_by_type[ctype_name] = instrs
-                            stats.mark_overhead_cycles += (
-                                n * per_iter_overhead
-                            )
-                            stats.cpu_time += elapsed
-                            bucket = int(now)
-                            try:
-                                buckets[bucket] += instrs
-                            except KeyError:
-                                buckets[bucket] = instrs
-                            core_stall_frac[core_id] = raw_stall_frac
-                            if advanced:
-                                pos += 1
-                                cursor.pos = pos
-                                cursor.iters_done = 0.0
-                                cursor.at_entry = pos < flat.n
-                                finished = pos >= flat.n
-                            else:
-                                cursor.iters_done = new_done
-                            t = now + elapsed
-                            floor = now + _MIN_STEP_S
-                            end = t if t > floor else floor
-            if end is None:
-                end = self._run_quantum_flat(core_id, proc, now, cursor)
-                finished = cursor.pos >= cursor.flat.n
-        else:
-            end = self._run_quantum_stepped(core_id, proc, now)
-            finished = cursor.finished
-        self._core_busy_until[core_id] = end
-        if self._tr_quantum:
-            self._tr.span(
-                "quantum",
-                "q",
+    def _arrive(self, proc: SimProcess, now: float) -> None:
+        """Dispatch one ``("arrive", proc)`` event: the process joins the
+        system and a runqueue."""
+        proc.arrival = now
+        self._live.add(proc.pid)
+        if self._tr_exec:
+            self._tr.instant(
+                "exec",
+                "start",
                 now,
-                end - now,
-                tid=core_id,
-                args={"pid": proc.pid},
+                tid=PROC_TID_BASE + proc.pid,
+                args={"pid": proc.pid, "name": proc.name},
                 run=self._tr_run,
             )
-        # _core_stall_frac keeps the last segment's memory intensity so
-        # neighbours sharing the L2 see this core's pressure until it
-        # idles or runs something else.
-        if finished:
-            self._finish(proc, end)
-        elif core_id in proc.affinity:
-            if sq is not None and core_id not in self.scheduler._offline:
-                # Stock-scheduler requeue, inlined: the waker is a no-op
-                # for a core that is mid-turn (never idle), leaving just
-                # the runqueue append.
-                sq[core_id].append(proc)
-            else:
-                self.scheduler.requeue(proc, core_id, end)
-        else:
-            self.scheduler.enqueue(proc, end)
-        events = self._events
-        _heappush(events._heap, (end, events._seq, self._core_events[core_id]))
-        events._seq += 1
+        self.scheduler.enqueue(proc, now)
+        if self._tr_opensys:
+            self._tr.instant(
+                "opensys",
+                "arrival",
+                now,
+                tid=PROC_TID_BASE + proc.pid,
+                args={"pid": proc.pid, "name": proc.name},
+                run=self._tr_run,
+            )
+            self._tr.counter(
+                "opensys",
+                "jobs_in_system",
+                now,
+                float(len(self._live)),
+                run=self._tr_run,
+            )
 
     # -- quantum execution -------------------------------------------------------
 
@@ -636,8 +741,8 @@ class Simulation:
         """Reference quantum loop: one trace step per iteration.
 
         Used for unflattenable traces and as the golden reference for
-        :meth:`_run_quantum_flat` (``batched=False`` forces it).  Both
-        paths must stay bit-identical — every float operation feeding
+        the flat quantum loop in :meth:`run` (``batched=False`` forces
+        it).  Both paths must stay bit-identical — every float operation feeding
         ``t``/``budget``/``n`` cascades through scheduler decisions.
         """
         core, ctype_name, freq_hz, neighbors, pollution_penalty, _ = (
@@ -768,211 +873,6 @@ class Simulation:
 
         return max(t, start + _MIN_STEP_S)
 
-    def _run_quantum_flat(
-        self, core_id: int, proc: SimProcess, start: float, cursor: FlatCursor
-    ) -> float:
-        """Quantum loop over a flat trace.
-
-        Bit-identical to :meth:`_run_quantum_stepped`: every step runs
-        through the same scalar expressions, in the same order, but reads
-        its costs from the :class:`FlatTrace` step rows instead of
-        walking the trace tree, and keeps the cursor state in locals.
-        Mark-free entries skip the :meth:`_fire_marks` call (a no-op for
-        them).
-        :meth:`_core_turn` has already committed inline any quantum that
-        resumes mid-step and ends inside that step, unless a memory
-        pressure event may apply.
-        """
-        (
-            core_exec,
-            freq_eff,
-            timeslice,
-            runtime,
-            core_idle,
-            core_stall_frac,
-            contention_alpha,
-            pollution_beta,
-            buckets,
-        ) = self._hot
-        core, ctype_name, freq_hz, neighbors, pollution_penalty, nb = (
-            core_exec[core_id]
-        )
-        freq = freq_eff[core_id]
-        budget = timeslice
-        t = start
-        proc.current_core = core_id
-
-        flat = cursor.flat
-        pos = cursor.pos
-        done = cursor.iters_done
-        at_entry = cursor.at_entry
-        n_steps = flat.n
-
-        # The neighbour scan reads only *other* cores' state, which no
-        # event can change mid-quantum, so it is loop-invariant.  Stall
-        # fractions are non-negative, so with a single L2 neighbour the
-        # max-scan collapses to one read.
-        if nb >= 0:
-            neighbor = 0.0 if core_idle[nb] else core_stall_frac[nb]
-        else:
-            neighbor = 0.0
-            for other in neighbors:
-                if not core_idle[other]:
-                    other_frac = core_stall_frac[other]
-                    if other_frac > neighbor:
-                        neighbor = other_frac
-        # Like the neighbour scan, loop-invariant: pressure events only
-        # apply between quanta.
-        mem_pressure = self._core_mem_pressure[core_id]
-
-        stats = proc.stats
-        segs = flat.segs
-        rows = flat.rows[ctype_name]
-        # Steps needing the mark path: with a runtime attached, any mark
-        # (entry or embedded) may call into it; without one, only entry
-        # marks charge cycles (embedded overhead is a constant
-        # per-iteration term already present in the step row).
-        with_runtime = runtime is not None
-
-        while budget > 0 and pos < n_steps:
-            (
-                iterations,
-                seg_instrs,
-                per_iter_overhead,
-                emb_multi,
-                compute,
-                stall,
-                l2_resident,
-                raw_stall_frac,
-                entry_marked,
-                any_marked,
-            ) = rows[pos]
-            if at_entry:
-                if any_marked if with_runtime else entry_marked:
-                    action = self._fire_marks(proc, segs[pos], core, t)
-                    cost_s = action.extra_cycles / freq
-                    t += cost_s
-                    budget -= cost_s
-                    at_entry = False
-                    if (
-                        action.affinity is not None
-                        and action.affinity != proc.affinity
-                    ):
-                        if self.faults is not None and not self._affinity_call_ok(
-                            proc, t
-                        ):
-                            continue
-                        proc.affinity = validate_affinity(
-                            action.affinity, len(self.machine)
-                        )
-                        if (
-                            self.faults is not None
-                            and self._notify_affinity is not None
-                        ):
-                            self._notify_affinity(proc, True, None, t)
-                        if core_id not in proc.affinity:
-                            switch_s = MIGRATION_CYCLES / freq
-                            stats.switches += 1
-                            stats.migrations += 1
-                            if self._tr_exec:
-                                self._tr.instant(
-                                    "exec",
-                                    "migrate",
-                                    t,
-                                    tid=PROC_TID_BASE + proc.pid,
-                                    args={"pid": proc.pid, "from": core_id},
-                                    run=self._tr_run,
-                                )
-                            cursor.pos = pos
-                            cursor.iters_done = done
-                            cursor.at_entry = False
-                            return t + switch_s
-                    continue
-                # A mark-free entry is an exact no-op in the stepped
-                # loop (zero cycles, zero firings); just clear the flag.
-                at_entry = False
-
-            if neighbor > 0:
-                if contention_alpha > 0 and stall > 0:
-                    stall *= 1.0 + contention_alpha * neighbor
-                if pollution_beta > 0 and l2_resident > 0:
-                    stall += (
-                        pollution_beta * neighbor * l2_resident * pollution_penalty
-                    )
-            if mem_pressure > 0.0 and l2_resident > 0:
-                stall += mem_pressure * l2_resident * pollution_penalty
-
-            # The row's overhead is exactly embedded_rate *
-            # MARK_FIRE_CYCLES (0.0 for mark-free steps) — what
-            # _embedded_overhead returns whenever thrash is impossible
-            # (no runtime, or fewer than two embedded marks).
-            switch_rate = 0.0
-            if with_runtime and emb_multi:
-                per_iter_overhead, switch_rate = self._embedded_overhead(
-                    proc, segs[pos], runtime
-                )
-
-            total_per_iter = compute + stall + per_iter_overhead
-            # min()/max() spelled as conditionals (value-identical for
-            # the non-NaN floats here; saves a builtin call per step).
-            per_iter_s = total_per_iter / freq
-            if per_iter_s < 1e-18:
-                per_iter_s = 1e-18
-            remaining = iterations - done
-            fit = budget / per_iter_s
-            n = remaining if remaining <= fit else fit
-            if n <= 0:
-                n = min(remaining, 1e-9)
-            elapsed = n * per_iter_s
-            # stats.record inlined, same field order and float ops
-            # (0.0 + x == x exactly, so the try/except miss arm matches
-            # the .get(k, 0.0) + x it replaces).
-            instrs = n * seg_instrs
-            stats.instructions += instrs
-            cycles_by_type = stats.cycles_by_type
-            try:
-                cycles_by_type[ctype_name] += n * total_per_iter
-            except KeyError:
-                cycles_by_type[ctype_name] = n * total_per_iter
-            instrs_by_type = stats.instrs_by_type
-            try:
-                instrs_by_type[ctype_name] += instrs
-            except KeyError:
-                instrs_by_type[ctype_name] = instrs
-            stats.mark_overhead_cycles += n * per_iter_overhead
-            stats.switches += n * switch_rate
-            if switch_rate != 0.0 and self._tr_exec:
-                self._tr.counter(
-                    "exec",
-                    "thrash",
-                    t,
-                    n * switch_rate,
-                    tid=PROC_TID_BASE + proc.pid,
-                    run=self._tr_run,
-                )
-            stats.cpu_time += elapsed
-            bucket = int(t)
-            try:
-                buckets[bucket] += instrs
-            except KeyError:
-                buckets[bucket] = instrs
-            core_stall_frac[core_id] = raw_stall_frac
-            done += n
-            if iterations - done <= 1e-9:
-                pos += 1
-                done = 0.0
-                at_entry = True
-            t += elapsed
-            budget -= elapsed
-            if budget <= _MIN_STEP_S and pos < n_steps:
-                break
-
-        cursor.pos = pos
-        cursor.iters_done = done
-        cursor.at_entry = at_entry if pos < n_steps else False
-        floor = start + _MIN_STEP_S
-        return t if t > floor else floor
-
     def _fire_marks(self, proc: SimProcess, seg: Segment, core, now) -> MarkAction:
         """Fire the segment's entry marks (and give embedded marks their
         once-per-entry runtime visit); return the combined action."""
@@ -996,7 +896,7 @@ class Simulation:
                 )
         if self.runtime is None:
             if not fired:
-                return _NO_ACTION
+                return NO_ACTION
             action = _ENTRY_ACTIONS.get(n_entry)
             if action is None:
                 action = _ENTRY_ACTIONS[n_entry] = MarkAction(extra_cycles=cycles)

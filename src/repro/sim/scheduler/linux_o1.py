@@ -155,13 +155,16 @@ class LinuxO1Scheduler(Scheduler):
     def _steal(self, thief: int, now: float = 0.0) -> Optional[SimProcess]:
         """Pull one allowed process from the busiest other core."""
         queues = self._queues
-        # Busiest first, ties in machine order (the sort is stable).
-        # Empty queues have nothing to steal, so they are never sorted.
+        # Busiest first, ties in machine order.  Empty queues have
+        # nothing to steal, so they are never sorted.
         donors = sorted(
-            (cid for cid, queue in queues.items() if queue and cid != thief),
-            key=lambda cid: -len(queues[cid]),
+            [
+                (-len(queue), cid)
+                for cid, queue in queues.items()
+                if queue and cid != thief
+            ]
         )
-        for donor in donors:
+        for _, donor in donors:
             queue = queues[donor]
             # Scan from the cold end so the donor keeps its hot task.
             for i in range(len(queue) - 1, -1, -1):

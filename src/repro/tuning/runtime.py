@@ -55,7 +55,7 @@ from typing import Optional
 
 from repro.instrument.phase_mark import MARK_MONITOR_CYCLES
 from repro.sim.counters import CounterBank
-from repro.sim.executor import MarkAction
+from repro.sim.executor import NO_ACTION, MarkAction
 from repro.sim.faults import DvfsEvent, FaultInjector, MemoryPressureEvent
 from repro.sim.machine import MachineConfig
 from repro.sim.process import SimProcess
@@ -66,6 +66,11 @@ from repro.tuning.monitor import FREE, PhaseState, SectionMonitor
 #: Cycles one sched_setaffinity-style call costs (kernel entry + mask
 #: update), charged whenever a mark actually issues the call.
 AFFINITY_SYSCALL_CYCLES = 150.0
+
+#: Shared answer of :meth:`PhaseTuningRuntime.on_mark` when a firing
+#: just opens a measurement (``MarkAction`` is frozen); most firings ask
+#: for nothing and get the executor's shared ``NO_ACTION``.
+_MONITOR_OPENED = MarkAction(extra_cycles=MARK_MONITOR_CYCLES)
 
 
 @dataclass(frozen=True)
@@ -346,7 +351,7 @@ class PhaseTuningRuntime:
         """Handle one mark firing; return the requested action."""
         self._absorb_sample(proc, now)
         if phase_type is None:
-            return MarkAction()
+            return NO_ACTION
 
         state = self._state(proc, phase_type)
         state.firings += 1
@@ -379,7 +384,7 @@ class PhaseTuningRuntime:
                         affinity=self.machine.all_cores_mask,
                         extra_cycles=AFFINITY_SYSCALL_CYCLES,
                     )
-            return MarkAction()
+            return NO_ACTION
 
         if (
             state.decided is not None
@@ -399,7 +404,7 @@ class PhaseTuningRuntime:
                 return MarkAction(
                     affinity=mask, extra_cycles=AFFINITY_SYSCALL_CYCLES
                 )
-            return MarkAction()
+            return NO_ACTION
 
         # Exploring.
         current = core.ctype
@@ -407,7 +412,7 @@ class PhaseTuningRuntime:
             opened = self.monitor.try_open(proc, phase_type, core, now)
             if opened:
                 state.open_failures = 0
-                return MarkAction(extra_cycles=MARK_MONITOR_CYCLES)
+                return _MONITOR_OPENED
             if proc.monitor_session is None:
                 # A genuine acquisition failure (not merely a still-open
                 # measurement): rung 1, the bounded deferred retry.
@@ -431,7 +436,7 @@ class PhaseTuningRuntime:
                             affinity=self.machine.all_cores_mask,
                             extra_cycles=AFFINITY_SYSCALL_CYCLES,
                         )
-            return MarkAction()
+            return NO_ACTION
 
         missing = [ct for ct in self.core_types if ct.name not in state.samples]
         if missing:
@@ -468,7 +473,7 @@ class PhaseTuningRuntime:
             self._tr.incr("tuning.decisions")
         if mask != proc.affinity:
             return MarkAction(affinity=mask, extra_cycles=AFFINITY_SYSCALL_CYCLES)
-        return MarkAction()
+        return NO_ACTION
 
     def on_process_end(self, proc: SimProcess, now: float) -> None:
         """Release any open measurement when a process exits."""
@@ -534,12 +539,12 @@ class SwitchToAllRuntime:
 
     def __init__(self, machine: MachineConfig):
         self.machine = machine
-        self._all = machine.all_cores_mask
+        self._action = MarkAction(
+            affinity=machine.all_cores_mask, extra_cycles=AFFINITY_SYSCALL_CYCLES
+        )
 
     def on_mark(self, proc, mark_id, phase_type, core, now) -> MarkAction:
-        return MarkAction(
-            affinity=self._all, extra_cycles=AFFINITY_SYSCALL_CYCLES
-        )
+        return self._action
 
     def on_process_end(self, proc, now) -> None:  # noqa: D401 - trivial
         """Nothing to clean up."""

@@ -103,3 +103,29 @@ def test_steal_matches_sort_all_reference(layout, thief):
 )
 def test_pick_core_matches_sorted_reference(mask, load, prefer):
     assert pick_core(mask, load, prefer) == _pick_core_sorted(mask, load, prefer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lengths=st.lists(
+        st.integers(min_value=0, max_value=5),
+        min_size=len(CORES),
+        max_size=len(CORES),
+    ),
+    thief=st.sampled_from(CORES),
+)
+def test_repeated_steals_follow_the_old_donor_order(lengths, thief):
+    """Every queued process may run on the thief, so each steal takes
+    from the first donor in the reference's order — busiest first, ties
+    in machine order — and stealing until nothing is left replays that
+    order as the queue lengths change."""
+    layout = [[frozenset(CORES)] * n for n in lengths]
+    sched = _scheduler(layout)
+    reference = _scheduler(layout)
+    while True:
+        stolen = sched._steal(thief)
+        assert stolen == _steal_sort_all(reference, thief)
+        assert _queues(sched) == _queues(reference)
+        if stolen is None:
+            break
+    assert sched.steals == reference.steals == sum(lengths) - lengths[thief]

@@ -1,6 +1,7 @@
 """Unit tests for the event queue."""
 
 import heapq
+import random
 
 from repro.sim.events import EventQueue
 
@@ -52,3 +53,55 @@ def test_heap_fast_path_matches_wrapper_order():
 
     assert via_wrapper == via_heap
     assert [p for _, p in via_heap] == [6, 1, 2, 4, 3, 7, 0, 5]
+
+
+def _deliver(seed: int, in_place: bool) -> list:
+    """Deliver a random schedule the way the run loop does.
+
+    Each delivered event, decided by its payload alone, pushes a few
+    follow-ups (some at the same ``now``) and may reschedule itself once
+    it has been handled, like a core's turn.  ``in_place`` peeks at the
+    root, handles it and then replaces it (``heapreplace``) or pops it;
+    otherwise the event is popped first and its reschedule pushed.
+    """
+    queue = EventQueue()
+    heap = queue._heap
+    start = random.Random(seed)
+    for payload in range(start.randint(1, 6)):
+        queue.push(start.choice([0.0, 0.0, 1.0, 2.5]), payload)
+    next_payload = len(heap)
+    delivered = []
+    while heap and len(delivered) < 300:
+        if in_place:
+            now, _, payload = heap[0]
+        else:
+            now, _, payload = heapq.heappop(heap)
+        delivered.append((now, payload))
+        rng = random.Random(seed * 100_003 + payload)
+        for _ in range(rng.randint(0, 2)):
+            queue.push(now + rng.choice([0.0, 0.0, 0.5, 1.0]), next_payload)
+            next_payload += 1
+        if rng.random() < 0.6:
+            entry = (now + rng.choice([0.0, 0.25, 1.0]), queue._seq, payload)
+            queue._seq += 1
+            if in_place:
+                heapq.heapreplace(heap, entry)
+            else:
+                heapq.heappush(heap, entry)
+        elif in_place:
+            heapq.heappop(heap)
+    return delivered
+
+
+def test_in_place_replacement_matches_pop_then_push():
+    """Every push made while an event is handled is keyed at a time >=
+    its own with a later sequence number, so the handled event stays at
+    the root until it is replaced: "peek, handle, heapreplace" delivers
+    exactly what "pop, handle, push" does, same-time pushes included."""
+    same_time = 0
+    for seed in range(200):
+        delivered = _deliver(seed, in_place=True)
+        assert delivered == _deliver(seed, in_place=False)
+        times = [t for t, _ in delivered]
+        same_time += len(times) - len(set(times))
+    assert same_time > 1000  # ties at one time really occurred

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event executor."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.instrument import LoopStrategy, instrument
@@ -242,3 +245,37 @@ def test_end_to_end_phased_tuning_runs(machine):
     result = sim.run(1000.0)
     assert result.completed
     assert proc.stats.mark_firings > 0
+
+
+@pytest.mark.parametrize("tuned", [False, True], ids=["stock", "tuned"])
+def test_finished_run_is_freed_without_the_cycle_collector(
+    machine, monkeypatch, tuned
+):
+    """The scheduler's waker closes over per-core state, not over the
+    simulation, so the two form no reference cycle: with the cycle
+    collector off, a finished ``WorkloadRun.run``'s simulation is freed
+    as soon as the run returns."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.workloads import workload as workload_module
+    from repro.workloads.workload import Workload, WorkloadRun
+
+    refs = []
+
+    class Recorded(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(workload_module, "Simulation", Recorded)
+    config = ExperimentConfig(machine=machine)
+    strategy = config.strategy("Loop[45]") if tuned else None
+    runtime = config.make_runtime() if tuned else None
+    run = WorkloadRun(Workload.random(4, seed=1, queue_length=16), machine, strategy)
+    gc.disable()
+    try:
+        result = run.run(5.0, runtime=runtime)
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()
+    assert result.throughput_buckets
